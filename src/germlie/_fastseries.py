@@ -4,52 +4,23 @@ The public series type handles one series at a time; the Lie-group hot paths
 (BCH word evaluation, product-integral steps) run the same coefficient and
 tail arithmetic over a stack of series at once.  A :class:`SeriesStack`
 holds coefficients of shape (B, K, m, m) with per-entry radius and tail
-vectors; anchors and levels stay with the caller.  Tail propagation matches
-:func:`germlie.series.multiply` entry by entry.
+vectors; anchors and levels stay with the caller.  Products, norms and the
+exp order and remainder come from :mod:`germlie.series`, so a stack and a
+single series share one Cauchy-product kernel and one tail rule.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .series import CoefficientSpace, TruncatedSeries
-
-_EXP_REL_TOL = 1e-14
-
-
-def spectral_norms(coeffs: np.ndarray) -> np.ndarray:
-    """Largest singular value over the trailing (m, m) axes; closed form for m = 2."""
-    m = coeffs.shape[-1]
-    if m == 1:
-        return np.abs(coeffs[..., 0, 0])
-    if m == 2:
-        f = np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
-        det = coeffs[..., 0, 0] * coeffs[..., 1, 1] - coeffs[..., 0, 1] * coeffs[..., 1, 0]
-        disc = np.sqrt(np.maximum(f * f - 4.0 * np.abs(det) ** 2, 0.0))
-        return np.sqrt(np.maximum(0.5 * (f + disc), 0.0))
-    sv = np.linalg.svd(coeffs, compute_uv=False)
-    return sv[..., 0]
-
-
-_TOEPLITZ_INDEX: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _toeplitz_index(k: int, m: int) -> np.ndarray:
-    """(k*m, k*m) flat indices into k+1 stacked (m, m) blocks, the last one zero.
-
-    Entry (i*m + s, d*m + t) points at entry (s, t) of block d - i, or into
-    the zero block below the diagonal.
-    """
-    idx = _TOEPLITZ_INDEX.get((k, m))
-    if idx is None:
-        lag = np.arange(k)[None, :] - np.arange(k)[:, None]
-        block = np.where(lag >= 0, lag, k)
-        entry = np.arange(m * m).reshape(m, m)
-        idx = (block[:, None, :, None] * m * m + entry[None, :, None, :]).reshape(k * m, k * m)
-        _TOEPLITZ_INDEX[(k, m)] = idx
-    return idx
+from .series import (
+    CoefficientSpace,
+    TruncatedSeries,
+    _cauchy_product,
+    _exp_order,
+    _exp_remainder,
+    spectral_norms,
+)
 
 
 class SeriesStack:
@@ -130,29 +101,10 @@ class SeriesStack:
     # -- products ------------------------------------------------------------------
 
     def mul(self, other: "SeriesStack") -> "SeriesStack":
-        b, k, m, _ = self.coeffs.shape
-        # Cauchy product as one matmul per row: self as the block row
-        # [a_0 .. a_{k-1}] of shape (m, k*m) times the block upper-triangular
-        # Toeplitz matrix of other, whose block (i, d) is b_{d-i} for d >= i
-        padded = np.concatenate([other.coeffs, np.zeros_like(other.coeffs[:, :1])], axis=1)
-        toeplitz = np.take(padded.reshape(b, -1), _toeplitz_index(k, m), axis=1)
-        row = self.coeffs.transpose(0, 2, 1, 3).reshape(b, m, k * m)
-        coeffs = np.ascontiguousarray(
-            np.matmul(row, toeplitz).reshape(b, m, k, m).transpose(0, 2, 1, 3))
-
         radius = np.minimum(self.radius, other.radius)
-        pw = radius[:, None] ** np.arange(k)
-        am = self.norms() * pw
-        bm = other.norms() * pw
-        # overflow sum_{p+q>=k} am_p bm_q = sum_{p>=1} am_p * (sum_{q>=k-p} bm_q),
-        # read off the suffix sums of bm
-        suffix = np.cumsum(bm[:, ::-1], axis=1)  # suffix[:, j] = sum of the last j+1 bm
-        overflow = np.sum(am[:, 1:] * suffix[:, : k - 1], axis=1)
-        ma = np.sum(am, axis=1)
-        mb = np.sum(bm, axis=1)
         # the doubled matrix norm is 1/2-submultiplicative
-        tail = 0.5 * (ma * other.tail + mb * self.tail
-                      + self.tail * other.tail + overflow)
+        coeffs, tail = _cauchy_product(self.coeffs, other.coeffs, self.norms(), other.norms(),
+                                       self.tail, other.tail, radius, 0.5)
         return SeriesStack(coeffs, radius, tail)
 
     def bracket(self, other: "SeriesStack") -> "SeriesStack":
@@ -181,20 +133,5 @@ class SeriesStack:
         out = one
         for j in range(j_ord, 0, -1):
             out = one.add(base.mul(out).scale(1.0 / j))
-        term = qq ** (j_ord + 1) / math.factorial(j_ord + 1)
-        rem = term / (0.5 * np.maximum(1.0 - qq / (j_ord + 2), 1e-9))
         out = out._rescaled(1.0 / self.radius)
-        return SeriesStack(out.coeffs, out.radius, out.tail + rem)
-
-
-def _exp_order(m: float, rel: float = _EXP_REL_TOL) -> int:
-    target = rel * max(1.0, math.exp(min(m, 50.0)))
-    j = 1
-    term = m
-    while j < 80:
-        nxt = term * m / (j + 1)
-        if nxt / max(1.0 - m / (j + 3), 1e-9) < target and j >= 4:
-            return j + 1
-        term = nxt
-        j += 1
-    return j
+        return SeriesStack(out.coeffs, out.radius, out.tail + _exp_remainder(qq, j_ord, 0.5))

@@ -383,8 +383,7 @@ def run(args) -> int:
         if rows:
             dump_csv(rows, out_dir / f"summary_{name}.csv")
         for rep in reports:
-            line = "PASS" if rep.passed else ("INCONCLUSIVE" if rep.status == "inconclusive" else "FAIL")
-            print(f"[{name}] {line} {rep.check} (trials={rep.trials})")
+            print(f"[{name}] {rep.status.upper()} {rep.check} (trials={rep.trials})")
             if not rep.passed:
                 all_passed = False
     return 0 if all_passed else 1

@@ -123,13 +123,6 @@ class Transition:
                 out[mask] = p.eval(zs[mask])
         return out
 
-    def covers(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        ok = np.zeros(zs.shape, dtype=bool)
-        for p in self.pieces:
-            ok |= np.abs(zs - p.anchor) < _EVAL_SAFETY * p.radius
-        return ok & self._inside(zs)
-
     def convergence_radius_estimate(self, safety: float = 0.8) -> float:
         """Cauchy-Hadamard estimate from coefficient decay, with a safety factor.
 

@@ -123,13 +123,6 @@ class GermSpace:
             for a, pairs in zip(self.anchors, per_anchor_pairs))
         return BHolElement(self, level, reps)
 
-    def element_from_function(self, f, level: int, check_coherence=False) -> "BHolElement":
-        """Per-anchor Taylor representation of an entire-ish evaluator.
-
-        Thin wrapper over :func:`factorize`; see there for the bound checks.
-        """
-        return factorize(self, f, level, check_coherence=check_coherence)
-
     def sample_points(self, level: int, count: int, interior: float = 0.5) -> np.ndarray:
         """Deterministic points inside U_level (d = 1), spread over all anchors."""
         if self.dim != 1:

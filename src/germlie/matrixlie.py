@@ -243,13 +243,16 @@ class MatrixLieBackend:
         """Principal matrix logarithm via inverse scaling-and-squaring.
 
         The principal branch needs the spectrum of ``g`` off the closed
-        negative real axis; violations raise :class:`BudgetError`.
+        negative real axis, 0 included.  An eigenvalue whose distance to that
+        axis is at most 1e-14 times the spectral radius raises
+        :class:`BudgetError`.
         """
         g = np.asarray(g, dtype=complex)
         if g.ndim > 2:
             return np.stack([self.log(gi) for gi in g])
         eig = np.linalg.eigvals(g)
-        if np.any((eig.real <= 0) & (np.abs(eig.imag) < 1e-14 * np.abs(eig.real))):
+        dist = np.where(eig.real <= 0, np.abs(eig.imag), np.abs(eig))  # to the axis
+        if np.any(dist <= 1e-14 * np.max(np.abs(eig))):
             raise BudgetError("log branch budget violated: eigenvalue on the closed "
                               "negative real axis")
         out = scipy.linalg.logm(g)

@@ -21,13 +21,15 @@ class Report:
     trials: int = 0
     failures: list = field(default_factory=list)
     worst_margin: float | None = None
-    passed: bool = True
     status: str = "pass"  # "pass" | "fail" | "inconclusive"
     extras: dict = field(default_factory=dict)
 
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
     def fail(self, detail: dict):
         self.failures.append(detail)
-        self.passed = False
         self.status = "fail"
 
     def note_margin(self, margin: float):

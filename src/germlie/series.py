@@ -140,21 +140,65 @@ def spectral_norms(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# helpers for the (anti)diagonal sums of the Cauchy product
+# the d = 1 Cauchy-product kernel, shared with the batched SeriesStack
 # ---------------------------------------------------------------------------
 
-_CONV_MATRICES: dict[int, np.ndarray] = {}
+_TOEPLITZ_INDEX: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _conv_matrix(k: int) -> np.ndarray:
-    """(2k-1, k*k) 0/1 matrix summing the anti-diagonals i+j of a k x k table."""
-    mat = _CONV_MATRICES.get(k)
-    if mat is None:
-        idx = np.add.outer(np.arange(k), np.arange(k)).ravel()
-        mat = np.zeros((2 * k - 1, k * k))
-        mat[idx, np.arange(k * k)] = 1.0
-        _CONV_MATRICES[k] = mat
-    return mat
+def _toeplitz_index(k: int, m: int) -> np.ndarray:
+    """(k*m, k*m) flat indices into k+1 stacked (m, m) blocks, the last one zero.
+
+    Entry (i*m + s, d*m + t) points at entry (s, t) of block d - i, or into
+    the zero block below the diagonal.
+    """
+    idx = _TOEPLITZ_INDEX.get((k, m))
+    if idx is None:
+        lag = np.arange(k)[None, :] - np.arange(k)[:, None]
+        block = np.where(lag >= 0, lag, k)
+        entry = np.arange(m * m).reshape(m, m)
+        idx = (block[:, None, :, None] * m * m + entry[None, :, None, :]).reshape(k * m, k * m)
+        _TOEPLITZ_INDEX[(k, m)] = idx
+    return idx
+
+
+def _product_tail(ma, mb, tail_a, tail_b, overflow, kappa):
+    """``kappa * (M_a tau_b + M_b tau_a + tau_a tau_b + overflow)``.
+
+    The M's are the factors' polynomial majorants at the result radius,
+    ``overflow`` is the majorant mass of the exact product beyond the degree
+    bound, and kappa is the submultiplicativity constant of the coefficient
+    norm (1 for scalars, 1/2 for the doubled matrix norm).
+    """
+    return kappa * (ma * tail_b + mb * tail_a + tail_a * tail_b + overflow)
+
+
+def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
+    """Truncated Cauchy products of B pairs of series with (m, m) coefficients.
+
+    ``a`` and ``b`` have shape (B, K, m, m) (scalars are m = 1), the norms
+    (B, K), the tails and the common radius (B,).  Returns the product
+    coefficients (B, K, m, m) and their tails (B,).
+    """
+    n_rows, k, m, _ = a.shape
+    # one matmul per row: a as the block row [a_0 .. a_{k-1}] of shape
+    # (m, k*m) times the block upper-triangular Toeplitz matrix of b, whose
+    # block (i, d) is b_{d-i} for d >= i
+    padded = np.concatenate([b, np.zeros_like(b[:, :1])], axis=1)
+    toeplitz = np.take(padded.reshape(n_rows, -1), _toeplitz_index(k, m), axis=1)
+    row = a.transpose(0, 2, 1, 3).reshape(n_rows, m, k * m)
+    coeffs = np.ascontiguousarray(
+        np.matmul(row, toeplitz).reshape(n_rows, m, k, m).transpose(0, 2, 1, 3))
+
+    pw = radius[:, None] ** np.arange(k)
+    am = norms_a * pw
+    bm = norms_b * pw
+    # overflow sum_{p+q>=k} am_p bm_q = sum_{p>=1} am_p * (sum_{q>=k-p} bm_q),
+    # read off the suffix sums of bm
+    suffix = bm[:, ::-1].cumsum(axis=1)  # suffix[:, j] = sum of the last j+1 bm
+    overflow = (am[:, 1:] * suffix[:, : k - 1]).sum(axis=1)
+    tail = _product_tail(am.sum(axis=1), suffix[:, -1], tail_a, tail_b, overflow, kappa)
+    return coeffs, tail
 
 
 def _anchor_key(anchor) -> tuple:
@@ -448,12 +492,8 @@ def linear_combination(a: TruncatedSeries, b: TruncatedSeries,
 def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Truncated Cauchy product (noncommutative for matrix coefficients).
 
-    The tail bound is ``kappa * (M_a tau_b + M_b tau_a + tau_a tau_b +
-    overflow)`` where the M's are the factors' polynomial majorants at the
-    result radius, ``overflow`` is the majorant mass of the exact product
-    beyond the degree bound, and kappa is the submultiplicativity constant
-    of the coefficient norm (1 for scalars, 1/2 for the doubled matrix
-    norm).
+    The tail bound is :func:`_product_tail` of the factors' majorants,
+    tails and truncation overflow.
     """
     _check_compatible(a, b)
     if a.space.kind == "vector":
@@ -464,24 +504,20 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.degree_bound, b.degree_bound)
     a = a.truncate(n)
     b = b.truncate(n)
+    kappa = a.space.submult_factor
+    k = n + 1
 
     if a.dim == 1:
-        k = n + 1
-        if a.space.kind == "scalar":
-            full = np.convolve(a.coeffs, b.coeffs)
-        else:
-            prod = np.einsum("iab,jbc->ijac", a.coeffs, b.coeffs)
-            m = a.space.dim
-            full = (_conv_matrix(k) @ prod.reshape(k * k, m * m)).reshape(2 * k - 1, m, m)
-        coeffs = np.ascontiguousarray(full[: k])
-        # overflow of the exact polynomial product beyond degree n
-        am = a.majorant_coeffs(radius)
-        bm = b.majorant_coeffs(radius)
-        overflow = float(np.sum(np.convolve(am, bm)[k:]))
-        ma, mb = float(np.sum(am)), float(np.sum(bm))
+        # a single series is a B = 1 stack; scalars are 1 x 1 matrices
+        m = a.space.dim
+        coeffs, tail = _cauchy_product(
+            a.coeffs.reshape(1, k, m, m), b.coeffs.reshape(1, k, m, m),
+            a.coeff_norms()[None], b.coeff_norms()[None],
+            np.array([a.tail_bound]), np.array([b.tail_bound]), np.array([radius]), kappa)
+        coeffs = coeffs[0].reshape(a.coeffs.shape)
+        tail = float(tail[0])
     else:
         # d = 2 is not performance critical; a direct loop keeps it readable
-        k = n + 1
         shape = (2 * k - 1, 2 * k - 1) + a.space.shape
         full = np.zeros(shape, dtype=complex)
         for i in range(k):
@@ -500,10 +536,7 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         pw = radius ** (di + dj)
         overflow = float(np.sum((norms * pw)[di + dj > n]))
         ma, mb = a.poly_majorant(radius), b.poly_majorant(radius)
-
-    kappa = a.space.submult_factor
-    tail = kappa * (ma * b.tail_bound + mb * a.tail_bound
-                    + a.tail_bound * b.tail_bound + overflow)
+        tail = _product_tail(ma, mb, a.tail_bound, b.tail_bound, overflow, kappa)
     return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space, a.dim)
 
 
@@ -585,8 +618,8 @@ def _rescale_variable(a: TruncatedSeries, lam: float) -> TruncatedSeries:
                            a.space, a.dim)
 
 
-def _exp_order(m: float, rel: float = _EXP_REL_TOL) -> int:
-    target = rel * max(1.0, math.exp(min(m, 50.0)))
+def _exp_order(m: float) -> int:
+    target = _EXP_REL_TOL * max(1.0, math.exp(min(m, 50.0)))
     j = 1
     term = m
     while j < 80:
@@ -596,6 +629,15 @@ def _exp_order(m: float, rel: float = _EXP_REL_TOL) -> int:
         term = nxt
         j += 1
     return j
+
+
+def _exp_remainder(q, j_ord: int, kappa: float):
+    """Bound for the exp terms of degree above ``j_ord``, where ``q = kappa * majorant``.
+
+    Works entrywise on an array of q's.
+    """
+    term = q ** (j_ord + 1) / math.factorial(j_ord + 1)
+    return term / (kappa * np.maximum(1.0 - q / (j_ord + 2), 1e-9))
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
@@ -615,9 +657,7 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     s = one
     for j in range(j_ord, 0, -1):
         s = one + multiply(au, s).scale(1.0 / j)
-    term = q ** (j_ord + 1) / math.factorial(j_ord + 1)
-    rem = term / (kappa * max(1.0 - q / (j_ord + 2), 1e-9))
-    return _rescale_variable(s, 1.0 / lam).with_tail(rem)
+    return _rescale_variable(s, 1.0 / lam).with_tail(float(_exp_remainder(q, j_ord, kappa)))
 
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:

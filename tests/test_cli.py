@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+from germlie.reports import Report
+
 
 def run_cli(*argv, cwd=None):
     return subprocess.run([sys.executable, "-m", "germlie", *argv],
@@ -26,6 +28,16 @@ class TestDeterminism:
                 "--out", str(b))
         assert (a / "report_lie-local.json").read_bytes() != \
             (b / "report_lie-local.json").read_bytes()
+
+
+class TestReportStatus:
+    def test_passed_follows_status(self):
+        rep = Report(check="demo", params={})
+        assert rep.passed and rep.to_dict()["passed"]
+        rep.status = "inconclusive"
+        assert not rep.passed and not rep.to_dict()["passed"]
+        rep.fail({"reason": "demo"})
+        assert rep.status == "fail" and not rep.passed
 
 
 class TestExitCodes:

@@ -144,6 +144,14 @@ class TestCharts:
         with pytest.raises(BudgetError, match="branch"):
             B2.log(g)
 
+    @pytest.mark.parametrize("g", [[[1.0, 2.0], [0.0, 0.0]],
+                                   [[1.0, 2.0], [2.0, 4.0]],
+                                   [[0.0, 1.0], [0.0, 0.0]]])
+    def test_log_rejects_singular(self, g):
+        # eigenvalue exactly 0, at rounding level (1e-32) and a double 0
+        with pytest.raises(BudgetError, match="branch"):
+            B2.log(np.array(g))
+
     def test_ad_matches_conjugated_flow(self, rng):
         # exp(t ad(g, x)) = g exp(t x) g^{-1} at t = 0.1
         g = B2.exp(B2.random_element(rng, 0.2))

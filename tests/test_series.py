@@ -48,6 +48,46 @@ def boundary_points(radius, n=20, interior=0.6):
     return interior * radius * np.exp(1j * np.linspace(0, 2 * np.pi, n, endpoint=False))
 
 
+def naive_product(x, y):
+    """Reference d = 1 Cauchy product of two equal-degree series: (coeffs, radius, tail).
+
+    Coefficients come from the double loop sum_{i+j=k} x_i y_j, the overflow
+    beyond the degree bound from np.convolve of the two majorant sequences.
+    """
+    k = x.degree_bound + 1
+    matrix = x.space.kind == "matrix"
+    coeffs = np.zeros_like(x.coeffs)
+    for i in range(k):
+        for j in range(k - i):
+            coeffs[i + j] += x.coeffs[i] @ y.coeffs[j] if matrix else x.coeffs[i] * y.coeffs[j]
+    radius = min(x.radius, y.radius)
+    norm = (lambda c: 2.0 * np.linalg.norm(c, 2)) if matrix else abs
+    pw = radius ** np.arange(k)
+    am = np.array([norm(c) for c in x.coeffs]) * pw
+    bm = np.array([norm(c) for c in y.coeffs]) * pw
+    overflow = np.sum(np.convolve(am, bm)[k:])
+    kappa = 0.5 if matrix else 1.0
+    tail = kappa * (np.sum(am) * y.tail_bound + np.sum(bm) * x.tail_bound
+                    + x.tail_bound * y.tail_bound + overflow)
+    return coeffs, radius, tail
+
+
+def draw_product_factor(rng, space, degree=12):
+    shape = (degree + 1,) + space.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    decay = 0.7 ** np.arange(degree + 1)
+    coeffs *= rng.uniform(0.01, 1.0) * decay.reshape((degree + 1,) + (1,) * len(space.shape))
+    tail = rng.choice([0.0, rng.uniform(0.0, 1e-3)])
+    return TruncatedSeries(0.0, degree, coeffs, rng.uniform(0.2, 1.0), tail, space)
+
+
+def assert_matches_naive(coeffs, radius, tail, x, y):
+    ref_coeffs, ref_radius, ref_tail = naive_product(x, y)
+    assert_allclose(coeffs, ref_coeffs, rtol=1e-12, atol=1e-15)
+    assert radius == ref_radius
+    assert tail == pytest.approx(ref_tail, rel=1e-12, abs=0.0)
+
+
 class TestLinear:
     def test_self_minus_self_is_zero_with_doubled_tail(self, rng):
         s = random_scalar_series(rng).with_tail(0.25)
@@ -115,6 +155,14 @@ class TestMultiply:
         lhs = multiply(multiply(a, b), c).eval(pts)
         rhs = multiply(a, multiply(b, c)).eval(pts)
         assert_allclose(lhs, rhs, rtol=0, atol=1e-10)
+
+    def test_scalar_product_matches_naive_oracle(self, rng):
+        # matrix spaces: TestSeriesStack.test_mul_matches_multiply_row_by_row
+        for _ in range(20):
+            x = draw_product_factor(rng, SP)
+            y = draw_product_factor(rng, SP)
+            p = multiply(x, y)
+            assert_matches_naive(p.coeffs, p.radius, p.tail_bound, x, y)
 
     def test_tail_certifies_dropped_degrees(self, rng):
         # degree-12 factors truncated at 12: the overflow lives in the tail
@@ -340,21 +388,12 @@ class TestSeriesStack:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("b", [1, 2, 64, 65, 1000])
     def test_mul_matches_multiply_row_by_row(self, rng, b, m):
+        # both the stack and the single-series product against the naive oracle
         space = matrix_space(m)
-        degree = 12
-
-        def draw():
-            coeffs = (rng.standard_normal((degree + 1, m, m))
-                      + 1j * rng.standard_normal((degree + 1, m, m)))
-            coeffs *= rng.uniform(0.01, 1.0) * 0.7 ** np.arange(degree + 1)[:, None, None]
-            tail = rng.choice([0.0, rng.uniform(0.0, 1e-3)])
-            return TruncatedSeries(0.0, degree, coeffs, rng.uniform(0.2, 1.0), tail, space)
-
-        xs = [draw() for _ in range(b)]
-        ys = [draw() for _ in range(b)]
+        xs = [draw_product_factor(rng, space) for _ in range(b)]
+        ys = [draw_product_factor(rng, space) for _ in range(b)]
         out = SeriesStack.from_series(xs).mul(SeriesStack.from_series(ys))
         for i, (x, y) in enumerate(zip(xs, ys)):
+            assert_matches_naive(out.coeffs[i], out.radius[i], out.tail[i], x, y)
             ref = multiply(x, y)
-            assert_allclose(out.coeffs[i], ref.coeffs, rtol=1e-12, atol=1e-15)
-            assert out.radius[i] == ref.radius
-            assert out.tail[i] == pytest.approx(ref.tail_bound, rel=1e-12, abs=0.0)
+            assert_matches_naive(ref.coeffs, ref.radius, ref.tail_bound, x, y)
