@@ -56,6 +56,8 @@ __all__ = [
     "derivative_sups",
     "family_convergence_check",
     "unit_majorant_family",
+    "combine_family",
+    "batch_norm_upper",
     "compact_regularity_check",
     "in_regularity_hypothesis",
     "union_glue_check",
@@ -503,6 +505,41 @@ def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
     return family
 
 
+def combine_family(family, weights) -> tuple:
+    """Coefficients and tails of ``sum_f weights[t, f] * family[f]`` for every row t.
+
+    ``family`` holds d = 1 elements of one level and degree bound and
+    ``weights`` has shape ``(T, len(family))``.  Returns coefficients of shape
+    ``(T, anchors, N+1) + space.shape`` and tails of shape ``(T, anchors)``.
+    The sum folds left over the family as ``scale`` and ``+`` on
+    :class:`BHolElement` do, so each row equals that element to the bit.
+    """
+    coeffs = np.stack([np.stack([s.coeffs for s in el.reps]) for el in family])
+    tails = np.array([[s.tail_bound for s in el.reps] for el in family])
+    w = weights.reshape(weights.shape + (1,) * (coeffs.ndim - 1))
+    acc, tail = coeffs[0] * w[:, 0], tails[0] * np.abs(weights[:, :1])
+    for f in range(1, len(family)):
+        acc = acc + coeffs[f] * w[:, f]
+        tail = tail + tails[f] * np.abs(weights[:, f:f + 1])
+    return acc, tail
+
+
+def batch_norm_upper(norms, tails, rho: float) -> np.ndarray:
+    """``norm_upper`` at radius rho of every row of a batch, from coefficient
+    norms ``(T, anchors, N+1)`` and tails ``(T, anchors)``."""
+    pw = rho ** np.arange(norms.shape[-1])
+    return np.max(np.sum(norms * pw, axis=-1) + tails, axis=-1)
+
+
+def _boundary_powers(space: GermSpace, rho: float, count: int) -> np.ndarray:
+    """``(z - a)^k`` at the ``count`` points on |z - a| = rho that
+    ``TruncatedSeries.sample_sup`` samples, shape ``(anchors, count, N+1)``."""
+    theta = 2 * np.pi * np.arange(count) / count
+    ks = np.arange(space.degree_bound + 1)
+    return np.stack([((a + rho * np.exp(1j * theta)) - a)[:, None] ** ks
+                     for a in space.anchors])
+
+
 def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
                              trials: int, rng: np.random.Generator,
                              family_size: int = 64,
@@ -516,11 +553,16 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
     certified balls (majorant at level n at most 1, majorant at level ell at
     most delta); a counterexample is a trial whose sampled sup at level n+1
     exceeds eps.
+
+    All trials are drawn up front from ``rng`` (the same stream as drawing
+    them one by one) and evaluated as one batch of coefficient arrays.
     """
     if not (0 <= n < ell < space.levels):
         raise StructureError(f"need 0 <= n < ell < levels, got n={n}, ell={ell}")
     if eps <= 0:
         raise StructureError("eps must be positive")
+    if trials < 0:
+        raise StructureError("trials must be nonnegative")
     r = space.ratio
     params = {"n": n, "ell": ell, "eps": eps, "r": r, "trials": trials,
               "degree_bound": space.degree_bound}
@@ -546,35 +588,37 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
     rep.extras = {"delta": delta, "k0": k0}
 
     rho_l = space.radius(ell)
-    count = 0
-    for _ in range(trials):
-        weights = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
-        weights /= np.sum(np.abs(weights))
-        el = family[0].scale(weights[0])
-        for w, f in zip(weights[1:], family[1:]):
-            el = el + f.scale(w)
-        maj_n = el.norm_upper
-        maj_l = bond(el, ell).norm_upper
-        if maj_n <= 0:
-            continue
-        # largest feasible scaling keeping both certified constraints and
-        # staying inside the family envelope s_k
-        coeff_ratio = math.inf
-        for srep in el.reps:
-            cn = srep.space.norm(srep.coeffs) * rho_n ** np.arange(srep.degree_bound + 1)
-            nz = cn > 0
-            if np.any(nz):
-                coeff_ratio = min(coeff_ratio, float(np.min(s_k[: len(cn)][nz] / cn[nz])))
-        sigma = min(1.0 / maj_n, (delta / maj_l) if maj_l > 0 else math.inf, coeff_ratio)
-        el = el.scale(0.999 * sigma)
-        count += 1
-        sampled = bond(el, n + 1).sample_sup(96)
-        margin = eps - sampled
-        rep.note_margin(margin)
-        if sampled > eps + slack:
-            rep.fail({"sampled_sup": sampled, "eps": eps,
-                      "maj_n": el.norm_upper, "maj_l": bond(el, ell).norm_upper})
-    rep.trials = count
+    draws = rng.standard_normal((trials, 2, len(family)))
+    weights = draws[:, 0] + 1j * draws[:, 1]
+    weights /= np.sum(np.abs(weights), axis=1, keepdims=True)
+    coeffs, tails = combine_family(family, weights)
+    norms = space.space.norm(coeffs)
+    maj_n = batch_norm_upper(norms, tails, rho_n)
+    maj_l = batch_norm_upper(norms, tails, rho_l)
+    # largest feasible scaling keeping both certified constraints and
+    # staying inside the family envelope s_k
+    cn = norms * rho_n ** np.arange(nmax + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff_ratio = np.min(np.where(cn > 0, s_k / cn, math.inf), axis=(1, 2))
+        sigma = np.minimum(np.minimum(1.0 / maj_n,
+                                      np.where(maj_l > 0, delta / maj_l, math.inf)),
+                           coeff_ratio)
+    kept = maj_n > 0
+    scale = np.where(kept, 0.999 * sigma, 0.0)
+    coeffs = coeffs * scale.reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    tails = tails * scale[:, None]
+    flat = coeffs.reshape(coeffs.shape[:3] + (math.prod(space.space.shape),))
+    vals = np.matmul(_boundary_powers(space, space.radius(n + 1), 96), flat)
+    sampled = np.max(space.space.norm(vals.reshape(vals.shape[:3] + space.space.shape)),
+                     axis=(1, 2)).tolist()
+    for t in np.flatnonzero(kept):
+        rep.note_margin(eps - sampled[t])
+        if sampled[t] > eps + slack:
+            norms_t = space.space.norm(coeffs[t:t + 1])
+            rep.fail({"sampled_sup": sampled[t], "eps": eps,
+                      "maj_n": float(batch_norm_upper(norms_t, tails[t:t + 1], rho_n)[0]),
+                      "maj_l": float(batch_norm_upper(norms_t, tails[t:t + 1], rho_l)[0])})
+    rep.trials = int(np.count_nonzero(kept))
     return rep
 
 

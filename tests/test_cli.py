@@ -29,6 +29,22 @@ class TestDeterminism:
         assert (a / "report_lie-local.json").read_bytes() != \
             (b / "report_lie-local.json").read_bytes()
 
+    def test_suite_alone_matches_its_part_of_all(self, tmp_path):
+        res = run_cli("--suite", "all", "--seed", "5", "--trials", "16",
+                      "--out", str(tmp_path / "all"))
+        assert res.returncode == 0, res.stderr
+        for suite in ("germ-space", "lie-local", "lie-global", "regularity", "complexify"):
+            res = run_cli("--suite", suite, "--seed", "5", "--trials", "16",
+                          "--out", str(tmp_path / suite))
+            assert res.returncode == 0, res.stderr
+            alone = json.loads((tmp_path / suite / f"report_{suite}.json").read_text())
+            part = json.loads((tmp_path / "all" / f"report_{suite}.json").read_text())
+            for rep in part["reports"]:
+                assert rep["params"]["config"].pop("suite") == "all"
+            for rep in alone["reports"]:
+                assert rep["params"]["config"].pop("suite") == suite
+            assert alone == part
+
 
 class TestReportStatus:
     def test_passed_follows_status(self):
@@ -51,6 +67,12 @@ class TestExitCodes:
                       "--out", str(tmp_path / "r"))
         assert res.returncode == 2
         assert "1/(2e)" in res.stderr
+
+    def test_negative_trials_is_config_error(self, tmp_path):
+        res = run_cli("--suite", "germ-space", "--trials", "-1",
+                      "--out", str(tmp_path / "r"))
+        assert res.returncode == 2
+        assert "nonnegative" in res.stderr
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         res = run_cli("--suite", "nope", "--out", str(tmp_path / "r"))

@@ -8,6 +8,7 @@ from germlie.errors import BudgetError, EvaluationError, StructureError
 from germlie.germspace import (
     BHolElement,
     GermSpace,
+    _family_tail_remainder,
     bond,
     compact_regularity_check,
     derivative_sups,
@@ -20,7 +21,8 @@ from germlie.germspace import (
     union_glue_check,
     unit_majorant_family,
 )
-from germlie.series import TruncatedSeries, scalar_space
+from germlie.reports import Report
+from germlie.series import TruncatedSeries, matrix_space, scalar_space, vector_space
 
 RATIO_CEILING = 1.0 / (2.0 * math.e)
 
@@ -217,6 +219,93 @@ class TestCompactRegularity:
             compact_regularity_check(scalar_germspace, 3, 2, 0.1, 5, rng)
         with pytest.raises(StructureError):
             compact_regularity_check(scalar_germspace, 1, 3, -1.0, 5, rng)
+        with pytest.raises(StructureError):
+            compact_regularity_check(scalar_germspace, 1, 3, 0.1, -1, rng)
+
+
+def reference_compact_regularity(space, n, ell, eps, trials, rng, family_size=64,
+                                 slack=1e-9):
+    """compact_regularity_check evaluated one trial at a time: one BHolElement
+    per trial, built as a fold of ``scale`` and ``+`` over the family."""
+    r = space.ratio
+    params = {"n": n, "ell": ell, "eps": eps, "r": r, "trials": trials,
+              "degree_bound": space.degree_bound}
+    rep = Report(check="compact_regularity", params=params)
+    family = unit_majorant_family(space, n, rng, family_size)
+    rho_n = space.radius(n)
+    s_k = derivative_sups(family, normalized_radius=rho_n)
+    tail_rem = _family_tail_remainder(family, r)
+    nmax = len(s_k) - 1
+    powers = r ** np.arange(nmax + 1)
+    k0 = None
+    for cand in range(nmax + 1):
+        tail = float(np.sum(s_k[cand + 1:] * powers[cand + 1:])) + tail_rem
+        if tail <= eps / 2.0:
+            k0 = cand
+            break
+    if k0 is None:
+        rep.status = "inconclusive"
+        rep.extras = {"reason": f"no k0 within degree bound {nmax}: tail stays above eps/2"}
+        return rep
+    delta = (1.0 - 2.0 * math.e * r) * r ** k0 * eps / 2.0
+    rep.extras = {"delta": delta, "k0": k0}
+
+    count = 0
+    for _ in range(trials):
+        weights = rng.standard_normal(len(family)) + 1j * rng.standard_normal(len(family))
+        weights /= np.sum(np.abs(weights))
+        el = family[0].scale(weights[0])
+        for w, f in zip(weights[1:], family[1:]):
+            el = el + f.scale(w)
+        maj_n = el.norm_upper
+        maj_l = bond(el, ell).norm_upper
+        if maj_n <= 0:
+            continue
+        coeff_ratio = math.inf
+        for srep in el.reps:
+            cn = srep.space.norm(srep.coeffs) * rho_n ** np.arange(srep.degree_bound + 1)
+            nz = cn > 0
+            if np.any(nz):
+                coeff_ratio = min(coeff_ratio, float(np.min(s_k[: len(cn)][nz] / cn[nz])))
+        sigma = min(1.0 / maj_n, (delta / maj_l) if maj_l > 0 else math.inf, coeff_ratio)
+        el = el.scale(0.999 * sigma)
+        count += 1
+        sampled = bond(el, n + 1).sample_sup(96)
+        rep.note_margin(eps - sampled)
+        if sampled > eps + slack:
+            rep.fail({"sampled_sup": sampled, "eps": eps,
+                      "maj_n": el.norm_upper, "maj_l": bond(el, ell).norm_upper})
+    rep.trials = count
+    return rep
+
+
+REGULARITY_CASES = [(n, ell, eps, 1e-9) for n in (1, 2) for ell in (3, 4) for eps in (0.5, 0.1)]
+
+
+class TestCompactRegularityOracle:
+    """The batched check reproduces the one-trial-at-a-time check exactly."""
+
+    @pytest.mark.parametrize("space", [scalar_space(), matrix_space(2), vector_space(3)],
+                             ids=["scalar", "matrix2", "vector3"])
+    @pytest.mark.parametrize("n,ell,eps,slack", REGULARITY_CASES + [(1, 3, 0.1, -1.0)])
+    def test_matches_per_trial_reference(self, space, n, ell, eps, slack):
+        sp = GermSpace(anchors=(0.0, 0.4 + 0.1j), base_radius=1.0, ratio=0.1, levels=6,
+                       space=space, degree_bound=12)
+        seed = 40_000 + 100 * n + 10 * ell + int(10 * eps)
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_compact_regularity(sp, n, ell, eps, 30, rng_ref, slack=slack)
+        got = compact_regularity_check(sp, n, ell, eps, 30, rng, slack=slack)
+        assert got.to_dict() == want.to_dict()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if slack < 0:
+            assert len(got.failures) == got.trials == 30
+
+    def test_zero_trials(self, scalar_germspace):
+        rng_ref, rng = np.random.default_rng(3), np.random.default_rng(3)
+        want = reference_compact_regularity(scalar_germspace, 1, 3, 0.1, 0, rng_ref)
+        got = compact_regularity_check(scalar_germspace, 1, 3, 0.1, 0, rng)
+        assert got.to_dict() == want.to_dict()
+        assert got.trials == 0 and got.worst_margin is None
 
 
 class TestUnionGlue:
