@@ -13,7 +13,7 @@ import numpy as np
 
 from germlie.evolution import (
     GroupCurve, LieCurve, evol, log_derivative, product_rule_report,
-    roundtrip_report, smoothness_report,
+    rk4_pointwise, roundtrip_report, smoothness_report,
 )
 from germlie.germgroup import GermLieGroup, random_algebra_element
 from germlie.germspace import GermSpace, germ_distance
@@ -39,16 +39,7 @@ curve = LieCurve(group, (0.0, 1.0), ((c0, c1, c2),))
 res = evol(curve, steps=64)
 
 pts = space.sample_points(1, 10, interior=0.4)
-y = np.tile(np.eye(2, dtype=complex), (len(pts), 1, 1))
-h = 1.0 / 640
-for i in range(640):  # classical RK4 on Y' = Y A(t), pointwise
-    t = i * h
-    a1, a2, a3 = (curve.value(s).eval(pts) for s in (t, t + h / 2, t + h))
-    k1 = y @ a1
-    k2 = (y + h / 2 * k1) @ a2
-    k3 = (y + h / 2 * k2) @ a2
-    k4 = (y + h * k3) @ a3
-    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+y = rk4_pointwise(curve, pts, 640)  # classical RK4 on Y' = Y A(t), pointwise
 print("\nspline curve: germ evolution vs pointwise RK4 oracle:",
       np.max(np.abs(res.endpoint.eval(pts) - y)))
 

@@ -67,20 +67,14 @@ def _group(args) -> GermLieGroup:
     return GermLieGroup(space, MatrixLieBackend(args.dim, args.bch_order))
 
 
-def _random_curve(group, rng, n_segments=2, amp=0.15):
-    bp = tuple(np.linspace(0.0, 1.0, n_segments + 1))
-    segments = []
-    prev_end = None
-    for _ in range(n_segments):
-        c0 = prev_end if prev_end is not None else \
-            random_algebra_element(group, rng, amp * rng.uniform(0.3, 1.0))
-        coeffs = [c0] + [random_algebra_element(group, rng, amp * rng.uniform(0.1, 0.5) / 3)
-                         for _ in range(3)]
-        prev_end = coeffs[0]
-        for j, c in enumerate(coeffs[1:], start=1):
-            prev_end = prev_end + c
-        segments.append(tuple(coeffs))
-    return ev.LieCurve(group, bp, tuple(segments))
+def _close_worst(rep: Report, trials: int, worst: float, tol: float) -> Report:
+    """Record ``trials`` and the worst error of a sweep; fail if it exceeds ``tol``."""
+    rep.trials = trials
+    rep.extras = {"worst_err": worst}
+    rep.note_margin(tol - worst)
+    if worst > tol:
+        rep.fail({"worst_err": worst})
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +152,7 @@ def suite_lie_local(args, streams) -> tuple:
     for x, y, z in zip(xs, ys, zs):
         oracle = scipy.linalg.logm(scipy.linalg.expm(x) @ scipy.linalg.expm(y))
         worst = max(worst, float(backend.norm(z - oracle)))
-    rep.trials = args.trials
-    rep.extras = {"worst_err": worst}
-    rep.note_margin(1e-9 - worst)
-    if worst > 1e-9:
-        rep.fail({"worst_err": worst})
-    reports.append(rep)
+    reports.append(_close_worst(rep, args.trials, worst, 1e-9))
 
     rep2 = Report(check="germ_bch_pointwise", params={"trials": args.trials // 4})
     pts = group.space.sample_points(1, 20, interior=0.4)
@@ -175,12 +164,7 @@ def suite_lie_local(args, streams) -> tuple:
     for (x, y), z in zip(pairs, outs):
         oracle = backend.bch(x.eval(pts), y.eval(pts))
         worst = max(worst, float(np.max(backend.norm(z.eval(pts) - oracle))))
-    rep2.trials = len(pairs)
-    rep2.extras = {"worst_err": worst}
-    rep2.note_margin(1e-9 - worst)
-    if worst > 1e-9:
-        rep2.fail({"worst_err": worst})
-    reports.append(rep2)
+    reports.append(_close_worst(rep2, len(pairs), worst, 1e-9))
 
     rep3 = Report(check="local_group_axioms", params={"trials": args.trials // 8})
     n_trip = max(args.trials // 8, 1)
@@ -220,12 +204,7 @@ def suite_lie_global(args, streams) -> tuple:
         eta = random_algebra_element(group, rng, 0.9 * group.inj_radius * rng.uniform(0.2, 1))
         back = group.log_germ(group.exp_germ(eta))
         worst = max(worst, gs.germ_distance(eta, back))
-    rep.trials = max(args.trials // 2, 1)
-    rep.extras = {"worst_err": worst}
-    rep.note_margin(1e-9 - worst)
-    if worst > 1e-9:
-        rep.fail({"worst_err": worst})
-    reports.append(rep)
+    reports.append(_close_worst(rep, max(args.trials // 2, 1), worst, 1e-9))
 
     rep2 = Report(check="exp_power_and_homomorphism", params={"trials": args.trials // 8})
     worst_p = worst_h = 0.0
@@ -291,42 +270,18 @@ def suite_regularity(args, streams) -> tuple:
     pts = group.space.sample_points(1, 20, interior=0.4)
     worst = 0.0
     for _ in range(max(args.trials // 20, 2)):
-        curve = _random_curve(group, rng_curve)
+        curve = ev.random_spline_curve(group, rng_curve)
         germ_end = ev.evol(curve, args.steps, error_estimate=False,
                            keep_trajectory=False).endpoint.eval(pts)
-        oracle = _rk4_pointwise(curve, pts, 10 * args.steps)
+        oracle = ev.rk4_pointwise(curve, pts, 10 * args.steps)
         worst = max(worst, float(np.max(np.abs(germ_end - oracle))))
-    rep2.trials = max(args.trials // 20, 2)
-    rep2.extras = {"worst_err": worst}
-    rep2.note_margin(1e-6 - worst)
-    if worst > 1e-6:
-        rep2.fail({"worst_err": worst})
-    reports.append(rep2)
+    reports.append(_close_worst(rep2, max(args.trials // 20, 2), worst, 1e-6))
 
-    curve = _random_curve(group, rng_curve)
+    curve = ev.random_spline_curve(group, rng_curve)
     reports.append(ev.roundtrip_report(group, curve, steps=max(args.steps, 128)))
-    direction = _random_curve(group, rng_dir)
+    direction = ev.random_spline_curve(group, rng_dir)
     reports.append(ev.smoothness_report(group, curve, direction, steps=32))
     return reports, []
-
-
-def _rk4_pointwise(curve, pts, steps):
-    m = curve.group.space.space.dim
-    y = np.tile(np.eye(m, dtype=complex), (len(pts), 1, 1))
-    h = 1.0 / steps
-
-    def a_of(t):
-        return curve.value(t).eval(pts)
-
-    for i in range(steps):
-        t = i * h
-        a1, a2, a3 = a_of(t), a_of(t + 0.5 * h), a_of(t + h)
-        k1 = y @ a1
-        k2 = (y + 0.5 * h * k1) @ a2
-        k3 = (y + 0.5 * h * k2) @ a2
-        k4 = (y + h * k3) @ a3
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
 
 
 def suite_complexify(args, streams) -> tuple:

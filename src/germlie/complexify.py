@@ -226,6 +226,21 @@ def _grid(overlap: tuple, height: float, n: int = 20,
     return (xs[:, None] + 1j * ys[None, :]).ravel()
 
 
+def _transport(tr: Transition, atlas: RealAtlas, target: int, zs: np.ndarray,
+               defined: np.ndarray | None = None) -> tuple:
+    """Apply ``tr`` at ``zs``, then the chart change to ``target``.
+
+    Returns the image and the mask where both maps (and ``defined``) hold.
+    """
+    mid = tr.eval(zs)
+    ok = ~np.isnan(mid.real) if defined is None else defined & ~np.isnan(mid.real)
+    back = np.full(zs.shape, np.nan + 0j)
+    if np.any(ok):
+        back[ok] = atlas.eval_change(tr.j, target, mid[ok])
+    ok &= ~np.isnan(back.real)
+    return back, ok
+
+
 def extend_transitions(atlas: RealAtlas, height: float,
                        tol: float = 1e-10, grid_n: int = 20,
                        min_height_factor: float = 1e-3) -> ComplexAtlas:
@@ -249,12 +264,7 @@ def extend_transitions(atlas: RealAtlas, height: float,
         h = height
         while True:
             zs = _grid(tr.overlap, h, grid_n)
-            mid = tr.eval(zs)
-            ok = ~np.isnan(mid.real)
-            back = np.full(zs.shape, np.nan + 0j)
-            if np.any(ok):
-                back[ok] = atlas.eval_change(j, i, mid[ok])
-            ok &= ~np.isnan(back.real)
+            back, ok = _transport(tr, atlas, i, zs)
             if np.count_nonzero(ok) >= 0.5 * zs.size:
                 res = np.abs(back[ok] - zs[ok])
                 if np.max(res) <= tol:
@@ -304,12 +314,7 @@ def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9, grid_n: int = 20) -> R
     for tr in atlas.records():
         i, j = tr.i, tr.j
         zs = _grid(tr.overlap, ca.height(i, j), grid_n)
-        mid = tr.eval(zs)
-        ok = ~np.isnan(mid.real)
-        back = np.full(zs.shape, np.nan + 0j)
-        if np.any(ok):
-            back[ok] = atlas.eval_change(j, i, mid[ok])
-        ok &= ~np.isnan(back.real)
+        back, ok = _transport(tr, atlas, i, zs)
         if np.any(ok):
             res = float(np.max(np.abs(back[ok] - zs[ok])))
             worst_by_kind["inverse"] = max(worst_by_kind["inverse"], res)
@@ -336,12 +341,7 @@ def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9, grid_n: int = 20) -> R
                         h = min(ca.height(i, j), ca.height(i, k), ca.height(k, j))
                         zs = _grid((lo, hi), h, grid_n)
                         direct = t_ij.eval(zs)
-                        step1 = t_ik.eval(zs)
-                        ok = ~np.isnan(direct.real) & ~np.isnan(step1.real)
-                        step2 = np.full(zs.shape, np.nan + 0j)
-                        if np.any(ok):
-                            step2[ok] = atlas.eval_change(k, j, step1[ok])
-                        ok &= ~np.isnan(step2.real)
+                        step2, ok = _transport(t_ik, atlas, j, zs, ~np.isnan(direct.real))
                         if not np.any(ok):
                             continue
                         res = float(np.max(np.abs(step2[ok] - direct[ok])))
@@ -421,12 +421,7 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
             if res > tol_real:
                 rep.fail({"kind": "real_restriction", "pair": [i, j], "residual": res})
         zs = _grid((lo, hi), h, grid_n)
-        mid = t1.eval(zs)
-        ok = ~np.isnan(mid.real)
-        back = np.full(zs.shape, np.nan + 0j)
-        if np.any(ok):
-            back[ok] = ca2.base.eval_change(j, i, mid[ok])
-        ok &= ~np.isnan(back.real)
+        back, ok = _transport(t1, ca2.base, i, zs)
         if np.any(ok):
             res = float(np.max(np.abs(back[ok] - zs[ok])))
             worst_complex = max(worst_complex, res)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from germlie.evolution import LieCurve
-from germlie.germgroup import GermLieGroup, random_algebra_element
+from germlie.germgroup import GermLieGroup
 from germlie.germspace import GermSpace
 from germlie.matrixlie import MatrixLieBackend
 from germlie.series import matrix_space
@@ -23,40 +22,3 @@ def germ_group():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_spline_curve(group, rng, n_segments=2, amp=0.15):
-    """Continuous random cubic spline within the evolution budget."""
-    bp = tuple(np.linspace(0.0, 1.0, n_segments + 1))
-    segments = []
-    prev_end = None
-    for _ in range(n_segments):
-        c0 = prev_end if prev_end is not None else \
-            random_algebra_element(group, rng, amp * rng.uniform(0.3, 1.0))
-        coeffs = [c0] + [random_algebra_element(group, rng, amp * rng.uniform(0.1, 0.5) / 3)
-                         for _ in range(3)]
-        prev_end = coeffs[0]
-        for c in coeffs[1:]:
-            prev_end = prev_end + c
-        segments.append(tuple(coeffs))
-    return LieCurve(group, bp, tuple(segments))
-
-
-def rk4_pointwise_oracle(curve, pts, steps):
-    """Classical RK4 on Y' = Y A(t) at every evaluation point, batched."""
-    m = curve.group.space.space.dim
-    y = np.tile(np.eye(m, dtype=complex), (len(pts), 1, 1))
-    h = 1.0 / steps
-
-    def a_of(t):
-        return curve.value(t).eval(pts)
-
-    for i in range(steps):
-        t = i * h
-        a1, a2, a3 = a_of(t), a_of(t + 0.5 * h), a_of(t + h)
-        k1 = y @ a1
-        k2 = (y + 0.5 * h * k1) @ a2
-        k3 = (y + 0.5 * h * k2) @ a2
-        k4 = (y + h * k3) @ a3
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_spline_curve, rk4_pointwise_oracle
 from germlie.complexify import (
     annulus_consistency,
     certify_cocycles,
@@ -26,6 +25,8 @@ from germlie.evolution import (
     LieCurve,
     evol,
     product_rule_report,
+    random_spline_curve,
+    rk4_pointwise,
     roundtrip_report,
     smoothness_report,
 )
@@ -269,7 +270,7 @@ def test_criterion_8_evolution_evidence(group):
     for _ in range(100):
         curve = random_spline_curve(group, rng)
         end = evol(curve, 64, error_estimate=False, keep_trajectory=False).endpoint
-        oracle = rk4_pointwise_oracle(curve, pts, 640)
+        oracle = rk4_pointwise(curve, pts, 640)
         worst_ode = max(worst_ode, float(np.max(np.abs(end.eval(pts) - oracle))))
     # directional difference quotients: observed order in [1.9, 2.1]
     orders = []

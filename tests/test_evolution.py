@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import random_spline_curve, rk4_pointwise_oracle
+from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, StructureError
 from germlie.evolution import (
     EVOL_BUDGET,
@@ -12,13 +13,65 @@ from germlie.evolution import (
     group_roundtrip_report,
     log_derivative,
     product_rule_report,
+    random_spline_curve,
+    rk4_pointwise,
     roundtrip_report,
     smoothness_report,
     trajectory_log_derivative,
     trajectory_to_csv,
 )
 from germlie.germgroup import random_algebra_element
-from germlie.germspace import germ_distance
+from germlie.germspace import bond, germ_distance
+
+
+def reference_fold(start, terms):
+    """start + sum_j w_j c_j by per-coefficient bond/scale/+, at the deepest level."""
+    lvl = max(e.level for e in [start] + [c for c, _ in terms])
+    out = bond(start, lvl)
+    for c, w in terms:
+        out = out + bond(c, lvl).scale(w)
+    return out
+
+
+def reference_value(curve, t):
+    i, s = curve._locate(t)
+    seg = curve.segments[i]
+    return reference_fold(seg[0], [(c, s ** j) for j, c in enumerate(seg[1:], start=1)])
+
+
+def reference_derivative(curve, t):
+    i, s = curve._locate(t)
+    seg = curve.segments[i]
+    dt = curve.breakpoints[i + 1] - curve.breakpoints[i]
+    lvl = max(c.level for c in seg)
+    return reference_fold(curve.group.zero(lvl), [(c, j * s ** (j - 1) / dt)
+                                                  for j, c in enumerate(seg[1:], start=1)])
+
+
+def reference_add_scaled(a, b, alpha):
+    zero = a.group.zero(max(a.level, b.level))
+    segs = []
+    for sa, sb in zip(a.segments, b.segments):
+        pad = max(len(sa), len(sb))
+        sa, sb = sa + (zero,) * (pad - len(sa)), sb + (zero,) * (pad - len(sb))
+        segs.append(tuple(reference_fold(x, [(y, alpha)]) for x, y in zip(sa, sb)))
+    return LieCurve(a.group, a.breakpoints, tuple(segs), 1.0)
+
+
+def assert_identical(got, want, level):
+    """Same coefficients, tails and radii once ``want`` is bonded to ``level``."""
+    want = bond(want, level)
+    assert got.level == level
+    for x, y in zip(got.reps, want.reps):
+        assert np.array_equal(x.coeffs, y.coeffs)
+        assert (x.tail_bound, x.radius) == (y.tail_bound, y.radius)
+
+
+def mixed_group_curve(group, rng):
+    """Two segments, degree 5 and 2, coefficients at levels 1 and 2."""
+    cs = [group.identity(1).element] + [random_algebra_element(group, rng, 0.05, level=1 + k % 2)
+                                        for k in range(5)]
+    return GroupCurve(group, (0.0, 0.4, 1.0), (tuple(cs), tuple(cs[:3])))
 
 
 class TestLieCurve:
@@ -39,6 +92,30 @@ class TestLieCurve:
             LieCurve(germ_group, (0.0, 0.5), ((xi,), (xi,)))
         with pytest.raises(StructureError):
             LieCurve(germ_group, (0.1, 1.0), ((xi,),))
+
+    def test_mixed_degree_bounds_rejected(self, germ_group, rng):
+        xi, eta = (random_algebra_element(germ_group, rng, 0.1) for _ in range(2))
+        short = eta.map_reps(lambda s: s.truncate(6))
+        with pytest.raises(StructureError, match="degree bound"):
+            LieCurve(germ_group, (0.0, 1.0), ((xi, short),))
+
+    def test_value_matches_reference_fold(self, germ_group, rng):
+        xi, eta, zeta = (random_algebra_element(germ_group, rng, 0.1, level=lvl)
+                         for lvl in (1, 2, 3))
+        for curve in (random_spline_curve(germ_group, rng),
+                      LieCurve(germ_group, (0.0, 1.0), ((xi, eta, zeta),))):
+            for t in np.linspace(0.0, 1.0, 37):
+                assert_identical(curve.value(t), reference_value(curve, t), curve.level)
+
+    def test_add_scaled_matches_reference_fold(self, germ_group, rng):
+        a = random_spline_curve(germ_group, rng)
+        xi = random_algebra_element(germ_group, rng, 0.1, level=2)
+        for b in (random_spline_curve(germ_group, rng),
+                  LieCurve(germ_group, a.breakpoints, ((xi,), (xi,)))):
+            got = a.add_scaled(b, -0.3, budget=1.0)
+            want = reference_add_scaled(a, b, -0.3)
+            for t in np.linspace(0.0, 1.0, 37):
+                assert_identical(got.value(t), reference_value(want, t), want.level)
 
     def test_value_evaluates_local_polynomial(self, germ_group, rng):
         xi = random_algebra_element(germ_group, rng, 0.1)
@@ -77,8 +154,23 @@ class TestEvol:
         for _ in range(3):
             curve = random_spline_curve(germ_group, rng)
             res = evol(curve, 64, error_estimate=False, keep_trajectory=False)
-            oracle = rk4_pointwise_oracle(curve, pts, 640)
+            oracle = rk4_pointwise(curve, pts, 640)
             assert np.max(np.abs(res.endpoint.eval(pts) - oracle)) < 1e-6
+
+    def test_endpoint_matches_reference_fold(self, germ_group, rng, monkeypatch):
+        curve = random_spline_curve(germ_group, rng)
+        got = evol(curve, 16)
+        monkeypatch.setattr(LieCurve, "_stack_at", lambda self, t: SeriesStack.from_series(
+            bond(reference_value(self, t), self.level).reps))
+        want = evol(curve, 16)
+        assert_identical(got.endpoint.element, want.endpoint.element, curve.level)
+        assert got.error_estimate == want.error_estimate
+
+    def test_rk4_oracle_on_constant_curve_is_expm(self, germ_group, rng):
+        xi = random_algebra_element(germ_group, rng, 0.3)
+        pts = germ_group.space.sample_points(1, 20, interior=0.4)
+        got = rk4_pointwise(LieCurve.constant(germ_group, xi), pts, 640)
+        assert np.max(np.abs(got - scipy.linalg.expm(xi.eval(pts)))) < 1e-10
 
     def test_step_count_precondition(self, germ_group, rng):
         xi = random_algebra_element(germ_group, rng, 0.1)
@@ -129,6 +221,27 @@ class TestEvol:
         assert len(lines) == 1 + 9 * 3
 
 
+class TestGroupCurve:
+    def test_value_and_derivative_match_reference_fold(self, germ_group, rng):
+        gc = mixed_group_curve(germ_group, rng)
+        for t in np.linspace(0.0, 1.0, 37):
+            assert_identical(gc.value(t).element, reference_value(gc, t), gc.level)
+            assert_identical(gc.derivative(t), reference_derivative(gc, t), gc.level)
+
+    def test_breakpoints_validated(self, germ_group):
+        ident = germ_group.identity(1).element
+        with pytest.raises(StructureError):
+            GroupCurve(germ_group, (0.0, 0.5), ((ident,),))
+        with pytest.raises(StructureError):
+            GroupCurve(germ_group, (0.0, 0.6, 0.6, 1.0), ((ident,),) * 3)
+
+    def test_parameter_outside_unit_interval(self, germ_group, rng):
+        gc = mixed_group_curve(germ_group, rng)
+        for fn in (gc.value, gc.derivative, lambda t: log_derivative(gc, t)):
+            with pytest.raises(StructureError, match="outside"):
+                fn(1.5)
+
+
 class TestLogDerivative:
     def test_one_parameter_subgroup(self, germ_group, rng):
         xi = random_algebra_element(germ_group, rng, 0.2)
@@ -177,6 +290,13 @@ class TestLogDerivative:
         rep = product_rule_report(germ_group, ga, gb, ts=[0.15, 0.5, 0.85])
         assert rep.passed
         assert rep.extras["worst_err"] < 1e-8
+
+    def test_product_rule_counts_generator_samples(self, germ_group, rng):
+        ident = germ_group.identity(1).element
+        ga = GroupCurve(germ_group, (0.0, 1.0),
+                        ((ident, random_algebra_element(germ_group, rng, 0.1)),))
+        rep = product_rule_report(germ_group, ga, ga, ts=(t for t in (0.2, 0.7)))
+        assert rep.trials == 2
 
 
 class TestFit:
