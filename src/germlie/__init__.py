@@ -14,7 +14,7 @@ suites.
 
 from .errors import BudgetError, EvaluationError, ExtensionError, StructureError
 from .germgroup import GermGroupElement, GermLieGroup
-from .germspace import BHolElement, Germ, GermSpace, bond
+from .germspace import BHolElement, GermSpace, bond
 from .matrixlie import MatrixLieBackend
 from .series import CoefficientSpace, TruncatedSeries, matrix_space, scalar_space, vector_space
 
@@ -30,7 +30,6 @@ __all__ = [
     "matrix_space",
     "GermSpace",
     "BHolElement",
-    "Germ",
     "bond",
     "MatrixLieBackend",
     "GermLieGroup",

@@ -3,12 +3,13 @@
 A :class:`RealAtlas` is a finite family of interval charts with nested
 subintervals V_i inside U_i inside T_i (positive margins) and real-analytic
 transition maps given as truncated series with real anchors and real
-coefficients on the pairwise overlaps.  A chart pair may meet in several
-components (on the circle, deck translates), each carried by its own
-:class:`Transition` record.  ``extend_transitions`` evaluates the same
-series at complex arguments over rectangles ``overlap x (-h, h)``, shrinking
-the strip height until the mutual-inverse identity ``psi_ji(psi_ij(z)) = z``
-certifies on a sample grid; ``certify_cocycles`` then checks psi_ii = id,
+coefficients on the pairwise overlaps.  ``build_transition`` extracts them
+from callables piece by piece, each piece with a data-driven tail.  A chart
+pair may meet in several components (on the circle, deck translates), each
+carried by its own :class:`Transition` record.  ``extend_transitions``
+evaluates the same series at complex arguments over rectangles
+``overlap x (-h, h)``, shrinking the strip height until the mutual-inverse
+identity ``psi_ji(psi_ij(z)) = z`` certifies on a sample grid; ``certify_cocycles`` then checks psi_ii = id,
 mutual inverses, and the triple cocycle identity ``psi_ij = psi_kj o psi_ik``
 wherever triple overlaps exist.  Glueing the rectangles along certified
 transitions produces the complexified manifold; Hausdorffness is certified
@@ -33,7 +34,7 @@ from .errors import ExtensionError, StructureError
 from .reports import Report
 from .series import (
     TruncatedSeries,
-    cauchy_coefficients,
+    cauchy_series,
     scalar_space,
     series_from_json,
     series_to_json,
@@ -102,11 +103,6 @@ class Transition:
             if np.max(np.abs(np.imag(p.coeffs))) > 1e-12:
                 raise StructureError("transition coefficients must be real")
 
-    def _inside(self, zs: np.ndarray) -> np.ndarray:
-        lo, hi = self.overlap
-        slack = 1e-9 * max(1.0, hi - lo)
-        return (zs.real >= lo - slack) & (zs.real <= hi + slack)
-
     def eval(self, zs: np.ndarray) -> np.ndarray:
         """Evaluate on the overlap rectangle by the nearest covering piece; NaN outside.
 
@@ -115,7 +111,9 @@ class Transition:
         """
         zs = np.asarray(zs, dtype=complex)
         out = np.full(zs.shape, np.nan + 0j)
-        inside = self._inside(zs)
+        lo, hi = self.overlap
+        slack = 1e-9 * max(1.0, hi - lo)
+        inside = (zs.real >= lo - slack) & (zs.real <= hi + slack)
         for p in sorted(self.pieces, key=lambda q: q.radius, reverse=True):
             mask = inside & np.isnan(out.real) & \
                 (np.abs(zs - p.anchor) < _EVAL_SAFETY * p.radius)
@@ -123,8 +121,8 @@ class Transition:
                 out[mask] = p.eval(zs[mask])
         return out
 
-    def convergence_radius_estimate(self, safety: float = 0.8) -> float:
-        """Cauchy-Hadamard estimate from coefficient decay, with a safety factor.
+    def convergence_radius_estimate(self) -> float:
+        """Cauchy-Hadamard estimate from coefficient decay, times a safety factor 0.8.
 
         Polynomial-like tails give estimates capped by the stored validity
         radius (the series asserts nothing beyond it).
@@ -136,22 +134,35 @@ class Transition:
             for k in range(2, p.degree_bound + 1):
                 if norms[k] > 1e-13:
                     est = min(est, float(norms[k] ** (-1.0 / k)))
-            best = min(best, safety * est if est < math.inf else p.radius)
+            best = min(best, 0.8 * est if est < math.inf else p.radius)
         return best
+
+
+def _translation(anchor: float, shift: float, radius: float,
+                 degree_bound: int) -> TruncatedSeries:
+    """The series of z -> z + shift around ``anchor``."""
+    return TruncatedSeries.from_coeff_list([(0, anchor + shift), (1, 1.0)], anchor, radius,
+                                           scalar_space(), degree_bound)
 
 
 def identity_transition(i: int, overlap: tuple, radius: float,
                         degree_bound: int = 24) -> Transition:
     mid = 0.5 * (overlap[0] + overlap[1])
-    s = TruncatedSeries.from_coeff_list([(0, mid), (1, 1.0)], mid, radius,
-                                        scalar_space(), degree_bound)
-    return Transition(i, i, overlap, (s,))
+    return Transition(i, i, overlap, (_translation(mid, 0.0, radius, degree_bound),))
 
 
 def build_transition(fn, i: int, j: int, overlap: tuple, n_pieces: int = 3,
-                     piece_radius: float | None = None, degree_bound: int = 24,
-                     n_points: int = 256) -> Transition:
-    """Transition from a callable via per-piece Cauchy coefficient extraction."""
+                     piece_radius: float | None = None, degree_bound: int = 24) -> Transition:
+    """Transition from a real-analytic callable, one extracted piece per anchor.
+
+    The ``n_pieces`` anchors split the overlap evenly.  Each piece is
+    :func:`~germlie.series.cauchy_series` of ``fn`` at ``piece_radius``
+    (default 1.2 times the piece width): it passes the extractor's guards,
+    is valid on 0.64 * piece_radius and carries its data-driven tail.  The
+    piece keeps the real part of its coefficients; the majorant of the
+    dropped imaginary part (quadrature rounding for maps real on the real
+    axis) joins the tail.
+    """
     lo, hi = overlap
     anchors = np.linspace(lo, hi, n_pieces + 2)[1:-1] if n_pieces > 1 else \
         np.array([0.5 * (lo + hi)])
@@ -159,9 +170,10 @@ def build_transition(fn, i: int, j: int, overlap: tuple, n_pieces: int = 3,
     radius = piece_radius if piece_radius is not None else 1.2 * width
     pieces = []
     for a in anchors:
-        betas, _, _ = cauchy_coefficients(fn, float(a), radius, degree_bound, n_points)
-        pieces.append(TruncatedSeries(float(a), degree_bound, np.real(betas) + 0j,
-                                      0.8 * radius, 0.0, scalar_space()))
+        s = cauchy_series(fn, float(a), radius, degree_bound, scalar_space())
+        dropped = float(np.sum(np.abs(s.coeffs.imag) * s.radius ** np.arange(degree_bound + 1)))
+        pieces.append(TruncatedSeries(s.anchor, degree_bound, s.coeffs.real + 0j, s.radius,
+                                      s.tail_bound + dropped, s.space))
     return Transition(i, j, overlap, tuple(pieces))
 
 
@@ -187,17 +199,10 @@ class RealAtlas:
         zs = np.asarray(zs, dtype=complex)
         out = np.full(zs.shape, np.nan + 0j)
         for tr in self.between(i, j):
-            mask = np.isnan(out.real)
-            if not np.any(mask):
+            todo = np.isnan(out.real)
+            if not np.any(todo):
                 break
-            vals = tr.eval(zs[mask])
-            take = ~np.isnan(vals.real)
-            idx = np.flatnonzero(mask)[take.ravel()] if zs.ndim else None
-            if zs.ndim == 0:
-                if take:
-                    out = vals
-            else:
-                out.ravel()[idx] = vals[take]
+            out[todo] = tr.eval(zs[todo])
         return out
 
     def records(self):
@@ -217,10 +222,9 @@ class ComplexAtlas:
         return self.heights[(i, j)]
 
 
-def _grid(overlap: tuple, height: float, n: int = 20,
-          shrink: float = 0.8) -> np.ndarray:
+def _grid(overlap: tuple, height: float, n: int = 20) -> np.ndarray:
     lo, hi = overlap
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * shrink
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 0.8
     xs = np.linspace(mid - half, mid + half, n)
     ys = np.linspace(-height, height, n)
     return (xs[:, None] + 1j * ys[None, :]).ravel()
@@ -495,12 +499,6 @@ def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55,
                                     c - half + m2, c + half - m2))
         intervals.append((c - half, c + half))
 
-    def shift_series(anchor: float, shift: float, radius: float,
-                     ) -> TruncatedSeries:
-        return TruncatedSeries.from_coeff_list(
-            [(0, anchor + shift), (1, 1.0)], anchor, radius,
-            scalar_space(), degree_bound)
-
     transitions = []
     for i in range(n_charts):
         for j in range(n_charts):
@@ -513,8 +511,8 @@ def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55,
                     continue
                 mid = 0.5 * (lo + hi)
                 radius = 2.0 * (hi - lo) + 1.0
-                transitions.append(Transition(i, j, (lo, hi),
-                                              (shift_series(mid, -deck * two_pi, radius),)))
+                shift = _translation(mid, -deck * two_pi, radius, degree_bound)
+                transitions.append(Transition(i, j, (lo, hi), (shift,)))
     for i in range(n_charts):
         ch = charts[i]
         transitions.append(identity_transition(i, (ch.t_lo, ch.t_hi),

@@ -8,11 +8,13 @@ for a piecewise-polynomial curve gamma with Lie-algebra-germ values, by a
 fourth-order commutator-corrected product integral: every step multiplies by
 the exponential of
 
-    (dt/2) (g1 + g2)  +  (sqrt(3)/12) dt^2 [g2, g1]
+    (dt/2) (g1 + g2)  +  (sqrt(3)/12) dt^2 [g1, g2]
 
 with g1, g2 the curve values at the two Gauss nodes of the step, so the
 approximation never leaves the group.  The endpoint is ``evol(gamma) =
-eta(1)``; step doubling provides the error estimate.
+eta(1)``; step doubling provides the error estimate.  The endpoint tails
+carry the series arithmetic only, not the step error of the integrator, so
+evolution output is not certified.
 
 ``log_derivative`` inverts the direction: for a differentiable group-valued
 curve it computes gamma(t)^{-1} . gamma'(t) segmentwise by series inversion
@@ -215,8 +217,10 @@ def evol(curve: LieCurve, steps: int = 64, error_estimate: bool = True,
     """Product-integral evolution of ``curve`` with ``steps`` uniform steps.
 
     The error estimate is the coefficientwise endpoint drift against the run
-    with doubled steps.  A value whose majorant leaves the curve budget
-    mid-integration raises :class:`BudgetError` naming the offending t.
+    with doubled steps.  The endpoint tails leave out the step error, so they
+    do not bound the distance to the exact evolution.  A value whose majorant
+    leaves the curve budget mid-integration raises :class:`BudgetError`
+    naming the offending t.
     """
     if steps < 4:
         raise StructureError("steps must be at least 4")
@@ -243,7 +247,7 @@ def _evol_run(curve: LieCurve, steps: int, keep: bool):
             raise BudgetError(f"evolution budget violated at t = {tm:.6g}: "
                               f"majorant {worst:.4g} > {budget:.4g}")
         omega = g1.add(g2).scale(0.5 * dt).add(
-            g2.bracket(g1).scale(math.sqrt(3.0) / 12.0 * dt * dt))
+            g1.bracket(g2).scale(math.sqrt(3.0) / 12.0 * dt * dt))
         eta = eta.mul(omega.exp())
         times.append((i + 1) * dt)
         if keep:

@@ -28,7 +28,6 @@ from .errors import BudgetError, StructureError
 from .germspace import BHolElement, GermSpace, bond
 from .matrixlie import MatrixLieBackend, bch_remainder_bound, evaluate_bch_words
 from .series import (
-    TruncatedSeries,
     invert as series_invert,
     multiply as series_multiply,
     series_exp,
@@ -73,9 +72,6 @@ class GermGroupElement:
 
     def eval(self, points) -> np.ndarray:
         return self.element.eval(points)
-
-    def at_level(self, level: int) -> "GermGroupElement":
-        return GermGroupElement(bond(self.element, level))
 
     def to_json(self) -> dict:
         return {
@@ -189,9 +185,6 @@ class GermLieGroup:
             reps = tuple(series[i * n_anchors: (i + 1) * n_anchors])
             out.append(BHolElement(self.space, lvl, reps))
         return out
-
-    def local_element(self, el: BHolElement) -> LocalGermElement:
-        return LocalGermElement(el, self.local_budget)
 
     # -- charts -----------------------------------------------------------------
 

@@ -40,7 +40,7 @@ from .reports import Report
 from .series import (
     CoefficientSpace,
     TruncatedSeries,
-    cauchy_coefficients,
+    cauchy_series,
     scalar_space,
 )
 
@@ -48,7 +48,6 @@ __all__ = [
     "RATIO_CEILING",
     "GermSpace",
     "BHolElement",
-    "Germ",
     "bond",
     "germ_distance",
     "germs_equal",
@@ -106,10 +105,7 @@ class GermSpace:
         return abs(complex(x)) / self.radius(level)
 
     def zero_element(self, level: int) -> "BHolElement":
-        reps = tuple(
-            TruncatedSeries.zero(a, self.radius(level), self.space, self.degree_bound, self.dim)
-            for a in self.anchors)
-        return BHolElement(self, level, reps)
+        return self.constant_element(self.space.zero(), level)
 
     def constant_element(self, value, level: int) -> "BHolElement":
         reps = tuple(
@@ -228,32 +224,6 @@ class BHolElement:
         return BHolElement(self.parent, self.level, tuple(fn(s) for s in self.reps))
 
 
-@dataclass(frozen=True)
-class Germ:
-    """An equivalence class of elements across levels (equal after bonding)."""
-
-    element: BHolElement
-
-    @property
-    def level(self) -> int:
-        return self.element.level
-
-    @property
-    def parent(self) -> GermSpace:
-        return self.element.parent
-
-    def at_level(self, level: int) -> BHolElement:
-        return bond(self.element, level)
-
-    def __eq__(self, other):
-        if not isinstance(other, Germ):
-            return NotImplemented
-        return germs_equal(self, other)
-
-    def __hash__(self):
-        raise TypeError("germs compare by tolerance and are unhashable")
-
-
 def bond(e: BHolElement, level: int) -> BHolElement:
     """Restriction to a deeper level U_level; norm_upper never increases."""
     if level < e.level:
@@ -273,10 +243,8 @@ def germ_distance(x, y) -> float:
     over anchors.  This bounds the sup-norm distance of the representatives
     on U_level, which is the sense in which two germs are one germ.
     """
-    ex = x.element if isinstance(x, Germ) else x
-    ey = y.element if isinstance(y, Germ) else y
-    lvl = max(ex.level, ey.level)
-    ex, ey = bond(ex, lvl), bond(ey, lvl)
+    lvl = max(x.level, y.level)
+    ex, ey = bond(x, lvl), bond(y, lvl)
     worst = 0.0
     for a, b in zip(ex.reps, ey.reps):
         na = min(a.degree_bound, b.degree_bound)
@@ -300,86 +268,21 @@ def germs_equal(x, y, tol: float = GERM_EQ_TOL) -> bool:
 # factorization through the Banach step (Cauchy coefficient recovery)
 # ---------------------------------------------------------------------------
 
-def _circle_samples(f, anchor, radius, n_points, space):
-    """Normalized quadrature data on |z - a| = radius: hat_k = beta_k * radius^k
-    (aliased), plus the sampled circle sup."""
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    zs = anchor + radius * np.exp(1j * theta)
-    samples = np.asarray([f(z) for z in zs], dtype=complex)
-    if not np.all(np.isfinite(samples.view(float))):
-        raise EvaluationError("evaluator returned non-finite samples on the "
-                              "quadrature circle")
-    hat = np.fft.fft(samples, axis=0) / n_points
-    return hat, float(np.max(space.norm(samples)))
-
-def factorize(space: GermSpace, f, level: int, n_points: int = 256,
-              bound_tol: float = 1e-6, check_coherence: bool = False) -> BHolElement:
+def factorize(space: GermSpace, f, level: int,
+              check_coherence: bool = False) -> BHolElement:
     """Represent a bounded holomorphic evaluator on U_level per anchor.
 
-    Per anchor the Taylor coefficients are recovered by circle quadrature at
-    radius 0.8 * rho_level.  Three data-driven certificates guard the
-    Cauchy-formula factorization (each fails for maps that are not
-    boundedly holomorphic on the claimed ball):
-
-    * coefficient consistency: quadrature at a second radius must recover
-      the same leading coefficients,
-    * a fresh-point residual check of the reconstruction against f,
-    * the coefficient bound ``norm(beta_k) <= circle_sup / r_q^k``.
-
-    The returned series are certified on the interior radius 0.64 *
-    rho_level; their tail bounds sum the measured above-degree quadrature
-    coefficients there (plus the geometric aliasing remainder), so constants
-    come back with norm exactly the constant's norm.
+    Each anchor's series is :func:`~germlie.series.cauchy_series` of f at
+    rho_level: valid on 0.64 * rho_level with a data-driven tail, and
+    rejected by the extractor's guards unless f is boundedly holomorphic on
+    the ball.  ``check_coherence`` also requires agreement on overlaps.
     """
     if space.dim != 1:
         raise StructureError("factorize is implemented for d = 1")
     rho = space.radius(level)
-    n = space.degree_bound
-    reps = []
-    for a in space.anchors:
-        rq, rq2 = 0.8 * rho, 0.5 * rho
-        hat, circle_sup = _circle_samples(f, a, rq, n_points, space.space)
-        hat2, _ = _circle_samples(f, a, rq2, n_points, space.space)
-        scale = max(1.0, circle_sup)
-        r_cert = 0.8 * rq
-        ks_low = np.arange(n + 1).reshape((n + 1,) + (1,) * (hat.ndim - 1))
-        betas = hat[: n + 1] / rq ** ks_low
-        betas2 = hat2[: n + 1] / rq2 ** ks_low
-
-        disc = space.space.norm(betas - betas2) * r_cert ** np.arange(n + 1)
-        if np.max(disc) > bound_tol * scale:
-            k_bad = int(np.argmax(disc))
-            raise EvaluationError(
-                "not boundedly holomorphic at claimed radius: coefficient "
-                f"{k_bad} disagrees across quadrature radii by {disc[k_bad]:.3g}")
-
-        norms_low = space.space.norm(betas)
-        slack = norms_low - circle_sup / rq ** np.arange(n + 1)
-        if np.any(slack > bound_tol * scale):
-            k_bad = int(np.argmax(slack))
-            raise EvaluationError(
-                f"not boundedly holomorphic at claimed radius: coefficient {k_bad} "
-                f"violates the Cauchy bound by {slack[k_bad]:.3g}")
-
-        # data-driven tail: measured above-degree quadrature mass scaled to
-        # the certified radius, plus the geometric aliasing remainder
-        q = r_cert / rq
-        tail = float(np.sum(space.space.norm(hat[n + 1:])
-                            * q ** np.arange(n + 1, n_points)))
-        alias = circle_sup * q ** n_points / (1.0 - q)
-        tail += 2.0 * alias
-        series = TruncatedSeries(a, n, np.ascontiguousarray(betas),
-                                 r_cert, tail, space.space, space.dim)
-
-        probe = a + 0.5 * r_cert * np.exp(2j * np.pi * (np.arange(16) + 0.37) / 16)
-        want = np.stack([np.asarray(f(z), dtype=complex) for z in probe])
-        resid = float(np.max(space.space.norm(series.eval(probe) - want)))
-        if resid > tail + bound_tol * scale:
-            raise EvaluationError(
-                "not boundedly holomorphic at claimed radius: reconstruction "
-                f"misses f by {resid:.3g} (certified tail {tail:.3g})")
-        reps.append(series)
-    el = BHolElement(space, level, tuple(reps))
+    reps = tuple(cauchy_series(f, a, rho, space.degree_bound, space.space)
+                 for a in space.anchors)
+    el = BHolElement(space, level, reps)
     if check_coherence:
         defect = el.coherence_defect()
         if defect > COHERENCE_TOL:
@@ -445,8 +348,8 @@ def family_convergence_check(family, R: float, r: float,
     the check raises :class:`BudgetError`, otherwise it evaluates the raw
     inequality and reports the (expected) failure.
     """
-    params = {"R": R, "r": r, "family_size": len(list(family))}
     family = list(family)
+    params = {"R": R, "r": r, "family_size": len(family)}
     if enforce_ratio and not r < R / (2.0 * math.e):
         raise BudgetError(
             f"family convergence estimate needs r < R/(2e) = {R / (2 * math.e):.6g}, got r = {r}")
@@ -675,7 +578,6 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
         ea = factorize(space_a, fa, level)
         eb = factorize(space_b, fb, level)
         glued_reps = []
-        defect = 0.0
         for a in union_anchors:
             if a in space_a.anchors:
                 glued_reps.append(ea.reps[space_a.anchors.index(a)])

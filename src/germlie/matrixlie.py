@@ -159,15 +159,11 @@ def bch_remainder_bound(s: float, order: int) -> float:
     n_max = len(a) - 1
     ns = np.arange(order + 1, n_max + 1)
     head = float(np.sum(a[order + 1:] * (s ** ns)))
-    t1 = 0.66
-    if s < t1:
-        g_t1 = -math.log(2.0 - math.exp(t1))
-        geom = (s / t1) ** (n_max + 1) * g_t1 / (1.0 - s / t1)
-    else:
-        # fall back to the crude ratio against the radius of convergence
-        t1 = 0.5 * (s + BCH_RADIUS)
-        g_t1 = -math.log(2.0 - math.exp(t1))
-        geom = (s / t1) ** (n_max + 1) * g_t1 / (1.0 - s / t1)
+    # geometric comparison at t1 = 0.66; beyond it, fall back to the crude
+    # ratio against the radius of convergence
+    t1 = 0.66 if s < 0.66 else 0.5 * (s + BCH_RADIUS)
+    g_t1 = -math.log(2.0 - math.exp(t1))
+    geom = (s / t1) ** (n_max + 1) * g_t1 / (1.0 - s / t1)
     return head + geom
 
 

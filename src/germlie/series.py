@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "series_exp",
     "series_log",
     "cauchy_coefficients",
+    "cauchy_series",
     "series_to_json",
     "series_from_json",
 ]
@@ -520,14 +521,15 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         # d = 2 is not performance critical; a direct loop keeps it readable
         shape = (2 * k - 1, 2 * k - 1) + a.space.shape
         full = np.zeros(shape, dtype=complex)
+        prod = np.matmul if a.space.kind == "matrix" else np.multiply
         for i in range(k):
             for j in range(k - i):
                 if not np.any(a.coeffs[i, j]):
                     continue
                 for p in range(k):
                     for q in range(k - p):
-                        full[i + p, j + q] = full[i + p, j + q] + _coeff_prod(
-                            a.coeffs[i, j], b.coeffs[p, q], a.space)
+                        full[i + p, j + q] = full[i + p, j + q] + prod(
+                            a.coeffs[i, j], b.coeffs[p, q])
         coeffs = full[: k, : k].copy()
         deg_i, deg_j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
         coeffs[deg_i + deg_j > n] = 0.0
@@ -540,23 +542,18 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space, a.dim)
 
 
-def _coeff_prod(x, y, space: CoefficientSpace):
-    return x @ y if space.kind == "matrix" else x * y
-
-
 def bracket(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Pointwise commutator ``a b - b a`` for matrix-valued series."""
     return linear_combination(multiply(a, b), multiply(b, a), 1.0, -1.0)
 
 
-def invert(a: TruncatedSeries, budget: float = 0.95,
-           min_radius_factor: float = 1e-6) -> TruncatedSeries:
+def invert(a: TruncatedSeries) -> TruncatedSeries:
     """Pointwise multiplicative inverse by a Neumann series.
 
     Requires the constant coefficient ``a_0`` to be invertible and
-    ``norm(a_0^{-1}) * (majorant of a - a_0 + tail)`` to be below ``budget``
-    on the working radius; the radius is shrunk geometrically (recorded in
-    the result) until the budget holds.
+    ``norm(a_0^{-1}) * (majorant of a - a_0 + tail)`` to be below 0.95 on
+    the working radius; the radius is shrunk geometrically (recorded in the
+    result) until the budget holds, down to 1e-6 times the input radius.
     """
     if a.space.kind == "vector":
         raise StructureError("vector coefficients admit no inverse")
@@ -576,15 +573,15 @@ def invert(a: TruncatedSeries, budget: float = 0.95,
     kappa = a.space.submult_factor
     tilde = a - TruncatedSeries.constant(c0, a.anchor, a.radius, a.space, a.degree_bound, a.dim)
     radius = a.radius
-    floor = a.radius * min_radius_factor
+    floor = a.radius * 1e-6
     while True:
         q = kappa * inv_norm * (tilde.poly_majorant(radius) + a.tail_bound)
-        if q < budget:
+        if q < 0.95:
             break
         radius *= 0.75
         if radius < floor:
             raise BudgetError(
-                f"Neumann budget unattainable: needs norm(a0^-1)*majorant < {budget}, "
+                "Neumann budget unattainable: needs norm(a0^-1)*majorant < 0.95, "
                 f"got {q:.3g} at radius {radius / 0.75:.3g} (minimum {floor:.3g})")
 
     at = _rescale_variable(tilde.restrict(radius).with_tail(a.tail_bound), radius)
@@ -696,33 +693,103 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
 # Cauchy-formula coefficient extraction
 # ---------------------------------------------------------------------------
 
-def cauchy_coefficients(f, anchor, radius, k_max, n_points=256, direction=1.0,
-                        radius_factor=0.8, space: CoefficientSpace | None = None):
-    """Taylor coefficients of ``z -> f(anchor + z * direction)`` by circle quadrature.
+_QUAD_POINTS = 256  # quadrature nodes of cauchy_series
+_GUARD_TOL = 1e-6  # relative slack of its three guards
 
-    Uniform trapezoid quadrature on ``|z| = radius_factor * radius`` (a
+
+def _circle_fft(f, anchor, radius, n_points):
+    """Normalized DFT of ``f`` on ``|z - anchor| = radius``, entry k being
+    ``beta_k radius^k`` up to aliasing, and the circle sup in the coefficient
+    space of the sample shape.  Rejects non-finite samples."""
+    theta = 2.0 * np.pi * np.arange(n_points) / n_points
+    zs = anchor + radius * np.exp(1j * theta)
+    samples = np.asarray([f(z) for z in zs], dtype=complex)
+    if not np.all(np.isfinite(samples.view(float))):
+        raise EvaluationError("evaluator returned non-finite samples on the quadrature circle")
+    circle_sup = float(np.max(_infer_space(samples.shape[1:]).norm(samples)))
+    return np.fft.fft(samples, axis=0) / n_points, circle_sup
+
+
+def _unscale(hat, rq: float, k_max: int) -> np.ndarray:
+    """``beta_0..beta_{k_max}`` from normalized quadrature data at radius rq."""
+    ks = np.arange(k_max + 1).reshape((k_max + 1,) + (1,) * (hat.ndim - 1))
+    return hat[: k_max + 1] / rq ** ks
+
+
+def cauchy_coefficients(f, anchor, radius, k_max, n_points=256):
+    """Taylor coefficients of ``f`` around ``anchor`` by circle quadrature.
+
+    Uniform trapezoid quadrature on ``|z - anchor| = 0.8 * radius`` (a
     discrete Fourier transform of the samples) returns ``beta_0..beta_{k_max}``
-    together with the sampled circle sup, so callers can check the bound
-    ``norm(beta_k) <= sup / r_q^k``.
+    together with the sampled circle sup and the quadrature radius r_q, so
+    callers can check the bound ``norm(beta_k) <= sup / r_q^k``.  The raw
+    coefficients carry no tail; :func:`cauchy_series` adds one.
 
     Requires ``n_points >= 4 * k_max``; f must be bounded holomorphic on the
-    open disc of the given radius around the anchor in the given direction.
+    open disc of the given radius around the anchor.
     """
     if n_points < 4 * k_max:
         raise StructureError(f"need n_points >= 4*k_max, got {n_points} < {4 * k_max}")
-    rq = radius_factor * radius
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    zs = rq * np.exp(1j * theta)
-    samples = np.asarray([f(anchor + z * direction) for z in zs], dtype=complex)
-    if not np.all(np.isfinite(samples.view(float))):
-        raise EvaluationError("evaluator returned non-finite samples on the quadrature circle")
-    hat = np.fft.fft(samples, axis=0) / n_points
-    ks = np.arange(k_max + 1)
-    shape = (k_max + 1,) + (1,) * (samples.ndim - 1)
-    betas = hat[: k_max + 1] / (rq ** ks).reshape(shape)
-    sp = space if space is not None else _infer_space(samples.shape[1:])
-    circle_sup = float(np.max(sp.norm(samples)))
-    return betas, circle_sup, rq
+    rq = 0.8 * radius
+    hat, circle_sup = _circle_fft(f, anchor, rq, n_points)
+    return _unscale(hat, rq, k_max), circle_sup, rq
+
+
+def cauchy_series(f, anchor, radius: float, degree_bound: int,
+                  space: CoefficientSpace) -> TruncatedSeries:
+    """The d = 1 Taylor series of ``f`` at ``anchor``, valid on 0.64 * radius.
+
+    Coefficients come from circle quadrature at 0.8 * radius.  Three guards
+    reject maps that are not boundedly holomorphic on the claimed ball with
+    :class:`EvaluationError`: quadrature at 0.5 * radius must recover the
+    same coefficients, every coefficient must obey the Cauchy bound
+    ``norm(beta_k) <= circle_sup / r_q^k``, and the series must reproduce f
+    at fresh points to within its tail.
+
+    The tail is data-driven: the measured above-degree quadrature mass at
+    the validity radius plus twice the geometric aliasing remainder, which
+    is estimated from the sampled (not the true) circle sup.  Constants come
+    back with norm exactly the constant's norm.
+    """
+    n = degree_bound
+    rq, rq2 = 0.8 * radius, 0.5 * radius
+    hat, circle_sup = _circle_fft(f, anchor, rq, _QUAD_POINTS)
+    hat2, _ = _circle_fft(f, anchor, rq2, _QUAD_POINTS)
+    scale = max(1.0, circle_sup)
+    r_cert = 0.8 * rq  # the validity radius, 0.64 * radius
+    betas = _unscale(hat, rq, n)
+    betas2 = _unscale(hat2, rq2, n)
+
+    disc = space.norm(betas - betas2) * r_cert ** np.arange(n + 1)
+    if np.max(disc) > _GUARD_TOL * scale:
+        k_bad = int(np.argmax(disc))
+        raise EvaluationError(
+            "not boundedly holomorphic at claimed radius: coefficient "
+            f"{k_bad} disagrees across quadrature radii by {disc[k_bad]:.3g}")
+
+    slack = space.norm(betas) - circle_sup / rq ** np.arange(n + 1)
+    if np.any(slack > _GUARD_TOL * scale):
+        k_bad = int(np.argmax(slack))
+        raise EvaluationError(
+            f"not boundedly holomorphic at claimed radius: coefficient {k_bad} "
+            f"violates the Cauchy bound by {slack[k_bad]:.3g}")
+
+    # data-driven tail: measured above-degree quadrature mass scaled to the
+    # validity radius, plus the geometric aliasing remainder
+    q = r_cert / rq
+    tail = float(np.sum(space.norm(hat[n + 1:]) * q ** np.arange(n + 1, _QUAD_POINTS)))
+    alias = circle_sup * q ** _QUAD_POINTS / (1.0 - q)
+    tail += 2.0 * alias
+    series = TruncatedSeries(anchor, n, np.ascontiguousarray(betas), r_cert, tail, space)
+
+    probe = anchor + 0.5 * r_cert * np.exp(2j * np.pi * (np.arange(16) + 0.37) / 16)
+    want = np.stack([np.asarray(f(z), dtype=complex) for z in probe])
+    resid = float(np.max(space.norm(series.eval(probe) - want)))
+    if resid > tail + _GUARD_TOL * scale:
+        raise EvaluationError(
+            "not boundedly holomorphic at claimed radius: reconstruction "
+            f"misses f by {resid:.3g} (data-driven tail {tail:.3g})")
+    return series
 
 
 def _infer_space(shape: tuple) -> CoefficientSpace:

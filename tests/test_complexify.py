@@ -20,7 +20,7 @@ from germlie.complexify import (
     tan_chart_pair,
     uniqueness_biholomorphism,
 )
-from germlie.errors import ExtensionError, StructureError
+from germlie.errors import EvaluationError, ExtensionError, StructureError
 from germlie.series import TruncatedSeries, scalar_space
 
 
@@ -152,6 +152,34 @@ class TestBuildTransition:
         xs = np.linspace(-0.45, 0.45, 41).astype(complex)
         vals = tr.eval(xs)
         assert np.max(np.abs(vals - np.tan(xs.real))) < 1e-12
+
+    def test_piece_tails_bound_true_error(self):
+        # true sup error on each piece's circle against its stored tail, with
+        # the rounding slack of the germ-space benchmark check
+        def worst_excess(tr, fn):
+            excess = -math.inf
+            for p in tr.pieces:
+                zs = p.anchor + p.radius * np.exp(2j * np.pi * np.arange(512) / 512)
+                want = fn(zs)
+                err = np.max(np.abs(p.eval(zs) - want))
+                scale = max(1.0, float(np.max(np.abs(want))))
+                excess = max(excess, err - p.tail_bound - 1e-12 * scale)
+            return excess
+
+        atlas = tan_chart_pair()
+        assert worst_excess(atlas.between(0, 1)[0], np.tan) <= 0
+        assert worst_excess(atlas.between(1, 0)[0], np.arctan) <= 0
+        # a degree-6 piece of exp truncates visibly, so its tail must be positive
+        tr = build_transition(np.exp, 0, 1, (-0.5, 0.5), n_pieces=1, piece_radius=1.0,
+                              degree_bound=6)
+        assert tr.pieces[0].tail_bound > 1e-6
+        assert worst_excess(tr, np.exp) <= 0
+
+    def test_guards_reject_pole_inside_piece(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match="not boundedly holomorphic"):
+                build_transition(lambda z: 1.0 / (z - 0.3), 0, 1, (-0.5, 0.5), n_pieces=1,
+                                 piece_radius=1.0)
 
     def test_grid_inverse_identity_on_strip(self):
         atlas = tan_chart_pair()

@@ -157,6 +157,16 @@ class TestEvol:
             oracle = rk4_pointwise(curve, pts, 640)
             assert np.max(np.abs(res.endpoint.eval(pts) - oracle)) < 1e-6
 
+    def test_fourth_order_against_rk4(self, germ_group):
+        # the commutator term of eta' = eta . gamma is [g1, g2]; the other
+        # sign leaves a second-order scheme
+        curve = random_spline_curve(germ_group, np.random.default_rng(3))
+        pts = germ_group.space.sample_points(1, 20, interior=0.4)
+        oracle = rk4_pointwise(curve, pts, 4000)
+        errs = [np.max(np.abs(evol(curve, n, error_estimate=False, keep_trajectory=False)
+                              .endpoint.eval(pts) - oracle)) for n in (8, 16)]
+        assert np.log2(errs[0] / errs[1]) >= 3.5
+
     def test_endpoint_matches_reference_fold(self, germ_group, rng, monkeypatch):
         curve = random_spline_curve(germ_group, rng)
         got = evol(curve, 16)

@@ -154,6 +154,10 @@ class TestFamilyConvergence:
         assert rep.passed
         assert rep.extras["lhs"] == pytest.approx(c)
         assert rep.extras["rhs"] == pytest.approx(c / (1 - 0.2 * math.e), rel=1e-12)
+        # a one-shot iterable is read once, not used up by the parameter record
+        gen = family_convergence_check((e for e in [el]), R=1.0, r=0.1)
+        assert gen.passed and gen.params["family_size"] == 1
+        assert gen.extras == rep.extras
 
     def test_linear_germ(self):
         sp = GermSpace(anchors=(0.0,), base_radius=1.0, ratio=0.1, levels=4)
