@@ -4,9 +4,10 @@ The public series type handles one series at a time; the Lie-group hot paths
 (BCH word evaluation, product-integral steps) run the same coefficient and
 tail arithmetic over a stack of series at once.  A :class:`SeriesStack`
 holds coefficients of shape (B, K, m, m) with per-entry radius and tail
-vectors; anchors and levels stay with the caller.  Products, norms and the
-exp order and remainder come from :mod:`germlie.series`, so a stack and a
-single series share one Cauchy-product kernel and one tail rule.
+vectors; anchors and levels stay with the caller.  Products, norms, exp,
+log and the inverse run on the array kernels of :mod:`germlie.series`, so a
+stack and a single series share one kernel and one tail rule per operation,
+and every row of a stack equals the single-series result bit for bit.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from .series import (
     CoefficientSpace,
     TruncatedSeries,
     _cauchy_product,
-    _exp_order,
-    _exp_remainder,
-    spectral_norms,
+    _exp_kernel,
+    _invert_kernel,
+    _log_kernel,
+    _stack_norms,
 )
 
 
@@ -51,27 +53,17 @@ class SeriesStack:
             for i, a in enumerate(anchors)
         ]
 
-    @classmethod
-    def identity_like(cls, other: "SeriesStack") -> "SeriesStack":
-        coeffs = np.zeros_like(other.coeffs)
-        m = coeffs.shape[-1]
-        coeffs[:, 0] = np.eye(m)
-        return cls(coeffs, other.radius.copy(), np.zeros_like(other.tail))
-
     # -- norms -----------------------------------------------------------------
 
     def norms(self) -> np.ndarray:
         """Scaled coefficient norms (twice the spectral norm), shape (B, K)."""
         if self._norms is None:
-            self._norms = 2.0 * spectral_norms(self.coeffs)
+            self._norms = _stack_norms(self.coeffs, 0.5)
         return self._norms
 
-    def majorant_coeffs(self) -> np.ndarray:
-        k = self.coeffs.shape[1]
-        return self.norms() * self.radius[:, None] ** np.arange(k)
-
     def majorant(self) -> np.ndarray:
-        return np.sum(self.majorant_coeffs(), axis=1) + self.tail
+        pw = self.radius[:, None] ** np.arange(self.coeffs.shape[1])
+        return np.sum(self.norms() * pw, axis=1) + self.tail
 
     # -- linear structure --------------------------------------------------------
 
@@ -81,12 +73,7 @@ class SeriesStack:
                            abs(alpha) * self.tail + abs(beta) * other.tail)
 
     def scale(self, alpha) -> "SeriesStack":
-        alpha = np.asarray(alpha)
-        if alpha.ndim == 0:
-            return SeriesStack(self.coeffs * alpha, self.radius,
-                               self.tail * abs(complex(alpha)))
-        return SeriesStack(self.coeffs * alpha[:, None, None, None], self.radius,
-                           self.tail * np.abs(alpha))
+        return SeriesStack(self.coeffs * alpha, self.radius, self.tail * abs(complex(alpha)))
 
     def __add__(self, other):
         if not isinstance(other, SeriesStack):
@@ -112,26 +99,16 @@ class SeriesStack:
         ba = other.mul(self)
         return ab.add(ba, 1.0, -1.0)
 
-    # -- exp -------------------------------------------------------------------------
-
-    def _rescaled(self, lam: np.ndarray) -> "SeriesStack":
-        k = self.coeffs.shape[1]
-        pw = lam[:, None] ** np.arange(k)
-        return SeriesStack(self.coeffs * pw[:, :, None, None],
-                           self.radius / lam, self.tail.copy())
+    # -- exp, log and inverse ---------------------------------------------------------
 
     def exp(self) -> "SeriesStack":
-        """Entrywise exp with the factorial remainder folded into the tails.
+        """Entrywise exp with the factorial remainder folded into the tails."""
+        return SeriesStack(*_exp_kernel(self.coeffs, self.tail, self.radius, 0.5))
 
-        Runs in the radius-normalized variable so badly scaled entries stay
-        well conditioned.
-        """
-        qq = 0.5 * self.majorant()
-        j_ord = _exp_order(float(np.max(qq)))
-        base = self._rescaled(self.radius)
-        one = SeriesStack.identity_like(base)
-        out = one
-        for j in range(j_ord, 0, -1):
-            out = one.add(base.mul(out).scale(1.0 / j))
-        out = out._rescaled(1.0 / self.radius)
-        return SeriesStack(out.coeffs, out.radius, out.tail + _exp_remainder(qq, j_ord, 0.5))
+    def log(self) -> "SeriesStack":
+        """Entrywise principal log; :class:`BudgetError` if any entry leaves the branch."""
+        return SeriesStack(*_log_kernel(self.coeffs, self.tail, self.radius, 0.5))
+
+    def invert(self) -> "SeriesStack":
+        """Entrywise inverse certified by one residual product (see ``series.invert``)."""
+        return SeriesStack(*_invert_kernel(self.coeffs, self.tail, self.radius, 0.5))

@@ -35,8 +35,8 @@ import numpy as np
 
 from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
-from .germgroup import GermGroupElement, GermLieGroup, random_algebra_element
-from .germspace import BHolElement, GermSpace, bond, germ_distance
+from .germgroup import GermGroupElement, GermLieGroup, _stack_element, random_algebra_element
+from .germspace import BHolElement, bond, germ_distance
 from .reports import Report
 from .series import multiply as series_multiply
 
@@ -60,11 +60,6 @@ __all__ = [
 EVOL_BUDGET = 0.5 * math.log(2.0)  # admissible curve values per segment
 CURVE_CONTINUITY_TOL = 1e-12
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
-
-
-def _stack_element(space: GermSpace, level: int, stack: SeriesStack) -> BHolElement:
-    return BHolElement(space, level,
-                       tuple(stack.to_series(space.anchors, space.space, space.dim)))
 
 
 def _stack_segment(seg, level: int) -> tuple:

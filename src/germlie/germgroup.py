@@ -27,13 +27,7 @@ from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
 from .germspace import BHolElement, GermSpace, bond
 from .matrixlie import MatrixLieBackend, bch_remainder_bound, evaluate_bch_words
-from .series import (
-    invert as series_invert,
-    multiply as series_multiply,
-    series_exp,
-    series_log,
-    series_to_json,
-)
+from .series import multiply as series_multiply, series_to_json
 
 __all__ = [
     "GermLieGroup",
@@ -46,6 +40,12 @@ __all__ = [
 
 OMEGA1_FACTOR = 0.25  # Omega_1 budget = 0.25 * ln 2 (pairs stay inside the BCH domain)
 INJECTIVITY_RADIUS = 0.5  # Omega_2: values within this ball of 0 keep exp injective
+
+
+def _stack_element(space: GermSpace, level: int, stack: SeriesStack) -> BHolElement:
+    """The element of U_level whose per-anchor series are the rows of ``stack``."""
+    return BHolElement(space, level,
+                       tuple(stack.to_series(space.anchors, space.space, space.dim)))
 
 
 @dataclass(frozen=True)
@@ -203,9 +203,15 @@ class GermLieGroup:
                 last = exc
         raise last
 
+    def _on_stack(self, el: BHolElement, op) -> BHolElement:
+        """Apply a :class:`SeriesStack` method to every anchor's series at once."""
+        if self.space.dim != 1:
+            raise StructureError("exp, log and inverse of germs are d = 1 only")
+        return _stack_element(self.space, el.level, op(SeriesStack.from_series(el.reps)))
+
     def exp_germ(self, eta: BHolElement) -> GermGroupElement:
-        """Postcomposition with the exponential, anchor by anchor."""
-        return self._certify_deeper(eta.map_reps(series_exp))
+        """Postcomposition with the exponential, all anchors in one stack."""
+        return self._certify_deeper(self._on_stack(eta, SeriesStack.exp))
 
     def log_germ(self, gamma: GermGroupElement) -> BHolElement:
         """Local inverse of :func:`exp_germ`; bonds deeper if the branch budget needs it.
@@ -216,9 +222,8 @@ class GermLieGroup:
         """
         el = gamma.element
         for lvl in range(el.level, self.space.levels):
-            cand = bond(el, lvl)
             try:
-                return cand.map_reps(series_log)
+                return self._on_stack(bond(el, lvl), SeriesStack.log)
             except BudgetError:
                 continue
         raise BudgetError("log branch budget unattainable at every available level")
@@ -241,8 +246,8 @@ class GermLieGroup:
         return self._certify_deeper(BHolElement(self.space, lvl, reps))
 
     def inv(self, g: GermGroupElement) -> GermGroupElement:
-        reps = tuple(series_invert(s) for s in g.element.reps)
-        return GermGroupElement(BHolElement(self.space, g.level, reps))
+        """Pointwise inverse, all anchors in one stack; bonds deeper until it certifies."""
+        return self._certify_deeper(self._on_stack(g.element, SeriesStack.invert))
 
     def power(self, g: GermGroupElement, n: int) -> GermGroupElement:
         if n < 1:

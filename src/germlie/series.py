@@ -4,14 +4,16 @@ A :class:`TruncatedSeries` is the computational stand-in for a bounded
 holomorphic map on a ball: it stores the Taylor coefficients up to a degree
 bound around an anchor point of C^d (d = 1 or 2), a validity radius, and a
 certified upper bound ``tail_bound`` for the sup of everything that was
-dropped.  All arithmetic (linear combinations, Cauchy products, Neumann
-inversion, entire-function composition with exp and log) propagates the tail
-bound by majorant bookkeeping, so
+dropped.  All arithmetic (linear combinations, Cauchy products,
+residual-certified inversion, entire-function composition with exp and log)
+propagates the tail bound by majorant bookkeeping, so
 
     sampled sup  <=  true sup on the ball  <=  majorant norm
 
-holds for every value the module produces.  Values are immutable; every
-operation is a pure function.
+holds in exact arithmetic for every value the module produces.  Rounding is
+outside every certificate: an inverse of a unit-sized matrix series misses
+the pointwise inverse by about 1e-15 even where its tail is below 1e-15.
+Values are immutable; every operation is a pure function.
 
 Coefficients live in a :class:`CoefficientSpace`: complex scalars, vectors,
 or m x m matrices.  The matrix norm is twice the spectral norm, which makes
@@ -141,7 +143,7 @@ def spectral_norms(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the d = 1 Cauchy-product kernel, shared with the batched SeriesStack
+# d = 1 kernels on (B, K, m, m) stacks: product, exp, log and inverse
 # ---------------------------------------------------------------------------
 
 _TOEPLITZ_INDEX: dict[tuple[int, int], np.ndarray] = {}
@@ -174,13 +176,9 @@ def _product_tail(ma, mb, tail_a, tail_b, overflow, kappa):
     return kappa * (ma * tail_b + mb * tail_a + tail_a * tail_b + overflow)
 
 
-def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
-    """Truncated Cauchy products of B pairs of series with (m, m) coefficients.
-
-    ``a`` and ``b`` have shape (B, K, m, m) (scalars are m = 1), the norms
-    (B, K), the tails and the common radius (B,).  Returns the product
-    coefficients (B, K, m, m) and their tails (B,).
-    """
+def _truncated_product(a, b):
+    """Coefficients of the Cauchy products of B pairs of (B, K, m, m) stacks up
+    to degree K - 1."""
     n_rows, k, m, _ = a.shape
     # one matmul per row: a as the block row [a_0 .. a_{k-1}] of shape
     # (m, k*m) times the block upper-triangular Toeplitz matrix of b, whose
@@ -188,9 +186,19 @@ def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
     padded = np.concatenate([b, np.zeros_like(b[:, :1])], axis=1)
     toeplitz = np.take(padded.reshape(n_rows, -1), _toeplitz_index(k, m), axis=1)
     row = a.transpose(0, 2, 1, 3).reshape(n_rows, m, k * m)
-    coeffs = np.ascontiguousarray(
+    return np.ascontiguousarray(
         np.matmul(row, toeplitz).reshape(n_rows, m, k, m).transpose(0, 2, 1, 3))
 
+
+def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
+    """Truncated Cauchy products of B pairs of series with (m, m) coefficients.
+
+    ``a`` and ``b`` have shape (B, K, m, m) (scalars are m = 1), the norms
+    (B, K), the tails and the common radius (B,).  Returns the product
+    coefficients (B, K, m, m) and their tails (B,).
+    """
+    k = a.shape[1]
+    coeffs = _truncated_product(a, b)
     pw = radius[:, None] ** np.arange(k)
     am = norms_a * pw
     bm = norms_b * pw
@@ -200,6 +208,120 @@ def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
     overflow = (am[:, 1:] * suffix[:, : k - 1]).sum(axis=1)
     tail = _product_tail(am.sum(axis=1), suffix[:, -1], tail_a, tail_b, overflow, kappa)
     return coeffs, tail
+
+
+def _stack_norms(coeffs, kappa):
+    """Norms sigma_max / kappa of a (B, K, m, m) stack: twice the spectral norm
+    for matrices (kappa = 1/2), the modulus for scalars as 1 x 1 (kappa = 1)."""
+    return spectral_norms(coeffs) / kappa
+
+
+def _identity_stack(like):
+    one = np.zeros_like(like)
+    one[:, 0] = np.eye(like.shape[-1])
+    return one
+
+
+def _horner(x, x_norms, tail, tops, alpha, beta, kappa):
+    """S <- alpha(j) 1 + beta(j) x S for j = top - 1 .. 1 from S = alpha(top) 1,
+    each row to its own top, so no row depends on the rest of the stack."""
+    one = _identity_stack(x)
+    unit = np.ones(len(x))
+    s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
+    s_tail = np.zeros(len(x))
+    for j in range(int(tops.max()) - 1, 0, -1):
+        c, t = _cauchy_product(x, s, x_norms, _stack_norms(s, kappa), tail, s_tail, unit, kappa)
+        live = tops > j
+        s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
+        s_tail = np.where(live, abs(beta(j)) * t, s_tail)
+    return s, s_tail
+
+
+def _exp_order(m: float) -> int:
+    target = _EXP_REL_TOL * max(1.0, math.exp(min(m, 50.0)))
+    term = m
+    for j in range(1, 80):
+        nxt = term * m / (j + 1)
+        if nxt / max(1.0 - m / (j + 3), 1e-9) < target and j >= 4:
+            return j + 1
+        term = nxt
+    return 80
+
+
+def _log_order(q: float, n: int) -> int:
+    j = max(n + 1, 8)
+    while q ** (j + 1) / ((j + 1) * (1.0 - q)) > _EXP_REL_TOL * max(1.0, q) and j < 400:
+        j += 8
+    return j
+
+
+def _exp_kernel(coeffs, tail, radius, kappa):
+    """exp of B series (B, K, m, m) by S <- 1 + a S / j, j = J .. 1: coefficients,
+    radii, tails.  As ``norm(a^j) <= kappa^{j-1} m^j``, the terms above J add
+    q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the tail, q = kappa * majorant."""
+    # the unit-radius variable keeps badly scaled rows well conditioned
+    pw = (radius[:, None] ** np.arange(coeffs.shape[1]))[:, :, None, None]
+    x = coeffs * pw
+    x_norms = _stack_norms(x, kappa)
+    q = kappa * (np.sum(x_norms, axis=1) + tail)
+    orders = np.array([_exp_order(float(v)) for v in q])
+    s, s_tail = _horner(x, x_norms, tail, orders + 1, lambda j: 1.0, lambda j: 1.0 / j, kappa)
+    fact = np.array([math.factorial(j + 1) for j in orders], dtype=float)
+    rem = q ** (orders + 1) / fact / (kappa * np.maximum(1.0 - q / (orders + 2), 1e-9))
+    return s / pw, radius, s_tail + rem
+
+
+def _log_kernel(coeffs, tail, radius, kappa):
+    """Principal log of B series by log(1 + w) = w (1 - w (1/2 - w (1/3 - ...)))
+    to order J, the terms above J in the tail; :class:`BudgetError` unless
+    ``majorant(a - 1) < 1`` on every row.  Returns coefficients, radii, tails."""
+    pw = (radius[:, None] ** np.arange(coeffs.shape[1]))[:, :, None, None]
+    w = coeffs * pw - _identity_stack(coeffs)
+    w_norms = _stack_norms(w, kappa)
+    mw = np.sum(w_norms, axis=1) + tail
+    if np.max(mw) >= 0.999:
+        raise BudgetError(f"log branch budget violated: majorant(a - 1) = {np.max(mw):.4g} >= 1")
+    q = kappa * mw
+    orders = np.array([_log_order(float(v), coeffs.shape[1] - 1) for v in q])
+    s, s_tail = _horner(w, w_norms, tail, orders, lambda j: 1.0 / j, lambda j: -1.0, kappa)
+    out, out_tail = _cauchy_product(w, s, w_norms, _stack_norms(s, kappa), tail, s_tail,
+                                    np.ones_like(radius), kappa)
+    rem = q ** (orders + 1) / (kappa * (orders + 1) * (1.0 - q))
+    return out / pw, radius, out_tail + rem
+
+
+def _invert_kernel(coeffs, tail, radius, kappa):
+    """Inverse of B series (B, K, m, m) as in :func:`invert`: coefficients, radii, tails."""
+    n_rows, k, m, _ = coeffs.shape
+    try:
+        a0_inv = np.linalg.inv(coeffs[:, 0])
+    except np.linalg.LinAlgError:
+        raise BudgetError("constant coefficient is singular") from None
+    rows = coeffs.transpose(0, 2, 1, 3)  # block row [a_0 .. a_n] per series
+    b = np.zeros_like(coeffs)
+    b[:, 0] = a0_inv
+    for d in range(1, k):
+        acc = np.matmul(rows[:, :, 1:d + 1].reshape(n_rows, m, d * m),
+                        b[:, d - 1::-1].reshape(n_rows, d * m, m))
+        b[:, d] = -np.matmul(a0_inv, acc)
+    pad = ((0, 0), (0, k - 1), (0, 0), (0, 0))
+    ab = _truncated_product(np.pad(coeffs, pad), np.pad(b, pad))
+    r_norms = _stack_norms(_identity_stack(ab) - ab, kappa)
+    b_norms = _stack_norms(b, kappa)
+    floor = radius * 1e-6
+    while True:
+        pw = radius[:, None] ** np.arange(2 * k - 1)
+        mb = np.sum(b_norms * pw[:, :k], axis=1)
+        q = kappa * (np.sum(r_norms * pw, axis=1) + kappa * mb * tail)
+        short = q >= 0.95
+        if not np.any(short):
+            return b, radius, mb * q / (1.0 - q)
+        radius = np.where(short, 0.75 * radius, radius)
+        if np.any(radius < floor):
+            i = int(np.argmax(radius < floor))
+            raise BudgetError(
+                "Neumann budget unattainable: needs kappa*majorant(1 - a b) < 0.95, "
+                f"got {q[i]:.3g} at radius {radius[i] / 0.75:.3g} (minimum {floor[i]:.3g})")
 
 
 def _anchor_key(anchor) -> tuple:
@@ -547,146 +669,45 @@ def bracket(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return linear_combination(multiply(a, b), multiply(b, a), 1.0, -1.0)
 
 
-def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Pointwise multiplicative inverse by a Neumann series.
-
-    Requires the constant coefficient ``a_0`` to be invertible and
-    ``norm(a_0^{-1}) * (majorant of a - a_0 + tail)`` to be below 0.95 on
-    the working radius; the radius is shrunk geometrically (recorded in the
-    result) until the budget holds, down to 1e-6 times the input radius.
-    """
+def _unary(a: TruncatedSeries, what: str, kernel) -> TruncatedSeries:
+    """Run a stack kernel on ``a`` as a B = 1 stack, scalars as 1 x 1 matrices."""
     if a.space.kind == "vector":
-        raise StructureError("vector coefficients admit no inverse")
-    c0 = a.coeffs[(0,) * a.dim]
-    if a.space.kind == "matrix":
-        try:
-            c0_inv = np.linalg.inv(c0)
-        except np.linalg.LinAlgError:
-            raise BudgetError("constant coefficient is singular") from None
-        inv_norm = float(a.space.norm(c0_inv))
-    else:
-        if c0 == 0:
-            raise BudgetError("constant coefficient is zero")
-        c0_inv = 1.0 / c0
-        inv_norm = abs(c0_inv)
-
-    kappa = a.space.submult_factor
-    tilde = a - TruncatedSeries.constant(c0, a.anchor, a.radius, a.space, a.degree_bound, a.dim)
-    radius = a.radius
-    floor = a.radius * 1e-6
-    while True:
-        q = kappa * inv_norm * (tilde.poly_majorant(radius) + a.tail_bound)
-        if q < 0.95:
-            break
-        radius *= 0.75
-        if radius < floor:
-            raise BudgetError(
-                "Neumann budget unattainable: needs norm(a0^-1)*majorant < 0.95, "
-                f"got {q:.3g} at radius {radius / 0.75:.3g} (minimum {floor:.3g})")
-
-    at = _rescale_variable(tilde.restrict(radius).with_tail(a.tail_bound), radius)
-    u = TruncatedSeries.constant(c0_inv, a.anchor, at.radius, a.space,
-                                 a.degree_bound, a.dim) * at
-    one = TruncatedSeries.unit(a.anchor, at.radius, a.space, a.degree_bound, a.dim)
-    # Horner for the geometric series: S <- 1 - u S fixes one more degree per pass
-    s = one
-    for _ in range(a.degree_bound + 1):
-        s = one - multiply(u, s)
-    geo_rem = q ** (a.degree_bound + 2) / (kappa * (1.0 - q))
-    s = s.with_tail(geo_rem)
-    out = multiply(s, TruncatedSeries.constant(c0_inv, a.anchor, at.radius, a.space,
-                                               a.degree_bound, a.dim))
-    return _rescale_variable(out, 1.0 / radius)
+        raise StructureError(f"{what} needs a ring of coefficients")
+    if a.dim != 1:
+        raise StructureError(f"{what} is implemented for d = 1 only")
+    k, m = a.degree_bound + 1, a.space.dim
+    coeffs, radius, tail = kernel(a.coeffs.reshape(1, k, m, m), np.array([a.tail_bound]),
+                                  np.array([a.radius]), a.space.submult_factor)
+    return TruncatedSeries(a.anchor, a.degree_bound, coeffs[0].reshape(a.coeffs.shape),
+                           float(radius[0]), float(tail[0]), a.space)
 
 
-def _rescale_variable(a: TruncatedSeries, lam: float) -> TruncatedSeries:
-    """Exact change of variable z - a -> lam * (z - a): coefficients pick up
-    lam^|k|, the radius divides by lam.  Majorant norms are invariant; the
-    point is floating-point conditioning of compositions."""
-    n = a.degree_bound
-    if a.dim == 1:
-        pw = lam ** np.arange(n + 1)
-        coeffs = a.coeffs * pw.reshape((n + 1,) + (1,) * len(a.space.shape))
-    else:
-        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        pw = lam ** (i + j)
-        coeffs = a.coeffs * pw.reshape((n + 1, n + 1) + (1,) * len(a.space.shape))
-    return TruncatedSeries(a.anchor, n, coeffs, a.radius / lam, a.tail_bound,
-                           a.space, a.dim)
+def invert(a: TruncatedSeries) -> TruncatedSeries:
+    """Pointwise inverse (d = 1), certified by one residual product.
 
-
-def _exp_order(m: float) -> int:
-    target = _EXP_REL_TOL * max(1.0, math.exp(min(m, 50.0)))
-    j = 1
-    term = m
-    while j < 80:
-        nxt = term * m / (j + 1)
-        if nxt / max(1.0 - m / (j + 3), 1e-9) < target and j >= 4:
-            return j + 1
-        term = nxt
-        j += 1
-    return j
-
-
-def _exp_remainder(q, j_ord: int, kappa: float):
-    """Bound for the exp terms of degree above ``j_ord``, where ``q = kappa * majorant``.
-
-    Works entrywise on an array of q's.
+    The truncated inverse b solves ``b_0 = a_0^{-1}``,
+    ``b_k = -a_0^{-1} sum_{j=1..k} a_j b_{k-j}``.  The residual r = 1 - a b
+    (the polynomial product exactly to degree 2N, plus a's tail times b)
+    gives q = kappa * majorant(r) and the tail majorant(b) q / (1 - q) of
+    ``a^{-1} - b = b (r + r^2 + ...)``.  If q >= 0.95 the radius shrinks by
+    0.75 (recorded in the result) down to 1e-6 times the input radius, then
+    :class:`BudgetError`.  Like every tail here, it ignores rounding.
     """
-    term = q ** (j_ord + 1) / math.factorial(j_ord + 1)
-    return term / (kappa * np.maximum(1.0 - q / (j_ord + 2), 1e-9))
+    return _unary(a, "invert", _invert_kernel)
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
-    """exp(a) with the factorial remainder folded into the tail bound.
-
-    Powers obey ``norm(a^j) <= kappa^{j-1} m^j`` (kappa the norm's
-    submultiplicativity constant), so the remainder uses q = kappa * m.
-    """
-    if a.space.kind == "vector":
-        raise StructureError("exp needs a ring of coefficients")
-    kappa = a.space.submult_factor
-    q = kappa * a.majorant_norm()
-    j_ord = _exp_order(q)
-    lam = a.radius  # unit-radius variable keeps the Horner well conditioned
-    au = _rescale_variable(a, lam)
-    one = TruncatedSeries.unit(a.anchor, au.radius, a.space, a.degree_bound, a.dim)
-    s = one
-    for j in range(j_ord, 0, -1):
-        s = one + multiply(au, s).scale(1.0 / j)
-    return _rescale_variable(s, 1.0 / lam).with_tail(float(_exp_remainder(q, j_ord, kappa)))
+    """exp(a) with the factorial remainder folded into the tail bound (d = 1)."""
+    return _unary(a, "exp", _exp_kernel)
 
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:
     """Principal log of a series near the unit; alternating Mercator series.
 
     The branch budget ``majorant(a - 1) < 1`` must hold on the series radius;
-    callers with germ structure can bond deeper and retry.
+    callers with germ structure can bond deeper and retry.  d = 1 only.
     """
-    if a.space.kind == "vector":
-        raise StructureError("log needs a ring of coefficients")
-    one = TruncatedSeries.unit(a.anchor, a.radius, a.space, a.degree_bound, a.dim)
-    mw = (a - one).majorant_norm()
-    if mw >= 0.999:
-        raise BudgetError(f"log branch budget violated: majorant(a - 1) = {mw:.4g} >= 1")
-    kappa = a.space.submult_factor
-    q = kappa * mw
-    j_ord = max(a.degree_bound + 1, 8)
-    while q ** (j_ord + 1) / ((j_ord + 1) * (1.0 - q)) > _EXP_REL_TOL * max(1.0, q) and j_ord < 400:
-        j_ord += 8
-    lam = a.radius
-    au = _rescale_variable(a, lam)
-    w = au - TruncatedSeries.unit(a.anchor, au.radius, a.space, a.degree_bound, a.dim)
-    # log(1+w) = w (1 - w (1/2 - w (1/3 - ...)))
-    s = TruncatedSeries.constant(1.0 / j_ord * a.space.one(), a.anchor, au.radius,
-                                 a.space, a.degree_bound, a.dim)
-    for j in range(j_ord - 1, 0, -1):
-        cj = TruncatedSeries.constant(a.space.one() / j, a.anchor, au.radius,
-                                      a.space, a.degree_bound, a.dim)
-        s = cj - multiply(w, s)
-    out = multiply(w, s)
-    rem = q ** (j_ord + 1) / (kappa * (j_ord + 1) * (1.0 - q))
-    return _rescale_variable(out, 1.0 / lam).with_tail(rem)
+    return _unary(a, "log", _log_kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from germlie import germgroup, series
+from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, StructureError
 from germlie.germgroup import (
     GermGroupElement,
@@ -155,6 +157,37 @@ class TestGroupOps:
         assert np.max(germ_group.backend.norm(
             prod.eval(pts) - np.eye(2))) < 1e-9
 
+    def test_inverse_bonds_deeper_when_its_certificate_needs_it(self, germ_group):
+        # level-0 germs whose inverse certifies only on a deeper level
+        rng = np.random.default_rng(1)
+        deeper = 0
+        for budget in (0.5, 0.9, 1.2, 1.6, 2.0):
+            for _ in range(40):
+                g = random_group_element(germ_group, rng, budget, level=0)
+                ginv = germ_group.inv(g)
+                deeper += ginv.level > g.level
+                pts = germ_group.space.sample_points(ginv.level, 20, interior=0.4)
+                prod = np.matmul(g.eval(pts), ginv.eval(pts))
+                assert np.max(germ_group.backend.norm(prod - np.eye(2))) < 1e-9
+        assert deeper > 0
+
+    def test_charts_and_inverse_stack_all_anchors(self, germ_group, rng, monkeypatch):
+        g = random_group_element(germ_group, rng, 0.3)
+        x = random_algebra_element(germ_group, rng, 0.2)
+        stacked = []
+        from_series = SeriesStack.from_series
+        monkeypatch.setattr(SeriesStack, "from_series",
+                            lambda reps: stacked.append(len(reps)) or from_series(reps))
+
+        def no_multiply(*args):
+            raise AssertionError("series.multiply called")
+
+        monkeypatch.setattr(germgroup, "series_multiply", no_multiply)
+        monkeypatch.setattr(series, "multiply", no_multiply)
+        germ_group.log_germ(germ_group.exp_germ(x))
+        germ_group.inv(g)
+        assert stacked == [len(germ_group.space.anchors)] * 3
+
     def test_identity_is_two_sided_unit(self, germ_group, rng):
         g = random_group_element(germ_group, rng, 0.3)
         e = germ_group.identity(g.level)
@@ -243,6 +276,16 @@ class TestStructure:
         scalar = GermSpace(anchors=(0.0,), ratio=0.1)
         with pytest.raises(StructureError):
             GermLieGroup(scalar)
+
+    def test_two_variable_charts_and_inverse_rejected(self):
+        space = GermSpace(anchors=((0.0, 0.0),), ratio=0.1, space=matrix_space(2),
+                          degree_bound=4, dim=2)
+        group = GermLieGroup(space)
+        ident = group.identity(0)
+        for op in (lambda: group.exp_germ(group.zero(0)), lambda: group.log_germ(ident),
+                   lambda: group.inv(ident)):
+            with pytest.raises(StructureError, match="d = 1"):
+                op()
 
     def test_generator_respects_budget(self, germ_group, rng):
         el = random_algebra_element(germ_group, rng, 0.123)

@@ -72,6 +72,60 @@ def naive_product(x, y):
     return coeffs, radius, tail
 
 
+def reference_invert(a):
+    """The Neumann-Horner inverse, kept as an independent oracle for ``invert`` (d = 1).
+
+    Shrinks the radius by 0.75 until q = kappa norm(a_0^{-1}) (majorant(a - a_0)
+    + tail) < 0.95, sums S = sum_j (-u)^j for u = a_0^{-1} (a - a_0) by the
+    Horner recurrence S <- 1 - u S in the unit-radius variable, adds the
+    geometric remainder q^(N+2) / (kappa (1 - q)) and returns S a_0^{-1}.
+    """
+    n, space = a.degree_bound, a.space
+    shape = (n + 1,) + (1,) * len(space.shape)
+
+    def rescale(s, lam):
+        return TruncatedSeries(s.anchor, n, s.coeffs * (lam ** np.arange(n + 1)).reshape(shape),
+                               s.radius / lam, s.tail_bound, space)
+
+    def constant(value, radius):
+        return TruncatedSeries.constant(value, a.anchor, radius, space, n)
+
+    c0 = a.coeffs[0]
+    c0_inv = np.linalg.inv(c0) if space.kind == "matrix" else 1.0 / c0
+    kappa = space.submult_factor
+    tilde = a - constant(c0, a.radius)
+    radius = a.radius
+    while True:
+        q = kappa * float(space.norm(c0_inv)) * (tilde.poly_majorant(radius) + a.tail_bound)
+        if q < 0.95:
+            break
+        radius *= 0.75
+        if radius < a.radius * 1e-6:
+            raise BudgetError("Neumann budget unattainable")
+    at = rescale(tilde.restrict(radius).with_tail(a.tail_bound), radius)
+    u = multiply(constant(c0_inv, at.radius), at)
+    one = TruncatedSeries.unit(a.anchor, at.radius, space, n)
+    acc = one
+    for _ in range(n + 1):
+        acc = one - multiply(u, acc)
+    acc = acc.with_tail(q ** (n + 2) / (kappa * (1.0 - q)))
+    return rescale(multiply(acc, constant(c0_inv, at.radius)), 1.0 / radius)
+
+
+def near_unit_series(rng, space, radius, degree, scale, tail=0.0):
+    """Unit plus a random perturbation of majorant about ``scale`` on ``radius``."""
+    shape = (degree + 1,) + space.shape
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    decay = (0.5 / radius) ** np.arange(degree + 1) / (degree + 1)
+    coeffs *= scale * decay.reshape((degree + 1,) + (1,) * len(space.shape))
+    coeffs[0] += space.one()
+    return TruncatedSeries(0.0, degree, coeffs, radius, tail, space)
+
+
+def circle(radius, n=64):
+    return radius * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
+
+
 def draw_product_factor(rng, space, degree=12):
     shape = (degree + 1,) + space.shape
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -237,6 +291,66 @@ class TestExpLog:
         s = TruncatedSeries.constant(3.0 * np.eye(2), 0.0, 1.0, MS, 6)
         with pytest.raises(BudgetError, match="branch"):
             series_log(s)
+
+
+INVERT_CASES = [(space, radius, degree, tail)
+                for space in (SP, MS) for radius in (1.0, 0.1)
+                for degree in (1, 4, 12) for tail in (0.0, 1e-6)]
+
+
+class TestInvertOracle:
+    @pytest.mark.parametrize("space,radius,degree,tail", INVERT_CASES)
+    def test_against_neumann_reference(self, space, radius, degree, tail):
+        rng = np.random.default_rng(degree + 100 * (space is MS) + 10 * (radius < 1))
+        matrix = space.kind == "matrix"
+        for scale in (0.1, 0.4, 0.8):
+            a = near_unit_series(rng, space, radius, degree, scale, tail)
+            ref, out = reference_invert(a), invert(a)
+            pw = ref.radius ** np.arange(degree + 1)
+            size = float(np.sum(space.norm(ref.coeffs) * pw))
+            assert np.max(space.norm(out.coeffs - ref.coeffs) * pw) <= 1e-12 * size
+            assert out.radius >= ref.radius
+            if out.radius == ref.radius:
+                assert out.tail_bound <= ref.tail_bound + 1e-15
+            # true error of the polynomial part against the pointwise inverse
+            pts = circle(out.radius)
+            vals = a.eval(pts)
+            truth = np.linalg.inv(vals) if matrix else 1.0 / vals
+            err = float(np.max(space.norm(out.eval(pts) - truth)))
+            assert err <= out.tail_bound + 1e-12 * max(1.0, out.majorant_norm())
+
+    @pytest.mark.parametrize("b", [1, 2, 65])
+    def test_stack_rows_equal_single_series_bit_for_bit(self, rng, b):
+        xs = [near_unit_series(rng, MS, rng.choice([1.0, 0.1]), 12, rng.uniform(0.05, 0.3),
+                               rng.choice([0.0, 1e-7])) for _ in range(b)]
+        stack = SeriesStack.from_series(xs)
+        for method, single in ((SeriesStack.invert, invert), (SeriesStack.exp, series_exp),
+                               (SeriesStack.log, series_log)):
+            out = method(stack)
+            for i, x in enumerate(xs):
+                ref = single(x)
+                assert np.array_equal(out.coeffs[i], ref.coeffs)
+                assert out.tail[i] == ref.tail_bound and out.radius[i] == ref.radius
+
+    @pytest.mark.parametrize("radius", [1.0, 0.1])
+    def test_exp_and_log_match_scipy(self, rng, radius):
+        import scipy.linalg
+        pts = circle(0.9 * radius, 16)
+        for _ in range(5):
+            x = near_unit_series(rng, MS, radius, 12, 0.3) - TruncatedSeries.unit(0.0, radius, MS)
+            ex = series_exp(x)
+            want = np.array([scipy.linalg.expm(v) for v in x.eval(pts)])
+            assert np.max(MS.norm(ex.eval(pts) - want)) <= ex.tail_bound + 1e-12
+            g = near_unit_series(rng, MS, radius, 12, 0.6)
+            lg = series_log(g)
+            want = np.array([scipy.linalg.logm(v) for v in g.eval(pts)])
+            assert np.max(MS.norm(lg.eval(pts) - want)) <= lg.tail_bound + 1e-12
+
+    def test_two_variable_series_rejected(self):
+        s = TruncatedSeries.unit((0.0, 0.0), 1.0, SP, 4, dim=2)
+        for fn in (invert, series_exp, series_log):
+            with pytest.raises(StructureError, match="d = 1"):
+                fn(s)
 
 
 class TestNorms:

@@ -1,6 +1,9 @@
-"""The benchmark tracer must resolve every package name it wraps."""
+"""The benchmark tracer must resolve every package name it wraps, and the
+benchmark's own self-test must pass."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -18,3 +21,11 @@ def test_tracer_wraps_every_traced_name():
     tr = tracing.Tracer()  # resolves each traced callable; a missing name raises
     assert set(tr.stats) == {span[2] for span in tracing.SPANS}
     assert tr.spans == [] and tr.ops == 0
+
+
+def test_benchmark_selftest_passes():
+    # the tracer's structural pins (mul counts, aliases, spans) break tier-1 too
+    root = TRACER.parent.parent
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
