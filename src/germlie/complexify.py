@@ -9,12 +9,14 @@ pair may meet in several components (on the circle, deck translates), each
 carried by its own :class:`Transition` record.  ``extend_transitions``
 evaluates the same series at complex arguments over rectangles
 ``overlap x (-h, h)``, shrinking the strip height until the mutual-inverse
-identity ``psi_ji(psi_ij(z)) = z`` certifies on a sample grid; ``certify_cocycles`` then checks psi_ii = id,
-mutual inverses, and the triple cocycle identity ``psi_ij = psi_kj o psi_ik``
-wherever triple overlaps exist.  Glueing the rectangles along certified
-transitions produces the complexified manifold; Hausdorffness is certified
-through the positive-margin sufficient condition recorded in the margin
-table, never by point-separation search.
+identity ``psi_ji(psi_ij(z)) = z`` holds on a sample grid; ``certify_cocycles``
+then samples psi_ii = id, mutual inverses, and the triple cocycle identity
+``psi_ij = psi_kj o psi_ik`` wherever triple overlaps exist.  These grid
+checks are sampled, not proofs: every comparison is the largest residual over
+a finite grid.  Glueing the rectangles along the sampled transitions produces
+the complexified manifold; Hausdorffness is certified through the
+positive-margin sufficient condition recorded in the margin table, never by
+point-separation search.
 
 ``uniqueness_biholomorphism`` compares two extensions of the same real
 atlas: per chart the identity extends, and transporting across one atlas's
@@ -25,6 +27,7 @@ around the compact set is unique.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -59,6 +62,9 @@ __all__ = [
 ]
 
 _EVAL_SAFETY = 0.98  # stay strictly inside each piece's validity disc
+_GRID_N = 20  # sample points per side of every comparison grid
+_INVERSE_TOL = 1e-10  # mutual-inverse residual at which a strip height is kept
+_MIN_HEIGHT_FACTOR = 1e-3  # extend_transitions gives up below this share of the height
 
 
 @dataclass(frozen=True)
@@ -211,22 +217,22 @@ class RealAtlas:
 
 @dataclass(frozen=True)
 class ComplexAtlas:
-    """A certified complexification: strips over the real charts, glued by
-    the analytically continued transitions."""
+    """A complexification: strips over the real charts, glued by the
+    analytically continued transitions that passed the sampled checks."""
 
     base: RealAtlas
-    heights: dict  # (i, j) -> certified strip half-height
+    heights: dict  # (i, j) -> sampled strip half-height
     margin_table: tuple  # ((i, j), margin_kind, value) records, all positive
 
     def height(self, i: int, j: int) -> float:
         return self.heights[(i, j)]
 
 
-def _grid(overlap: tuple, height: float, n: int = 20) -> np.ndarray:
+def _grid(overlap: tuple, height: float) -> np.ndarray:
     lo, hi = overlap
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 0.8
-    xs = np.linspace(mid - half, mid + half, n)
-    ys = np.linspace(-height, height, n)
+    xs = np.linspace(mid - half, mid + half, _GRID_N)
+    ys = np.linspace(-height, height, _GRID_N)
     return (xs[:, None] + 1j * ys[None, :]).ravel()
 
 
@@ -245,15 +251,35 @@ def _transport(tr: Transition, atlas: RealAtlas, target: int, zs: np.ndarray,
     return back, ok
 
 
-def extend_transitions(atlas: RealAtlas, height: float,
-                       tol: float = 1e-10, grid_n: int = 20,
-                       min_height_factor: float = 1e-3) -> ComplexAtlas:
-    """Continue every transition to a strip, certifying mutual inverses.
+def _max_residual(got: np.ndarray, want: np.ndarray, ok: np.ndarray, zs: np.ndarray) -> tuple:
+    """Largest ``|got - want|`` where ``ok`` holds, and the point of ``zs`` it sits at."""
+    res = np.abs(got[ok] - want[ok])
+    at = int(np.argmax(res))
+    return float(res[at]), zs[ok][at]
+
+
+def _compare(rep: Report, worst: dict, kind: str, tol: float, got: np.ndarray,
+             want: np.ndarray, ok: np.ndarray, zs: np.ndarray, **where) -> bool:
+    """One sampled comparison on the grid ``zs``: a trial, the worst residual
+    of ``kind``, and above ``tol`` a failure ``{"kind", **where, "residual",
+    "witness"}``.  Returns False, recording nothing, where ``ok`` holds nowhere."""
+    if not np.any(ok):
+        return False
+    res, w = _max_residual(got, want, ok, zs)
+    worst[kind] = max(worst[kind], res)
+    rep.trials += 1
+    if res > tol:
+        rep.fail({"kind": kind, **where, "residual": res, "witness": [w.real, w.imag]})
+    return True
+
+
+def extend_transitions(atlas: RealAtlas, height: float) -> ComplexAtlas:
+    """Continue every transition to a strip, sampling the mutual inverses.
 
     Per overlap record the strip half-height starts at ``height`` (rejected
     outright if any coefficient-decay estimate of the convergence radius
     falls short) and shrinks geometrically until
-    ``max |psi_ji(psi_ij(z)) - z| <= tol`` on the sample grid; the certified
+    ``max |psi_ji(psi_ij(z)) - z| <= 1e-10`` on the sample grid; the
     height of a pair is the worst over its components.
     """
     for tr in atlas.records():
@@ -267,19 +293,18 @@ def extend_transitions(atlas: RealAtlas, height: float,
         i, j = tr.i, tr.j
         h = height
         while True:
-            zs = _grid(tr.overlap, h, grid_n)
+            zs = _grid(tr.overlap, h)
             back, ok = _transport(tr, atlas, i, zs)
-            if np.count_nonzero(ok) >= 0.5 * zs.size:
-                res = np.abs(back[ok] - zs[ok])
-                if np.max(res) <= tol:
-                    break
+            if np.count_nonzero(ok) >= 0.5 * zs.size and \
+                    _max_residual(back, zs, ok, zs)[0] <= _INVERSE_TOL:
+                break
             h *= 0.7
-            if h < height * min_height_factor:
+            if h < height * _MIN_HEIGHT_FACTOR:
                 raise ExtensionError(
                     f"transition ({i},{j}): mutual-inverse check fails at every "
                     f"height down to {h / 0.7:.3g}")
         heights[(i, j)] = min(h, heights.get((i, j), math.inf))
-    # symmetrize: a pair certifies at the worst of its two directions
+    # symmetrize: a pair holds at the worst of its two directions
     for (i, j) in list(heights):
         h = min(heights[(i, j)], heights.get((j, i), math.inf))
         heights[(i, j)] = heights[(j, i)] = h
@@ -296,99 +321,64 @@ def extend_transitions(atlas: RealAtlas, height: float,
     return ComplexAtlas(atlas, heights, tuple(margins))
 
 
-def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9, grid_n: int = 20) -> Report:
-    """Check psi_ii = id, mutual inverses and triple cocycles on grids."""
-    rep = Report(check="cocycle_certification", params={"tol": tol, "grid_n": grid_n})
+def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9) -> Report:
+    """Sample psi_ii = id, mutual inverses and triple cocycles on grids."""
+    rep = Report(check="cocycle_certification", params={"tol": tol, "grid_n": _GRID_N})
     atlas = ca.base
-    worst_by_kind = {"identity": 0.0, "inverse": 0.0, "cocycle": 0.0}
-    n_checks = 0
+    worst = {"identity": 0.0, "inverse": 0.0, "cocycle": 0.0}
 
     for i in range(len(atlas.charts)):
         for tr in atlas.between(i, i):
-            zs = _grid(tr.overlap, ca.height(i, i) * 0.5, grid_n)
+            zs = _grid(tr.overlap, ca.height(i, i) * 0.5)
             vals = tr.eval(zs)
-            ok = ~np.isnan(vals.real)
-            if np.any(ok):
-                res = float(np.max(np.abs(vals[ok] - zs[ok])))
-                worst_by_kind["identity"] = max(worst_by_kind["identity"], res)
-                n_checks += 1
-                if res > tol:
-                    rep.fail({"kind": "identity", "chart": i, "residual": res})
+            _compare(rep, worst, "identity", tol, vals, zs, ~np.isnan(vals.real), zs, chart=i)
 
     for tr in atlas.records():
         i, j = tr.i, tr.j
-        zs = _grid(tr.overlap, ca.height(i, j), grid_n)
+        zs = _grid(tr.overlap, ca.height(i, j))
         back, ok = _transport(tr, atlas, i, zs)
-        if np.any(ok):
-            res = float(np.max(np.abs(back[ok] - zs[ok])))
-            worst_by_kind["inverse"] = max(worst_by_kind["inverse"], res)
-            n_checks += 1
-            if res > tol:
-                witness = zs[ok][int(np.argmax(np.abs(back[ok] - zs[ok])))]
-                rep.fail({"kind": "inverse", "pair": [i, j], "residual": res,
-                          "witness": [witness.real, witness.imag]})
+        _compare(rep, worst, "inverse", tol, back, zs, ok, zs, pair=[i, j])
 
-    n_charts = len(atlas.charts)
     triples_checked = 0
-    for i in range(n_charts):
-        for j in range(n_charts):
-            for k in range(n_charts):
-                if len({i, j, k}) != 3:
+    for i, j, k in itertools.permutations(range(len(atlas.charts)), 3):
+        checked = False
+        for t_ij in atlas.between(i, j):
+            for t_ik in atlas.between(i, k):
+                lo = max(t_ij.overlap[0], t_ik.overlap[0])
+                hi = min(t_ij.overlap[1], t_ik.overlap[1])
+                if lo >= hi:
                     continue
-                checked = False
-                for t_ij in atlas.between(i, j):
-                    for t_ik in atlas.between(i, k):
-                        lo = max(t_ij.overlap[0], t_ik.overlap[0])
-                        hi = min(t_ij.overlap[1], t_ik.overlap[1])
-                        if lo >= hi:
-                            continue
-                        h = min(ca.height(i, j), ca.height(i, k), ca.height(k, j))
-                        zs = _grid((lo, hi), h, grid_n)
-                        direct = t_ij.eval(zs)
-                        step2, ok = _transport(t_ik, atlas, j, zs, ~np.isnan(direct.real))
-                        if not np.any(ok):
-                            continue
-                        res = float(np.max(np.abs(step2[ok] - direct[ok])))
-                        worst_by_kind["cocycle"] = max(worst_by_kind["cocycle"], res)
-                        n_checks += 1
-                        checked = True
-                        if res > tol:
-                            w = zs[ok][int(np.argmax(np.abs(step2[ok] - direct[ok])))]
-                            rep.fail({"kind": "cocycle", "triple": [i, j, k],
-                                      "residual": res, "witness": [w.real, w.imag]})
-                if checked:
-                    triples_checked += 1
-    rep.trials = n_checks
-    rep.extras = {"worst_residuals": worst_by_kind, "triples_checked": triples_checked}
-    if n_checks:
-        rep.note_margin(tol - max(worst_by_kind.values()))
+                h = min(ca.height(i, j), ca.height(i, k), ca.height(k, j))
+                zs = _grid((lo, hi), h)
+                direct = t_ij.eval(zs)
+                step2, ok = _transport(t_ik, atlas, j, zs, ~np.isnan(direct.real))
+                checked |= _compare(rep, worst, "cocycle", tol, step2, direct, ok, zs,
+                                    triple=[i, j, k])
+        triples_checked += checked
+    rep.extras = {"worst_residuals": worst, "triples_checked": triples_checked}
+    if rep.trials:
+        rep.note_margin(tol - max(worst.values()))
     return rep
 
 
 def perturb_transition(ca: ComplexAtlas, i: int, j: int, amount: float) -> ComplexAtlas:
     """Copy of the atlas with the first (i, j) record offset by ``amount``."""
-    new_transitions = []
-    done = False
-    for tr in ca.base.transitions:
-        if (tr.i, tr.j) == (i, j) and not done:
+    trs = list(ca.base.transitions)
+    for n, tr in enumerate(trs):
+        if (tr.i, tr.j) == (i, j):
             pieces = []
             for p in tr.pieces:
                 coeffs = p.coeffs.copy()
-                coeffs[0] = coeffs[0] + amount
-                pieces.append(TruncatedSeries(p.anchor, p.degree_bound, coeffs,
-                                              p.radius, p.tail_bound, p.space, p.dim))
-            new_transitions.append(replace(tr, pieces=tuple(pieces)))
-            done = True
-        else:
-            new_transitions.append(tr)
-    return ComplexAtlas(RealAtlas(ca.base.charts, tuple(new_transitions)),
-                        ca.heights, ca.margin_table)
+                coeffs[0] += amount
+                pieces.append(replace(p, coeffs=coeffs))
+            trs[n] = replace(tr, pieces=tuple(pieces))
+            break
+    return ComplexAtlas(RealAtlas(ca.base.charts, tuple(trs)), ca.heights, ca.margin_table)
 
 
 def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
-                              tol_real: float = 1e-12, tol: float = 1e-9,
-                              grid_n: int = 20) -> Report:
-    """Certify the identity germ between two complexifications of one real atlas.
+                              tol_real: float = 1e-12, tol: float = 1e-9) -> Report:
+    """Sample the identity germ between two complexifications of one real atlas.
 
     Chart by chart the identity map extends to the common strip; what needs
     checking is that the two glueings identify the same points, i.e. for
@@ -401,9 +391,7 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
                  params={"tol_real": tol_real, "tol": tol})
     if len(ca1.base.charts) != len(ca2.base.charts):
         raise StructureError("atlases complexify different chart systems")
-    worst_real = 0.0
-    worst_complex = 0.0
-    n_checks = 0
+    worst = {"real_restriction": 0.0, "cross_transport": 0.0}
     final_heights = {}
     for t1 in ca1.base.records():
         i, j = t1.i, t1.j
@@ -414,34 +402,22 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
             rep.extras["reason"] = f"no common strip for pair ({i},{j})"
             return rep
         final_heights[f"{i},{j}"] = min(h, final_heights.get(f"{i},{j}", math.inf))
-        xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), grid_n ** 2)
-        v1 = t1.eval(xs.astype(complex))
-        v2 = ca2.base.eval_change(i, j, xs.astype(complex))
-        ok = ~np.isnan(v1.real) & ~np.isnan(v2.real)
-        if np.any(ok):
-            res = float(np.max(np.abs(v1[ok] - v2[ok])))
-            worst_real = max(worst_real, res)
-            n_checks += 1
-            if res > tol_real:
-                rep.fail({"kind": "real_restriction", "pair": [i, j], "residual": res})
-        zs = _grid((lo, hi), h, grid_n)
+        xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), _GRID_N ** 2) + 0j
+        v1 = t1.eval(xs)
+        v2 = ca2.base.eval_change(i, j, xs)
+        _compare(rep, worst, "real_restriction", tol_real, v1, v2,
+                 ~np.isnan(v1.real) & ~np.isnan(v2.real), xs, pair=[i, j])
+        zs = _grid((lo, hi), h)
         back, ok = _transport(t1, ca2.base, i, zs)
-        if np.any(ok):
-            res = float(np.max(np.abs(back[ok] - zs[ok])))
-            worst_complex = max(worst_complex, res)
-            n_checks += 1
-            if res > tol:
-                rep.fail({"kind": "cross_transport", "pair": [i, j], "residual": res})
-    rep.trials = n_checks
-    rep.extras.update({"worst_real_restriction": worst_real,
-                       "worst_cross_transport": worst_complex,
+        _compare(rep, worst, "cross_transport", tol, back, zs, ok, zs, pair=[i, j])
+    rep.extras.update({"worst_real_restriction": worst["real_restriction"],
+                       "worst_cross_transport": worst["cross_transport"],
                        "strip_heights": final_heights})
-    rep.note_margin(tol - worst_complex)
+    rep.note_margin(tol - worst["cross_transport"])
     return rep
 
 
-def annulus_consistency(ca: ComplexAtlas, tol: float = 1e-8,
-                        grid_n: int = 20) -> Report:
+def annulus_consistency(ca: ComplexAtlas, tol: float = 1e-8) -> Report:
     """Compare a circle glueing against the closed-form annulus model.
 
     The annulus realization w = exp(i z) must send equivalent points
@@ -450,22 +426,14 @@ def annulus_consistency(ca: ComplexAtlas, tol: float = 1e-8,
     manifold and the standard model in exponential coordinates.
     """
     rep = Report(check="annulus_model_consistency", params={"tol": tol})
-    worst = 0.0
-    n_checks = 0
+    worst = {"annulus": 0.0}
     for tr in ca.base.records():
-        zs = _grid(tr.overlap, ca.height(tr.i, tr.j), grid_n)
+        zs = _grid(tr.overlap, ca.height(tr.i, tr.j))
         vals = tr.eval(zs)
-        ok = ~np.isnan(vals.real)
-        if not np.any(ok):
-            continue
-        res = float(np.max(np.abs(np.exp(1j * vals[ok]) - np.exp(1j * zs[ok]))))
-        worst = max(worst, res)
-        n_checks += 1
-        if res > tol:
-            rep.fail({"pair": [tr.i, tr.j], "residual": res})
-    rep.trials = n_checks
-    rep.extras = {"worst_residual": worst}
-    rep.note_margin(tol - worst)
+        _compare(rep, worst, "annulus", tol, np.exp(1j * vals), np.exp(1j * zs),
+                 ~np.isnan(vals.real), zs, pair=[tr.i, tr.j])
+    rep.extras = {"worst_residual": worst["annulus"]}
+    rep.note_margin(tol - worst["annulus"])
     return rep
 
 

@@ -60,6 +60,9 @@ __all__ = [
 EVOL_BUDGET = 0.5 * math.log(2.0)  # admissible curve values per segment
 CURVE_CONTINUITY_TOL = 1e-12
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_SPLINE_AMP = 0.15  # majorant scale of random_spline_curve's start values
+_SMOOTHNESS_SCALES = (0.1, 0.05, 0.025)  # difference steps s of smoothness_report
+_ORDER_WINDOW = (1.9, 2.1)  # orders smoothness_report accepts
 
 
 def _stack_segment(seg, level: int) -> tuple:
@@ -346,15 +349,16 @@ def trajectory_log_derivative(group: GermLieGroup, result: EvolutionResult,
 
 
 def random_spline_curve(group: GermLieGroup, rng: np.random.Generator,
-                        n_segments: int = 2, amp: float = 0.15) -> LieCurve:
+                        n_segments: int = 2) -> LieCurve:
     """Continuous random cubic spline within the evolution budget."""
     bp = tuple(np.linspace(0.0, 1.0, n_segments + 1))
     segments = []
     prev_end = None
     for _ in range(n_segments):
         c0 = prev_end if prev_end is not None else \
-            random_algebra_element(group, rng, amp * rng.uniform(0.3, 1.0))
-        coeffs = [c0] + [random_algebra_element(group, rng, amp * rng.uniform(0.1, 0.5) / 3)
+            random_algebra_element(group, rng, _SPLINE_AMP * rng.uniform(0.3, 1.0))
+        coeffs = [c0] + [random_algebra_element(group, rng,
+                                                _SPLINE_AMP * rng.uniform(0.1, 0.5) / 3)
                          for _ in range(3)]
         prev_end = coeffs[0]
         for c in coeffs[1:]:
@@ -484,19 +488,18 @@ def product_rule_report(group: GermLieGroup, ga: GroupCurve, gb: GroupCurve,
 
 
 def smoothness_report(group: GermLieGroup, curve: LieCurve, direction: LieCurve,
-                      scales=(0.1, 0.05, 0.025), steps: int = 32,
-                      order_window=(1.9, 2.1)) -> Report:
+                      steps: int = 32) -> Report:
     """Finite-difference differentiability evidence for the evolution map.
 
     Central difference quotients of s -> evol(curve + s * direction) in the
     identity chart converge at second order in s when the (discretized)
     evolution map is twice differentiable; the report carries the observed
-    orders of the second-difference ratio test.  This is evidence, not a
-    smoothness proof.
+    orders of the second-difference ratio test at the scales s = 0.1, 0.05,
+    0.025 and fails outside [1.9, 2.1].  This is evidence, not a smoothness proof.
     """
     rep = Report(check="evolution_smoothness_evidence",
-                 params={"scales": list(scales), "steps": steps,
-                         "order_window": list(order_window)})
+                 params={"scales": list(_SMOOTHNESS_SCALES), "steps": steps,
+                         "order_window": list(_ORDER_WINDOW)})
     base = evol(curve, steps, error_estimate=False, keep_trajectory=False)
     base_inv = group.inv(base.endpoint)
 
@@ -506,14 +509,14 @@ def smoothness_report(group: GermLieGroup, curve: LieCurve, direction: LieCurve,
         return group.log_germ(group.mul(base_inv, moved.endpoint))
 
     quotients = []
-    for s in scales:
+    for s in _SMOOTHNESS_SCALES:
         q = (chart(s) + chart(-s).scale(-1.0)).scale(1.0 / (2.0 * s))
         quotients.append(q)
     diffs = [germ_distance(quotients[i], quotients[i + 1])
              for i in range(len(quotients) - 1)]
     orders = []
     for i in range(len(diffs) - 1):
-        ratio_scale = scales[i] / scales[i + 1]
+        ratio_scale = _SMOOTHNESS_SCALES[i] / _SMOOTHNESS_SCALES[i + 1]
         if diffs[i + 1] <= 0:
             continue
         orders.append(math.log(diffs[i] / diffs[i + 1]) / math.log(ratio_scale))
@@ -523,7 +526,7 @@ def smoothness_report(group: GermLieGroup, curve: LieCurve, direction: LieCurve,
         rep.status = "inconclusive"
         rep.extras["reason"] = "difference quotients at floating-point floor"
         return rep
-    lo, hi = order_window
+    lo, hi = _ORDER_WINDOW
     for o in orders:
         rep.note_margin(min(o - lo, hi - o))
         if not lo <= o <= hi:

@@ -40,6 +40,8 @@ __all__ = [
 
 OMEGA1_FACTOR = 0.25  # Omega_1 budget = 0.25 * ln 2 (pairs stay inside the BCH domain)
 INJECTIVITY_RADIUS = 0.5  # Omega_2: values within this ball of 0 keep exp injective
+_RANDOM_MAX_DEGREE = 3  # degree bound of the random generators' global polynomial
+_RANDOM_DECAY = 0.35  # geometric decay of its coefficients
 
 
 def _stack_element(space: GermSpace, level: int, stack: SeriesStack) -> BHolElement:
@@ -53,7 +55,7 @@ class GermGroupElement:
     """An invertible-matrix-valued germ with its invertibility certificate."""
 
     element: BHolElement
-    cert_margin: float = field(default=0.0)
+    cert_margin: float = field(init=False)
 
     def __post_init__(self):
         margin = _invertibility_margin(self.element)
@@ -151,7 +153,7 @@ class GermLieGroup:
 
         Arguments are bonded to the deeper common level first; the
         convergence budget ``majorant(x) + majorant(y) < bch_radius`` is the
-        membership condition for the local product domain.
+        membership condition for the local product domain.  d = 1 only.
         """
         return self.bch_pairs([(x, y)])[0]
 
@@ -161,6 +163,7 @@ class GermLieGroup:
         The Dynkin word table is walked once with all anchors of all pairs
         stacked, which is what makes large property sweeps affordable.
         """
+        self._require_d1("germ BCH")
         order = self.backend.bch_order
         n_anchors = len(self.space.anchors)
         prepped = []
@@ -188,30 +191,33 @@ class GermLieGroup:
 
     # -- charts -----------------------------------------------------------------
 
-    def _certify_deeper(self, el: BHolElement) -> GermGroupElement:
-        """Wrap as a group germ, bonding deeper until the Neumann certificate holds.
+    def _bond_deeper(self, el: BHolElement, make):
+        """``make(bond(el, lvl))`` at the first level from ``el.level`` on that
+        raises no :class:`BudgetError`; else the deepest level's error.
 
         Restriction shrinks the centered majorant while fixing the constant
-        term, so invertible-valued germs certify at some level whenever
-        their anchor values are invertible.
+        term, so invertible-valued germs certify (and germs near 1 meet the
+        log branch budget) at some level whenever their anchor values allow it.
         """
-        last = None
         for lvl in range(el.level, self.space.levels):
             try:
-                return GermGroupElement(bond(el, lvl))
+                return make(bond(el, lvl))
             except BudgetError as exc:
                 last = exc
         raise last
 
+    def _require_d1(self, what: str) -> None:
+        if self.space.dim != 1:
+            raise StructureError(f"{what} is d = 1 only")
+
     def _on_stack(self, el: BHolElement, op) -> BHolElement:
         """Apply a :class:`SeriesStack` method to every anchor's series at once."""
-        if self.space.dim != 1:
-            raise StructureError("exp, log and inverse of germs are d = 1 only")
+        self._require_d1("exp, log and inverse of germs")
         return _stack_element(self.space, el.level, op(SeriesStack.from_series(el.reps)))
 
     def exp_germ(self, eta: BHolElement) -> GermGroupElement:
         """Postcomposition with the exponential, all anchors in one stack."""
-        return self._certify_deeper(self._on_stack(eta, SeriesStack.exp))
+        return self._bond_deeper(self._on_stack(eta, SeriesStack.exp), GermGroupElement)
 
     def log_germ(self, gamma: GermGroupElement) -> BHolElement:
         """Local inverse of :func:`exp_germ`; bonds deeper if the branch budget needs it.
@@ -220,13 +226,7 @@ class GermLieGroup:
         some level's radius; germs whose values leave the branch domain
         raise :class:`BudgetError`.
         """
-        el = gamma.element
-        for lvl in range(el.level, self.space.levels):
-            try:
-                return self._on_stack(bond(el, lvl), SeriesStack.log)
-            except BudgetError:
-                continue
-        raise BudgetError("log branch budget unattainable at every available level")
+        return self._bond_deeper(gamma.element, lambda el: self._on_stack(el, SeriesStack.log))
 
     def in_injectivity_domain(self, eta: BHolElement) -> bool:
         """Certified membership in the exp-injectivity chart domain.
@@ -243,11 +243,11 @@ class GermLieGroup:
         lvl = max(g.level, h.level)
         ge, he = bond(g.element, lvl), bond(h.element, lvl)
         reps = tuple(series_multiply(a, b) for a, b in zip(ge.reps, he.reps))
-        return self._certify_deeper(BHolElement(self.space, lvl, reps))
+        return self._bond_deeper(BHolElement(self.space, lvl, reps), GermGroupElement)
 
     def inv(self, g: GermGroupElement) -> GermGroupElement:
         """Pointwise inverse, all anchors in one stack; bonds deeper until it certifies."""
-        return self._certify_deeper(self._on_stack(g.element, SeriesStack.invert))
+        return self._bond_deeper(self._on_stack(g.element, SeriesStack.invert), GermGroupElement)
 
     def power(self, g: GermGroupElement, n: int) -> GermGroupElement:
         if n < 1:
@@ -310,20 +310,19 @@ def element_from_matrix_poly(space: GermSpace, matrix_coeffs, level: int) -> BHo
 
 
 def random_algebra_element(group: GermLieGroup, rng: np.random.Generator,
-                           budget: float, level: int = 1,
-                           max_degree: int = 3, decay: float = 0.35) -> BHolElement:
+                           budget: float, level: int = 1) -> BHolElement:
     """Random algebra germ with majorant norm equal to ``budget``.
 
-    Coefficients follow one global matrix polynomial of degree at most
-    ``max_degree`` with geometric decay, so products of moderately many
-    germs keep their degree overflow far below the working tolerances.
+    Coefficients follow one global matrix polynomial of random degree at
+    most 3, the k-th coefficient damped by 0.35^k, so products of moderately
+    many germs keep their degree overflow far below the working tolerances.
     """
     m = group.space.space.dim
-    deg = int(rng.integers(0, max_degree + 1))
+    deg = int(rng.integers(0, _RANDOM_MAX_DEGREE + 1))
     coeffs = []
     for k in range(deg + 1):
         raw = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        coeffs.append(raw * decay ** k)
+        coeffs.append(raw * _RANDOM_DECAY ** k)
     el = element_from_matrix_poly(group.space, coeffs, level)
     norm = el.norm_upper
     if norm <= 0:
@@ -332,7 +331,7 @@ def random_algebra_element(group: GermLieGroup, rng: np.random.Generator,
 
 
 def random_group_element(group: GermLieGroup, rng: np.random.Generator,
-                         budget: float = 0.3, level: int = 1,
-                         max_degree: int = 3) -> GermGroupElement:
-    """Random group germ in the identity component: exp of a random algebra germ."""
-    return group.exp_germ(random_algebra_element(group, rng, budget, level, max_degree))
+                         budget: float = 0.3, level: int = 1) -> GermGroupElement:
+    """Random group germ in the identity component: exp of a random algebra germ
+    (degree at most 3, decay 0.35, as :func:`random_algebra_element`)."""
+    return group.exp_germ(random_algebra_element(group, rng, budget, level))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, EvaluationError, StructureError
+from .errors import BudgetError, StructureError
 from .reports import Report
 from .series import (
     CoefficientSpace,
@@ -66,7 +66,8 @@ __all__ = [
 RATIO_CEILING = 1.0 / (2.0 * math.e)
 
 GERM_EQ_TOL = 1e-9
-COHERENCE_TOL = 1e-9
+_COHERENCE_POINTS = 32  # circle points per overlapping anchor pair in coherence_defect
+_SPOTCHECK_LEVELS = (1, 2)  # levels compared by ratio_topology_spotcheck
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,8 @@ class BHolElement:
 
     ``norm_upper`` caches the majorant bound for the sup over U_n (max over
     anchors).  On overlapping anchor balls the per-anchor series must agree
-    at shared sample points -- they represent one function.
+    at shared sample points -- they represent one function.  The i-th series
+    is anchored at the parent's i-th anchor.
     """
 
     parent: GermSpace
@@ -152,11 +154,13 @@ class BHolElement:
         if len(self.reps) != len(self.parent.anchors):
             raise StructureError("one series per anchor required")
         rho = self.parent.radius(self.level)
-        for s in self.reps:
+        for s, a in zip(self.reps, self.parent.anchors):
             if s.radius > rho * (1 + 1e-12) or s.radius <= 0:
                 raise StructureError("series radius must not exceed the level radius")
             if s.space != self.parent.space:
                 raise StructureError("coefficient space mismatch with parent")
+            if (s.anchor if s.dim == 1 else tuple(s.anchor)) != a:
+                raise StructureError(f"series anchored at {s.anchor}, not at its anchor {a}")
 
     @property
     def norm_upper(self) -> float:
@@ -166,22 +170,26 @@ class BHolElement:
         return max(s.sample_sup(s.radius, n) for s in self.reps)
 
     def eval(self, points) -> np.ndarray:
-        """Evaluate using, per point, the series of the nearest anchor."""
+        """Evaluate using, per point, the series of the nearest anchor in C^d
+        (points of shape (...,) for d = 1 and (..., 2) for d = 2)."""
         pts = np.asarray(points, dtype=complex)
         anchors = np.asarray(self.parent.anchors)
-        dist = np.abs(pts[..., None] - anchors)
+        dist = np.abs(pts[..., None] - anchors) if self.parent.dim == 1 else \
+            np.linalg.norm(pts[..., None, :] - anchors, axis=-1)
         pick = np.argmin(dist, axis=-1)
-        out = np.zeros(pts.shape + self.parent.space.shape, dtype=complex)
+        out = np.zeros(pick.shape + self.parent.space.shape, dtype=complex)
         for i in range(len(anchors)):
             mask = pick == i
             if np.any(mask):
                 out[mask] = self.reps[i].eval(pts[mask])
         return out
 
-    def coherence_defect(self, n: int = 32) -> float:
-        """Largest disagreement of per-anchor series at shared interior points."""
+    def coherence_defect(self) -> float:
+        """Largest disagreement of per-anchor series at shared interior points (d = 1)."""
+        if self.parent.dim != 1:
+            raise StructureError("coherence_defect is d = 1 only")
+        theta = 2 * np.pi * np.arange(_COHERENCE_POINTS) / _COHERENCE_POINTS
         worst = 0.0
-        rho = self.parent.radius(self.level)
         anchors = self.parent.anchors
         for i in range(len(anchors)):
             for j in range(i + 1, len(anchors)):
@@ -191,7 +199,6 @@ class BHolElement:
                     continue
                 mid = 0.5 * (a + b)
                 spread = 0.25 * max(self.reps[i].radius + self.reps[j].radius - gap, 0.0)
-                theta = 2 * np.pi * np.arange(n) / n
                 pts = mid + spread * 0.5 * np.exp(1j * theta)
                 keep = (np.abs(pts - a) < self.reps[i].radius) & \
                        (np.abs(pts - b) < self.reps[j].radius)
@@ -268,26 +275,20 @@ def germs_equal(x, y, tol: float = GERM_EQ_TOL) -> bool:
 # factorization through the Banach step (Cauchy coefficient recovery)
 # ---------------------------------------------------------------------------
 
-def factorize(space: GermSpace, f, level: int,
-              check_coherence: bool = False) -> BHolElement:
+def factorize(space: GermSpace, f, level: int) -> BHolElement:
     """Represent a bounded holomorphic evaluator on U_level per anchor.
 
     Each anchor's series is :func:`~germlie.series.cauchy_series` of f at
     rho_level: valid on 0.64 * rho_level with a data-driven tail, and
     rejected by the extractor's guards unless f is boundedly holomorphic on
-    the ball.  ``check_coherence`` also requires agreement on overlaps.
+    the ball.
     """
     if space.dim != 1:
         raise StructureError("factorize is implemented for d = 1")
     rho = space.radius(level)
     reps = tuple(cauchy_series(f, a, rho, space.degree_bound, space.space)
                  for a in space.anchors)
-    el = BHolElement(space, level, reps)
-    if check_coherence:
-        defect = el.coherence_defect()
-        if defect > COHERENCE_TOL:
-            raise EvaluationError(f"per-anchor series disagree on overlaps by {defect:.3g}")
-    return el
+    return BHolElement(space, level, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +610,7 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
 # ---------------------------------------------------------------------------
 
 def ratio_topology_spotcheck(space_r: GermSpace, space_r2: GermSpace,
-                             elements: list, levels=(1, 2)) -> Report:
+                             elements: list) -> Report:
     """Compare majorant norms of common germs across two ratio choices.
 
     For each element given at level 0 of the first grading, bonding into
@@ -618,10 +619,11 @@ def ratio_topology_spotcheck(space_r: GermSpace, space_r2: GermSpace,
     topology does not depend on the chosen basis.
     """
     rep = Report(check="ratio_topology_spotcheck",
-                 params={"r": space_r.ratio, "r2": space_r2.ratio, "levels": list(levels)})
+                 params={"r": space_r.ratio, "r2": space_r2.ratio,
+                         "levels": list(_SPOTCHECK_LEVELS)})
     worst = 0.0
     for el in elements:
-        for lvl in levels:
+        for lvl in _SPOTCHECK_LEVELS:
             rho1 = space_r.radius(lvl)
             rho2 = space_r2.radius(lvl)
             m1 = max(s.majorant_norm(min(rho1, s.radius)) for s in el.reps)
@@ -631,5 +633,5 @@ def ratio_topology_spotcheck(space_r: GermSpace, space_r2: GermSpace,
                 continue
             worst = max(worst, m1 / m2, m2 / m1)
     rep.extras = {"worst_norm_ratio": worst}
-    rep.trials = len(elements) * len(levels)
+    rep.trials = len(elements) * len(_SPOTCHECK_LEVELS)
     return rep

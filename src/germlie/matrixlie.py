@@ -97,7 +97,7 @@ def _suffix_plan(order: int) -> tuple:
     return plan, words
 
 
-def evaluate_bch_words(x, y, order: int, bracket_fn, zero=None):
+def evaluate_bch_words(x, y, order: int, bracket_fn):
     """Evaluate the truncated Dynkin sum for arbitrary arguments.
 
     ``x`` and ``y`` only need scalar multiplication and addition (numpy
@@ -112,7 +112,7 @@ def evaluate_bch_words(x, y, order: int, bracket_fn, zero=None):
             values[suffix] = args[suffix[0]]
         else:
             values[suffix] = bracket_fn(args[suffix[0]], values[suffix[1:]])
-    total = zero
+    total = None
     for word, coeff in words:
         term = coeff * values[word]
         total = term if total is None else total + term
@@ -124,14 +124,15 @@ def evaluate_bch_words(x, y, order: int, bracket_fn, zero=None):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def bch_tail_coefficients(n_max: int = _MAJORANT_ORDER) -> np.ndarray:
-    """Power-series coefficients a_n of -log(2 - e^t), computed exactly.
+def bch_tail_coefficients() -> np.ndarray:
+    """Power-series coefficients a_n of -log(2 - e^t) to n = 60, computed exactly.
 
     The homogeneous degree-n part of the BCH series of a Banach-Lie algebra
     with bracket-compatible norm is bounded by ``a_n * (norm(x)+norm(y))^n``,
     which is the standard majorant behind convergence on ``norm(x)+norm(y) <
     ln 2``.
     """
+    n_max = _MAJORANT_ORDER
     u = [Fraction(0)] * (n_max + 1)
     for j in range(1, n_max + 1):
         u[j] = Fraction(1, math.factorial(j))

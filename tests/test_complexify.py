@@ -130,6 +130,21 @@ class TestUniqueness:
         assert rep.extras["worst_real_restriction"] <= 1e-12
 
 
+class TestFailureFormat:
+    @pytest.mark.parametrize("kind, pair, check", [
+        ("identity", (0, 0), lambda ca, bad: certify_cocycles(bad)),
+        ("cross_transport", (0, 1), uniqueness_biholomorphism),
+    ], ids=["identity", "cross_transport"])
+    def test_failure_names_kind_residual_and_witness(self, circle3_ext, kind, pair, check):
+        rep = check(circle3_ext, perturb_transition(circle3_ext, *pair, 1e-5))
+        flagged = [f for f in rep.failures if f["kind"] == kind]
+        assert flagged and not rep.passed
+        assert {"kind", "residual", "witness"} <= set(flagged[0])
+        assert flagged[0]["residual"] == pytest.approx(1e-5, rel=1e-3)
+        assert len(flagged[0]["witness"]) == 2
+        assert all(math.isfinite(x) for x in flagged[0]["witness"])
+
+
 class TestAtlasIO:
     def test_json_roundtrip_and_recertification(self, circle3):
         doc = json.dumps(atlas_to_json(circle3))

@@ -287,6 +287,15 @@ class TestStructure:
             with pytest.raises(StructureError, match="d = 1"):
                 op()
 
+    def test_two_variable_bch_rejected(self):
+        space = GermSpace(anchors=((0.0, 0.0),), ratio=0.1, space=matrix_space(2),
+                          degree_bound=4, dim=2)
+        group = GermLieGroup(space)
+        zero = group.zero(0)
+        for op in (lambda: group.germ_bch(zero, zero), lambda: group.bch_pairs([(zero, zero)])):
+            with pytest.raises(StructureError, match="d = 1"):
+                op()
+
     def test_generator_respects_budget(self, germ_group, rng):
         el = random_algebra_element(germ_group, rng, 0.123)
         assert el.norm_upper == pytest.approx(0.123)

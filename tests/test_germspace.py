@@ -348,6 +348,48 @@ class TestCoherence:
         el = BHolElement(sp, 0, reps)
         assert el.coherence_defect() > 0.5
 
+    def test_two_variable_coherence_rejected(self):
+        sp = GermSpace(anchors=((0.0, 0.0), (0.5, 0.0)), ratio=0.1, degree_bound=4, dim=2)
+        with pytest.raises(StructureError, match="d = 1 only"):
+            sp.zero_element(0).coherence_defect()
+
+
+class TestElementAnchors:
+    @pytest.mark.parametrize("anchors, wrong, dim", [
+        ((0.0, 0.5), (0.0, 7.0), 1),
+        (((0.0, 0.0),), ((0.0, 1.0),), 2),
+    ])
+    def test_series_at_another_anchor_rejected(self, anchors, wrong, dim):
+        sp = GermSpace(anchors=anchors, ratio=0.1, degree_bound=4, dim=dim)
+        reps = tuple(TruncatedSeries.constant(1.0, a, 1.0, scalar_space(), 4, dim)
+                     for a in wrong)
+        with pytest.raises(StructureError, match="anchor"):
+            BHolElement(sp, 0, reps)
+
+    @staticmethod
+    def _two_variable_element(anchors):
+        sp = GermSpace(anchors=anchors, ratio=0.1, degree_bound=4, dim=2)
+        per_anchor = [[((0, 0), float(i + 1)), ((1, 0), 2.0), ((0, 1), -1.0j)]
+                      for i in range(len(anchors))]
+        return sp.element_from_coeff_lists(per_anchor, 0)
+
+    def test_two_variable_eval_one_anchor(self):
+        el = self._two_variable_element(((0.0, 0.0),))
+        pts = np.array([[0.1, 0.2j], [-0.1, 0.0], [0.05j, 0.3]])
+        vals = el.eval(pts)
+        assert vals.shape == (3,)
+        assert_allclose(vals, el.reps[0].eval(pts), rtol=0, atol=0)
+
+    def test_two_variable_eval_nearest_anchor_in_c2(self):
+        anchors = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5j))
+        el = self._two_variable_element(anchors)
+        # nearest by distance in C^2: anchor 2, then anchor 1
+        pts = np.array([[0.05, 0.4j], [0.45, 0.1]])
+        vals = el.eval(pts)
+        assert vals.shape == (2,)
+        assert vals[0] == el.reps[2].eval(pts[0])
+        assert vals[1] == el.reps[1].eval(pts[1])
+
 
 class TestRatioSpotcheck:
     def test_two_ratios_give_comparable_norms(self, rng):
