@@ -65,6 +65,8 @@ _EVAL_SAFETY = 0.98  # stay strictly inside each piece's validity disc
 _GRID_N = 20  # sample points per side of every comparison grid
 _INVERSE_TOL = 1e-10  # mutual-inverse residual at which a strip height is kept
 _MIN_HEIGHT_FACTOR = 1e-3  # extend_transitions gives up below this share of the height
+_CIRCLE_DEGREE = 8  # degree bound of circle_atlas's translations
+_TAN_DEGREE = 30  # degree bound of tan_chart_pair's transitions
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,8 @@ def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9) -> Report:
 
 
 def perturb_transition(ca: ComplexAtlas, i: int, j: int, amount: float) -> ComplexAtlas:
-    """Copy of the atlas with the first (i, j) record offset by ``amount``."""
+    """Copy of the atlas with the first (i, j) record offset by ``amount``;
+    :class:`StructureError` if the atlas has no (i, j) record."""
     trs = list(ca.base.transitions)
     for n, tr in enumerate(trs):
         if (tr.i, tr.j) == (i, j):
@@ -372,8 +375,9 @@ def perturb_transition(ca: ComplexAtlas, i: int, j: int, amount: float) -> Compl
                 coeffs[0] += amount
                 pieces.append(replace(p, coeffs=coeffs))
             trs[n] = replace(tr, pieces=tuple(pieces))
-            break
-    return ComplexAtlas(RealAtlas(ca.base.charts, tuple(trs)), ca.heights, ca.margin_table)
+            return ComplexAtlas(RealAtlas(ca.base.charts, tuple(trs)), ca.heights,
+                                ca.margin_table)
+    raise StructureError(f"the atlas has no ({i},{j}) transition record")
 
 
 def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
@@ -385,7 +389,9 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
     every overlap record the transitions agree on real arguments (to
     ``tol_real``, the Identity-Theorem anchor) and transporting by one
     atlas's transition then returning through the other's inverse is the
-    identity on the common complex grid (to ``tol``).
+    identity on the common complex grid (to ``tol``).  Records without a
+    common strip are skipped; a failed comparison makes the report fail,
+    otherwise a skipped record makes it inconclusive.
     """
     rep = Report(check="uniqueness_biholomorphism",
                  params={"tol_real": tol_real, "tol": tol})
@@ -393,14 +399,14 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
         raise StructureError("atlases complexify different chart systems")
     worst = {"real_restriction": 0.0, "cross_transport": 0.0}
     final_heights = {}
+    missing = None
     for t1 in ca1.base.records():
         i, j = t1.i, t1.j
         h = min(ca1.height(i, j), ca2.heights.get((i, j), 0.0))
         lo, hi = t1.overlap
         if h <= 0:
-            rep.status = "inconclusive"
-            rep.extras["reason"] = f"no common strip for pair ({i},{j})"
-            return rep
+            missing = missing or f"no common strip for pair ({i},{j})"
+            continue
         final_heights[f"{i},{j}"] = min(h, final_heights.get(f"{i},{j}", math.inf))
         xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), _GRID_N ** 2) + 0j
         v1 = t1.eval(xs)
@@ -414,6 +420,9 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
                        "worst_cross_transport": worst["cross_transport"],
                        "strip_heights": final_heights})
     rep.note_margin(tol - worst["cross_transport"])
+    if missing and rep.status != "fail":
+        rep.status = "inconclusive"
+        rep.extras["reason"] = missing
     return rep
 
 
@@ -441,8 +450,7 @@ def annulus_consistency(ca: ComplexAtlas, tol: float = 1e-8) -> Report:
 # stock atlases
 # ---------------------------------------------------------------------------
 
-def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55,
-                 degree_bound: int = 8) -> RealAtlas:
+def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55) -> RealAtlas:
     """Angle charts of the circle R/2pi with translation transitions.
 
     Chart i covers an interval of half-width ``(1/2 + overlap_frac) * 2pi/n``
@@ -479,16 +487,16 @@ def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55,
                     continue
                 mid = 0.5 * (lo + hi)
                 radius = 2.0 * (hi - lo) + 1.0
-                shift = _translation(mid, -deck * two_pi, radius, degree_bound)
+                shift = _translation(mid, -deck * two_pi, radius, _CIRCLE_DEGREE)
                 transitions.append(Transition(i, j, (lo, hi), (shift,)))
     for i in range(n_charts):
         ch = charts[i]
         transitions.append(identity_transition(i, (ch.t_lo, ch.t_hi),
-                                               2.0 * (ch.t_hi - ch.t_lo), degree_bound))
+                                               2.0 * (ch.t_hi - ch.t_lo), _CIRCLE_DEGREE))
     return RealAtlas(tuple(charts), tuple(transitions))
 
 
-def tan_chart_pair(degree_bound: int = 30) -> RealAtlas:
+def tan_chart_pair() -> RealAtlas:
     """Two interval charts related by the tangent map on the overlap."""
     charts = (
         ChartInterval(-0.62, 0.62, -0.58, 0.58, -0.5, 0.5),
@@ -497,11 +505,11 @@ def tan_chart_pair(degree_bound: int = 30) -> RealAtlas:
                       math.tan(-0.5), math.tan(0.5)),
     )
     fwd = build_transition(np.tan, 0, 1, (-0.5, 0.5), n_pieces=5,
-                           piece_radius=0.45, degree_bound=degree_bound)
+                           piece_radius=0.45, degree_bound=_TAN_DEGREE)
     bwd = build_transition(np.arctan, 1, 0, (math.tan(-0.5), math.tan(0.5)),
-                           n_pieces=5, piece_radius=0.5, degree_bound=degree_bound)
-    ident0 = identity_transition(0, (-0.62, 0.62), 2.5, degree_bound)
-    ident1 = identity_transition(1, (math.tan(-0.62), math.tan(0.62)), 3.0, degree_bound)
+                           n_pieces=5, piece_radius=0.5, degree_bound=_TAN_DEGREE)
+    ident0 = identity_transition(0, (-0.62, 0.62), 2.5, _TAN_DEGREE)
+    ident1 = identity_transition(1, (math.tan(-0.62), math.tan(0.62)), 3.0, _TAN_DEGREE)
     return RealAtlas(charts, (fwd, bwd, ident0, ident1))
 
 

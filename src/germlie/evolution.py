@@ -36,7 +36,7 @@ import numpy as np
 from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
 from .germgroup import GermGroupElement, GermLieGroup, _stack_element, random_algebra_element
-from .germspace import BHolElement, bond, germ_distance
+from .germspace import BHolElement, _align, bond, germ_distance
 from .reports import Report
 from .series import multiply as series_multiply
 
@@ -63,6 +63,10 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 _SPLINE_AMP = 0.15  # majorant scale of random_spline_curve's start values
 _SMOOTHNESS_SCALES = (0.1, 0.05, 0.025)  # difference steps s of smoothness_report
 _ORDER_WINDOW = (1.9, 2.1)  # orders smoothness_report accepts
+_ROUNDTRIP_TOL = 1e-6  # germ distance the two round-trip reports accept
+_PRODUCT_RULE_TOL = 1e-8  # germ distance product_rule_report accepts
+_GROUP_ROUNDTRIP_STEPS = 128  # evol steps of group_roundtrip_report
+_GROUP_ROUNDTRIP_SEGMENTS = 16  # fit_lie_curve segments of group_roundtrip_report
 
 
 def _stack_segment(seg, level: int) -> tuple:
@@ -74,10 +78,8 @@ def _stack_segment(seg, level: int) -> tuple:
 
 
 def _element_mul(a: BHolElement, b: BHolElement) -> BHolElement:
-    lvl = max(a.level, b.level)
-    a, b = bond(a, lvl), bond(b, lvl)
-    return BHolElement(a.parent, lvl,
-                       tuple(series_multiply(x, y) for x, y in zip(a.reps, b.reps)))
+    a, b = _align(a, b)
+    return a._zip(b, series_multiply)
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,8 @@ class LieCurve(_PiecewiseCurve):
                     f"curve discontinuous at breakpoint {self.breakpoints[i + 1]}")
 
     @classmethod
-    def constant(cls, group: GermLieGroup, xi: BHolElement, budget: float = EVOL_BUDGET):
-        return cls(group, (0.0, 1.0), ((xi,),), budget)
+    def constant(cls, group: GermLieGroup, xi: BHolElement):
+        return cls(group, (0.0, 1.0), ((xi,),))
 
     def value(self, t: float) -> BHolElement:
         return self._element(self._stack_at(t))
@@ -300,8 +302,7 @@ def log_derivative(curve: GroupCurve, t: float) -> BHolElement:
     return _element_mul(ginv.element, curve.derivative(t))
 
 
-def fit_lie_curve(group: GermLieGroup, fn, n_segments: int = 8,
-                  budget: float = EVOL_BUDGET) -> LieCurve:
+def fit_lie_curve(group: GermLieGroup, fn, n_segments: int = 8) -> LieCurve:
     """Cubic piecewise fit of an algebra-germ-valued function of t on [0, 1].
 
     Four equispaced nodes per segment determine the local cubic exactly
@@ -314,9 +315,7 @@ def fit_lie_curve(group: GermLieGroup, fn, n_segments: int = 8,
     segments = []
     for i in range(n_segments):
         t0, t1 = bp[i], bp[i + 1]
-        values = [fn(t0 + s * (t1 - t0)) for s in nodes]
-        lvl = max(v.level for v in values)
-        values = [bond(v, lvl) for v in values]
+        values = _align(*(fn(t0 + s * (t1 - t0)) for s in nodes))
         coeffs = []
         for row in vand_inv:
             acc = values[0].scale(row[0])
@@ -324,7 +323,7 @@ def fit_lie_curve(group: GermLieGroup, fn, n_segments: int = 8,
                 acc = acc + v.scale(w)
             coeffs.append(acc)
         segments.append(tuple(coeffs))
-    return LieCurve(group, bp, tuple(segments), budget)
+    return LieCurve(group, bp, tuple(segments))
 
 
 def trajectory_log_derivative(group: GermLieGroup, result: EvolutionResult,
@@ -401,8 +400,9 @@ def rk4_pointwise(curve: LieCurve, pts, steps: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def roundtrip_report(group: GermLieGroup, curve: LieCurve, steps: int = 128,
-                     n_samples: int = 7, tol: float = 1e-6) -> Report:
+                     n_samples: int = 7) -> Report:
     """delta^l recovers the curve along its own evolution, sampled in (0, 1)."""
+    tol = _ROUNDTRIP_TOL
     rep = Report(check="log_derivative_roundtrip",
                  params={"steps": steps, "n_samples": n_samples, "tol": tol})
     result = evol(curve, steps, error_estimate=False)
@@ -446,10 +446,9 @@ def _clear_of_breakpoints(idx: int, steps: int, breakpoints) -> int | None:
     return None
 
 
-def group_roundtrip_report(group: GermLieGroup, gcurve: GroupCurve,
-                           steps: int = 128, n_segments: int = 16,
-                           tol: float = 1e-6) -> Report:
+def group_roundtrip_report(group: GermLieGroup, gcurve: GroupCurve) -> Report:
     """evol(delta^l eta) reproduces eta(1) for a based group curve eta(0) = 1."""
+    steps, n_segments, tol = _GROUP_ROUNDTRIP_STEPS, _GROUP_ROUNDTRIP_SEGMENTS, _ROUNDTRIP_TOL
     rep = Report(check="evolution_of_log_derivative",
                  params={"steps": steps, "n_segments": n_segments, "tol": tol})
     ident = group.identity(gcurve.value(0.0).level)
@@ -466,9 +465,9 @@ def group_roundtrip_report(group: GermLieGroup, gcurve: GroupCurve,
     return rep
 
 
-def product_rule_report(group: GermLieGroup, ga: GroupCurve, gb: GroupCurve,
-                        ts, tol: float = 1e-8) -> Report:
+def product_rule_report(group: GermLieGroup, ga: GroupCurve, gb: GroupCurve, ts) -> Report:
     """delta^l(gamma eta) = AD(eta^{-1}) . delta^l gamma + delta^l eta at sampled t."""
+    tol = _PRODUCT_RULE_TOL
     rep = Report(check="log_derivative_product_rule", params={"tol": tol})
     prod = ga.mul(gb)
     worst = 0.0

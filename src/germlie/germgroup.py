@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
-from .germspace import BHolElement, GermSpace, bond
+from .germspace import BHolElement, GermSpace, _align, bond
 from .matrixlie import MatrixLieBackend, bch_remainder_bound, evaluate_bch_words
 from .series import multiply as series_multiply, series_to_json
 
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 OMEGA1_FACTOR = 0.25  # Omega_1 budget = 0.25 * ln 2 (pairs stay inside the BCH domain)
-INJECTIVITY_RADIUS = 0.5  # Omega_2: values within this ball of 0 keep exp injective
 _RANDOM_MAX_DEGREE = 3  # degree bound of the random generators' global polynomial
 _RANDOM_DECAY = 0.35  # geometric decay of its coefficients
 
@@ -123,7 +123,7 @@ class GermLieGroup:
 
     space: GermSpace
     backend: MatrixLieBackend = None
-    inj_radius: float = INJECTIVITY_RADIUS
+    inj_radius: ClassVar[float] = 0.5  # Omega_2: values within this ball of 0 keep exp injective
 
     def __post_init__(self):
         if self.space.space.kind != "matrix":
@@ -168,26 +168,22 @@ class GermLieGroup:
         n_anchors = len(self.space.anchors)
         prepped = []
         for x, y in pairs:
-            lvl = max(x.level, y.level)
-            xb, yb = bond(x, lvl), bond(y, lvl)
+            xb, yb = _align(x, y)
             s = xb.norm_upper + yb.norm_upper
             if s >= self.backend.bch_radius:
                 raise BudgetError(
                     f"local product budget violated: majorant sum {s:.6g} >= "
                     f"{self.backend.bch_radius:.6g}")
-            prepped.append((xb, yb, lvl, bch_remainder_bound(s, order)))
-        xs = SeriesStack.from_series([s for xb, _, _, _ in prepped for s in xb.reps])
-        ys = SeriesStack.from_series([s for _, yb, _, _ in prepped for s in yb.reps])
+            prepped.append((xb, yb, bch_remainder_bound(s, order)))
+        xs = SeriesStack.from_series([s for xb, _, _ in prepped for s in xb.reps])
+        ys = SeriesStack.from_series([s for _, yb, _ in prepped for s in yb.reps])
         zs = evaluate_bch_words(xs, ys, order, SeriesStack.bracket)
-        rems = np.repeat([rem for _, _, _, rem in prepped], n_anchors)
+        rems = np.repeat([rem for _, _, rem in prepped], n_anchors)
         zs = SeriesStack(zs.coeffs, zs.radius, zs.tail + rems)
-        series = zs.to_series([a for xb, _, _, _ in prepped for a in self.space.anchors],
+        series = zs.to_series([a for _ in prepped for a in self.space.anchors],
                               self.space.space, self.space.dim)
-        out = []
-        for i, (_, _, lvl, _) in enumerate(prepped):
-            reps = tuple(series[i * n_anchors: (i + 1) * n_anchors])
-            out.append(BHolElement(self.space, lvl, reps))
-        return out
+        return [BHolElement(self.space, xb.level, tuple(series[i * n_anchors:(i + 1) * n_anchors]))
+                for i, (xb, _, _) in enumerate(prepped)]
 
     # -- charts -----------------------------------------------------------------
 
@@ -240,10 +236,8 @@ class GermLieGroup:
     # -- global group ------------------------------------------------------------
 
     def mul(self, g: GermGroupElement, h: GermGroupElement) -> GermGroupElement:
-        lvl = max(g.level, h.level)
-        ge, he = bond(g.element, lvl), bond(h.element, lvl)
-        reps = tuple(series_multiply(a, b) for a, b in zip(ge.reps, he.reps))
-        return self._bond_deeper(BHolElement(self.space, lvl, reps), GermGroupElement)
+        ge, he = _align(g.element, h.element)
+        return self._bond_deeper(ge._zip(he, series_multiply), GermGroupElement)
 
     def inv(self, g: GermGroupElement) -> GermGroupElement:
         """Pointwise inverse, all anchors in one stack; bonds deeper until it certifies."""
@@ -267,16 +261,9 @@ class GermLieGroup:
         the action at this level; ``norm_upper`` of the result is at most
         ``R * norm_upper(eta)`` by majorant arithmetic.
         """
-        ginv = self.inv(gamma)
-        lvl = max(gamma.level, eta.level, ginv.level)
-        ge = bond(gamma.element, lvl)
-        gie = bond(ginv.element, lvl)
-        ee = bond(eta, lvl)
-        reps = tuple(series_multiply(series_multiply(a, b), c)
-                     for a, b, c in zip(ge.reps, ee.reps, gie.reps))
-        out = BHolElement(self.space, lvl, reps)
-        R = ge.norm_upper * gie.norm_upper
-        return out, R
+        ge, ee, gie = _align(gamma.element, eta, self.inv(gamma).element)
+        out = ge._zip(ee, series_multiply)._zip(gie, series_multiply)
+        return out, ge.norm_upper * gie.norm_upper
 
 
 # ---------------------------------------------------------------------------

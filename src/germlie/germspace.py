@@ -66,6 +66,7 @@ __all__ = [
 RATIO_CEILING = 1.0 / (2.0 * math.e)
 
 GERM_EQ_TOL = 1e-9
+_FAMILY_TOL = 1e-12  # slack of family_convergence_check's inequality
 _COHERENCE_POINTS = 32  # circle points per overlapping anchor pair in coherence_defect
 _SPOTCHECK_LEVELS = (1, 2)  # levels compared by ratio_topology_spotcheck
 
@@ -242,33 +243,28 @@ def bond(e: BHolElement, level: int) -> BHolElement:
                        tuple(s.restrict(min(rho, s.radius)) for s in e.reps))
 
 
+def _align(*elements) -> tuple:
+    """The elements bonded to the deepest of their levels, where they act pointwise."""
+    level = max(e.level for e in elements)
+    return tuple(bond(e, level) for e in elements)
+
+
 def germ_distance(x, y) -> float:
     """Coefficientwise distance after bonding to the deeper of the two levels.
 
     Coefficients are compared in the units of the comparison level, i.e.
-    the distance is the majorant ``sum_k norm(c_k - c'_k) rho^k`` maximized
-    over anchors.  This bounds the sup-norm distance of the representatives
-    on U_level, which is the sense in which two germs are one germ.
+    the distance is the polynomial majorant ``sum_k norm(c_k - c'_k) rho^|k|``
+    of the difference, maximized over anchors.  This bounds the sup-norm
+    distance of the representatives on U_level, which is the sense in which
+    two germs are one germ.  Germs over different germ spaces (for example
+    different anchor sets) raise :class:`StructureError`.
     """
-    lvl = max(x.level, y.level)
-    ex, ey = bond(x, lvl), bond(y, lvl)
-    worst = 0.0
-    for a, b in zip(ex.reps, ey.reps):
-        na = min(a.degree_bound, b.degree_bound)
-        a, b = a.truncate(na), b.truncate(na)
-        rho = min(a.radius, b.radius)
-        diff = ex.parent.space.norm(a.coeffs - b.coeffs)
-        if a.dim == 1:
-            dist = float(np.sum(diff * rho ** np.arange(na + 1)))
-        else:
-            i, j = np.meshgrid(np.arange(na + 1), np.arange(na + 1), indexing="ij")
-            dist = float(np.sum(diff * rho ** (i + j)))
-        worst = max(worst, dist)
-    return worst
+    ex, ey = _align(x, y)
+    return max(s.poly_majorant() for s in (ex - ey).reps)
 
 
-def germs_equal(x, y, tol: float = GERM_EQ_TOL) -> bool:
-    return germ_distance(x, y) <= tol
+def germs_equal(x, y) -> bool:
+    return germ_distance(x, y) <= GERM_EQ_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +331,6 @@ def _family_tail_remainder(family, r_over_rho: float) -> float:
 
 def family_convergence_check(family, R: float, r: float,
                              enforce_ratio: bool = True,
-                             tol: float = 1e-12,
                              sup_samples: int = 512) -> Report:
     """Check ``sum_k s_k r^k <= R/(R - 2 e r) * sup`` for a bounded family.
 
@@ -361,7 +356,7 @@ def family_convergence_check(family, R: float, r: float,
     denom = R - 2.0 * math.e * r
     factor = R / denom if denom > 0 else -math.inf
     rhs = factor * sup
-    passed = (denom > 0) and (lhs + lhs_rem <= rhs + tol)
+    passed = (denom > 0) and (lhs + lhs_rem <= rhs + _FAMILY_TOL)
     rep = Report(check="family_convergence", params=params, trials=1)
     rep.extras = {"lhs": lhs, "lhs_remainder": lhs_rem, "rhs": rhs,
                   "factor": factor, "sup_sampled": sup}

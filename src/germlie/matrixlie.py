@@ -101,8 +101,8 @@ def evaluate_bch_words(x, y, order: int, bracket_fn):
     """Evaluate the truncated Dynkin sum for arbitrary arguments.
 
     ``x`` and ``y`` only need scalar multiplication and addition (numpy
-    arrays and :class:`TruncatedSeries` both qualify); ``bracket_fn`` is the
-    Lie bracket of the ambient algebra.
+    arrays and :class:`~germlie._fastseries.SeriesStack` both qualify);
+    ``bracket_fn`` is the Lie bracket of the ambient algebra.
     """
     plan, words = _suffix_plan(order)
     args = (x, y)
@@ -245,8 +245,6 @@ class MatrixLieBackend:
         :class:`BudgetError`.
         """
         g = np.asarray(g, dtype=complex)
-        if g.ndim > 2:
-            return np.stack([self.log(gi) for gi in g])
         eig = np.linalg.eigvals(g)
         dist = np.where(eig.real <= 0, np.abs(eig.imag), np.abs(eig))  # to the axis
         if np.any(dist <= 1e-14 * np.max(np.abs(eig))):

@@ -324,6 +324,13 @@ def _invert_kernel(coeffs, tail, radius, kappa):
                 f"got {q[i]:.3g} at radius {radius[i] / 0.75:.3g} (minimum {floor[i]:.3g})")
 
 
+def _degrees(n: int, dim: int) -> np.ndarray:
+    """Total degree of every coefficient slot of a degree-n series in ``dim``
+    variables: ``arange(n + 1)`` for d = 1, the grid ``i + j`` for d = 2."""
+    k = np.arange(n + 1)
+    return k if dim == 1 else np.add.outer(k, k)
+
+
 def _anchor_key(anchor) -> tuple:
     arr = np.atleast_1d(np.asarray(anchor, dtype=complex))
     return tuple(complex(z) for z in arr)
@@ -382,11 +389,8 @@ class TruncatedSeries:
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.shape != want:
             raise StructureError(f"coefficient array has shape {coeffs.shape}, expected {want}")
-        if self.dim == 2:
-            i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-            over = (i + j > n)
-            if np.any(self.space.norm(coeffs[over]) > 0):
-                raise StructureError("coefficients beyond total degree bound must vanish")
+        if self.dim == 2 and np.any(self.space.norm(coeffs[_degrees(n, 2) > n]) > 0):
+            raise StructureError("coefficients beyond total degree bound must vanish")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_norm_cache", None)
@@ -448,14 +452,10 @@ class TruncatedSeries:
             raise BudgetError(f"rho={rho} exceeds validity radius {self.radius}")
         n = self.degree_bound
         norms = self.coeff_norms()
-        pw = rho ** np.arange(n + 1)
         if self.dim == 1:
-            return norms * pw
-        out = np.zeros(n + 1)
-        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-        keep = (i + j <= n)  # higher entries vanish by invariant
-        np.add.at(out, (i + j)[keep], (norms[keep] * pw[(i + j)[keep]]))
-        return out
+            return norms * rho ** np.arange(n + 1)
+        deg = _degrees(n, 2)  # entries above degree n vanish by invariant
+        return np.bincount(deg.ravel(), (norms * rho ** deg).ravel())[: n + 1]
 
     def poly_majorant(self, rho: float | None = None) -> float:
         """Majorant of the stored polynomial part only."""
@@ -530,20 +530,14 @@ class TruncatedSeries:
         if new_bound >= self.degree_bound:
             return self
         n = new_bound
-        dropped = 0.0
         if self.dim == 1:
             dropped = float(np.sum(self.majorant_coeffs()[n + 1:]))
             coeffs = self.coeffs[: n + 1]
         else:
-            mask_i, mask_j = np.meshgrid(np.arange(self.degree_bound + 1),
-                                         np.arange(self.degree_bound + 1), indexing="ij")
-            over = mask_i + mask_j > n
-            norms = self.coeff_norms()
-            pw = self.radius ** (mask_i + mask_j)
-            dropped = float(np.sum((norms * pw)[over]))
+            deg = _degrees(self.degree_bound, 2)
+            dropped = float(np.sum((self.coeff_norms() * self.radius ** deg)[deg > n]))
             coeffs = self.coeffs[: n + 1, : n + 1].copy()
-            ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-            coeffs[ii + jj > n] = 0.0
+            coeffs[deg[: n + 1, : n + 1] > n] = 0.0
         return TruncatedSeries(self.anchor, n, np.array(coeffs), self.radius,
                                self.tail_bound + dropped, self.space, self.dim)
 
@@ -564,21 +558,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return linear_combination(self, other, 1.0, -1.0)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return multiply(self, other)
-        if np.isscalar(other):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if np.isscalar(other):
-            return self.scale(other)
-        return NotImplemented
 
     def scale(self, alpha) -> "TruncatedSeries":
         return TruncatedSeries(self.anchor, self.degree_bound, self.coeffs * complex(alpha),
@@ -640,25 +619,16 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         coeffs = coeffs[0].reshape(a.coeffs.shape)
         tail = float(tail[0])
     else:
-        # d = 2 is not performance critical; a direct loop keeps it readable
-        shape = (2 * k - 1, 2 * k - 1) + a.space.shape
-        full = np.zeros(shape, dtype=complex)
+        # d = 2 is not performance critical: each nonzero a_ij adds a_ij * b
+        # into the window of the full product shifted by (i, j)
+        deg = _degrees(2 * n, 2)
+        full = np.zeros(deg.shape + a.space.shape, dtype=complex)
         prod = np.matmul if a.space.kind == "matrix" else np.multiply
-        for i in range(k):
-            for j in range(k - i):
-                if not np.any(a.coeffs[i, j]):
-                    continue
-                for p in range(k):
-                    for q in range(k - p):
-                        full[i + p, j + q] = full[i + p, j + q] + prod(
-                            a.coeffs[i, j], b.coeffs[p, q])
-        coeffs = full[: k, : k].copy()
-        deg_i, deg_j = np.meshgrid(np.arange(k), np.arange(k), indexing="ij")
-        coeffs[deg_i + deg_j > n] = 0.0
-        norms = a.space.norm(full)
-        di, dj = np.meshgrid(np.arange(2 * k - 1), np.arange(2 * k - 1), indexing="ij")
-        pw = radius ** (di + dj)
-        overflow = float(np.sum((norms * pw)[di + dj > n]))
+        for i, j in np.argwhere(a.coeffs.reshape(k, k, -1).any(axis=-1)):
+            full[i:i + k, j:j + k] += prod(a.coeffs[i, j], b.coeffs)
+        coeffs = full[:k, :k].copy()
+        coeffs[deg[:k, :k] > n] = 0.0
+        overflow = float(np.sum((a.space.norm(full) * radius ** deg)[deg > n]))
         ma, mb = a.poly_majorant(radius), b.poly_majorant(radius)
         tail = _product_tail(ma, mb, a.tail_bound, b.tail_bound, overflow, kappa)
     return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space, a.dim)
@@ -837,20 +807,11 @@ def series_to_json(s: TruncatedSeries) -> dict:
     Every complex number is an [re, im] pair; Python's repr-based float
     serialization makes the round trip exact at full double precision.
     """
-    if s.dim == 1:
-        anchor = _c2p(s.anchor)
-        indices = [(k,) for k in range(s.degree_bound + 1)]
-    else:
-        anchor = [_c2p(z) for z in np.asarray(s.anchor)]
-        indices = [(i, j) for i in range(s.degree_bound + 1)
-                   for j in range(s.degree_bound + 1 - i)]
-    entries = []
-    for idx in indices:
-        value = s.coeffs[idx if s.dim == 2 else idx[0]]
-        flat = np.asarray(value, dtype=complex).reshape(-1)
-        entries.append([list(idx)] + [_c2p(z) for z in flat])
+    n = s.degree_bound
+    entries = [[idx] + [_c2p(z) for z in s.coeffs[tuple(idx)].reshape(-1)]
+               for idx in np.argwhere(_degrees(n, s.dim) <= n).tolist()]
     return {
-        "anchor": anchor,
+        "anchor": _c2p(s.anchor) if s.dim == 1 else [_c2p(z) for z in s.anchor],
         "degree_bound": s.degree_bound,
         "coeffs": entries,
         "radius": float(s.radius),
@@ -870,9 +831,8 @@ def series_from_json(doc: dict) -> TruncatedSeries:
     n = int(doc["degree_bound"])
     coeffs = np.zeros((n + 1,) * dim + space.shape, dtype=complex)
     for entry in doc["coeffs"]:
-        idx = tuple(int(q) for q in entry[0])
         flat = np.array([complex(p[0], p[1]) for p in entry[1:]])
-        coeffs[idx if dim == 2 else idx[0]] = flat.reshape(space.shape)
+        coeffs[tuple(int(q) for q in entry[0])] = flat.reshape(space.shape)
     return TruncatedSeries(anchor, n, coeffs, float(doc["radius"]),
                            float(doc["tail_bound"]), space, dim)
 

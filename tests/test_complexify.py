@@ -6,6 +6,7 @@ import pytest
 
 from germlie.complexify import (
     ChartInterval,
+    ComplexAtlas,
     RealAtlas,
     Transition,
     annulus_consistency,
@@ -98,6 +99,10 @@ class TestCocycles:
         residuals = [f["residual"] for f in rep.failures]
         assert any(abs(r - 1e-6) < 1e-8 for r in residuals)
 
+    def test_perturbing_a_missing_pair_raises(self, circle3_ext):
+        with pytest.raises(StructureError):
+            perturb_transition(circle3_ext, 0, 7, 1e-3)
+
     def test_failure_names_witness(self, circle3_ext):
         bad = perturb_transition(circle3_ext, 0, 1, 1e-5)
         rep = certify_cocycles(bad)
@@ -128,6 +133,30 @@ class TestUniqueness:
         rep = uniqueness_biholomorphism(circle3_ext, ca2, tol_real=1e-12)
         assert rep.passed
         assert rep.extras["worst_real_restriction"] <= 1e-12
+
+
+    @staticmethod
+    def _without_height(ca, pair):
+        heights = {k: h for k, h in ca.heights.items() if k != pair}
+        return ComplexAtlas(ca.base, heights, ca.margin_table)
+
+    def test_missing_strip_is_inconclusive(self, circle3_ext):
+        rep = uniqueness_biholomorphism(circle3_ext, self._without_height(circle3_ext, (2, 1)))
+        assert rep.status == "inconclusive" and not rep.failures
+        assert "(2,1)" in rep.extras["reason"]
+
+    def test_recorded_failure_wins_over_missing_strip(self, circle3_ext):
+        bad = perturb_transition(circle3_ext, 0, 1, 1e-6)
+        rep = uniqueness_biholomorphism(circle3_ext, self._without_height(bad, (2, 1)))
+        assert rep.status == "fail"
+        assert {f["kind"] for f in rep.failures} == {"real_restriction", "cross_transport"}
+
+    def test_missing_strip_does_not_end_the_comparison(self, circle3_ext):
+        # (0, 1) comes first; the perturbed (2, 0) record after it must still be compared
+        bad = perturb_transition(circle3_ext, 2, 0, 1e-6)
+        rep = uniqueness_biholomorphism(circle3_ext, self._without_height(bad, (0, 1)))
+        assert rep.status == "fail"
+        assert {tuple(f["pair"]) for f in rep.failures} == {(0, 2), (2, 0)}
 
 
 class TestFailureFormat:

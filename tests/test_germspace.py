@@ -391,6 +391,31 @@ class TestElementAnchors:
         assert vals[1] == el.reps[1].eval(pts[1])
 
 
+class TestGermDistance:
+    @staticmethod
+    def _two_variable_element(pairs, level=1):
+        sp = GermSpace(anchors=((0.0, 0.0), (0.3, 0.1j)), ratio=0.1, degree_bound=4, dim=2)
+        return sp.element_from_coeff_lists([pairs] * len(sp.anchors), level)
+
+    def test_two_variable_bonded_copy(self):
+        el = self._two_variable_element([((0, 0), 1.0), ((1, 2), 2.0 - 1.0j), ((0, 3), 0.5)])
+        assert germ_distance(el, bond(el, 3)) == 0.0
+        assert germ_distance(bond(el, 3), el) == 0.0
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 2), (2, 1), (1, 3)])
+    def test_two_variable_monomial_offset(self, i, j):
+        c = 0.3 - 0.4j
+        x = self._two_variable_element([((0, 0), 1.0), ((1, 1), 2.0)])
+        y = x + self._two_variable_element([((i, j), c)])
+        assert germ_distance(x, y) == pytest.approx(abs(c) * 0.1 ** (i + j), rel=1e-12)
+
+    def test_different_anchor_sets_rejected(self):
+        a = GermSpace(anchors=(0.0, 0.4 + 0.1j))
+        b = GermSpace(anchors=(0.0, 0.5))
+        with pytest.raises(StructureError):
+            germ_distance(a.constant_element(1.0, 0), b.constant_element(1.0, 0))
+
+
 class TestRatioSpotcheck:
     def test_two_ratios_give_comparable_norms(self, rng):
         a = GermSpace(anchors=(0.0,), base_radius=1.0, ratio=0.1, levels=5)

@@ -480,6 +480,46 @@ class TestDimensionTwo:
         with pytest.raises(StructureError):
             TruncatedSeries.from_coeff_list([((3, 2), 1.0)], (0.0, 0.0), 1.0, sp, 4, dim=2)
 
+    @staticmethod
+    def _random_d2(rng, space, degree=6, radius=0.8, tail=1e-3):
+        shape = (degree + 1, degree + 1) + space.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        deg = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
+        coeffs[deg > degree] = 0.0
+        coeffs *= (0.7 ** deg).reshape(deg.shape + (1,) * len(space.shape))
+        return TruncatedSeries((0.1, -0.2j), degree, coeffs, radius, tail, space, dim=2)
+
+    def test_sample_sup_of_linear_form_on_unit_ball(self):
+        # the sup of |z1 + z2| on the unit ball of C^2 is sqrt(2); the majorant is 2
+        s = TruncatedSeries.from_coeff_list([((1, 0), 1.0), ((0, 1), 1.0)],
+                                            (0.0, 0.0), 1.0, scalar_space(), 3, dim=2)
+        sampled = s.sample_sup()
+        assert abs(sampled - math.sqrt(2.0)) < 1e-3
+        assert sampled <= s.majorant_norm()
+
+    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
+    def test_truncate_d2(self, rng, space):
+        s = self._random_d2(rng, space)
+        t = s.truncate(3)
+        deg = np.add.outer(np.arange(4), np.arange(4))
+        assert t.coeffs.shape == (4, 4) + space.shape
+        assert not np.any(t.coeffs[deg > 3])
+        assert np.array_equal(t.coeffs[deg <= 3], s.coeffs[:4, :4][deg <= 3])
+        # boundary points of the radius-0.8 ball around the anchor
+        w = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        pts = s.anchor + 0.8 * w / np.linalg.norm(w, axis=1, keepdims=True)
+        err = np.max(space.norm(s.eval(pts) - t.eval(pts)))
+        assert 0 < err <= t.tail_bound - s.tail_bound + 1e-14
+
+    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
+    def test_exact_json_roundtrip_d2(self, rng, space):
+        s = self._random_d2(rng, space).with_tail(1 / 3)
+        s2 = series_json_loads(series_json_dumps(s))
+        assert np.array_equal(s.coeffs, s2.coeffs)
+        assert np.array_equal(s.anchor, s2.anchor)
+        assert (s2.dim, s2.space, s2.degree_bound) == (2, space, s.degree_bound)
+        assert s.radius == s2.radius and s.tail_bound == s2.tail_bound
+
 
 class TestBracket:
     def test_bracket_antisymmetric(self, rng):
