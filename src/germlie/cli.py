@@ -50,9 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_dict(args) -> dict:
-    return {"suite": args.suite, "seed": args.seed, "trials": args.trials,
-            "r": args.r, "rho0": args.rho0, "degree": args.degree,
-            "bch_order": args.bch_order, "steps": args.steps, "dim": args.dim}
+    return {k: v for k, v in vars(args).items() if k != "out"}
 
 
 def _scalar_space(args) -> GermSpace:

@@ -421,8 +421,7 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
                        "strip_heights": final_heights})
     rep.note_margin(tol - worst["cross_transport"])
     if missing and rep.status != "fail":
-        rep.status = "inconclusive"
-        rep.extras["reason"] = missing
+        rep.inconclusive(missing)
     return rep
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
 from .germgroup import GermGroupElement, GermLieGroup, _stack_element, random_algebra_element
-from .germspace import BHolElement, _align, bond, germ_distance
+from .germspace import BHolElement, _align, _fold, _stack, bond, germ_distance
 from .reports import Report
 from .series import multiply as series_multiply
 
@@ -69,14 +69,6 @@ _GROUP_ROUNDTRIP_STEPS = 128  # evol steps of group_roundtrip_report
 _GROUP_ROUNDTRIP_SEGMENTS = 16  # fit_lie_curve segments of group_roundtrip_report
 
 
-def _stack_segment(seg, level: int) -> tuple:
-    """Coefficients (D, anchors, K + 1, ...), tails and radii (D, anchors) at ``level``."""
-    reps = [bond(c, level).reps for c in seg]
-    return (np.array([[s.coeffs for s in r] for r in reps]),
-            np.array([[s.tail_bound for s in r] for r in reps]),
-            np.array([[s.radius for s in r] for r in reps]))
-
-
 def _element_mul(a: BHolElement, b: BHolElement) -> BHolElement:
     a, b = _align(a, b)
     return a._zip(b, series_multiply)
@@ -88,8 +80,8 @@ class _PiecewiseCurve:
 
     ``segments[i]`` holds the coefficient germs of the local polynomial in
     s = (t - t_i)/(t_{i+1} - t_i).  Construction bonds every coefficient to
-    the common ``level`` and stacks each segment once (``_stack_segment``);
-    every value is one left fold over those arrays, at the common level.
+    the common ``level`` and stacks the curve once (``germspace._stack``);
+    every value is one ``germspace._fold`` over a segment's arrays.
     """
 
     group: GermLieGroup
@@ -107,12 +99,11 @@ class _PiecewiseCurve:
             raise StructureError("breakpoints must be strictly increasing")
         if len(self.segments) != len(bp) - 1 or not all(self.segments):
             raise StructureError("one nonempty coefficient tuple per interval required")
-        if len({s.degree_bound for seg in self.segments for c in seg for s in c.reps}) > 1:
-            raise StructureError("curve coefficients must share one degree bound")
         level = max(c.level for seg in self.segments for c in seg)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "_stacks",
-                           tuple(_stack_segment(seg, level) for seg in self.segments))
+        stack = _stack(bond(c, level) for seg in self.segments for c in seg)
+        cuts = np.cumsum([len(seg) for seg in self.segments])[:-1]
+        object.__setattr__(self, "_stacks", tuple(zip(*(np.split(a, cuts) for a in stack))))
 
     def _locate(self, t: float) -> tuple:
         bp = self.breakpoints
@@ -122,25 +113,21 @@ class _PiecewiseCurve:
         s = (t - bp[i]) / (bp[i + 1] - bp[i])
         return i, min(max(s, 0.0), 1.0)
 
-    def _fold(self, i: int, s: float, derivative: bool = False) -> SeriesStack:
-        """Segment i's polynomial, or its t-derivative (folded from zero), at s."""
+    def _at(self, i: int, s: float, derivative: bool = False) -> SeriesStack:
+        """Segment i's polynomial, or its t-derivative (c_0 weighted 0), at s."""
         coeffs, tails, radii = self._stacks[i]
         if derivative:
             dt = self.breakpoints[i + 1] - self.breakpoints[i]
-            weights = [j * s ** (j - 1) / dt for j in range(1, len(coeffs))]
-            acc, tail = np.zeros_like(coeffs[0]), np.zeros_like(tails[0])
+            weights = [0.0] + [j * s ** (j - 1) / dt for j in range(1, len(coeffs))]
             radius = np.min(radii[1:], axis=0, initial=self.group.space.radius(self.level))
         else:
-            weights = [s ** j for j in range(1, len(coeffs))]
-            acc, tail, radius = coeffs[0], tails[0], radii.min(axis=0)
-        for c, tau, w in zip(coeffs[1:], tails[1:], weights):
-            w = complex(w)
-            acc = acc + c * w
-            tail = tail + abs(w) * tau
+            weights = [s ** j for j in range(len(coeffs))]
+            radius = radii.min(axis=0)
+        acc, tail = _fold(coeffs, tails, weights)
         return SeriesStack(acc, radius, tail)
 
     def _stack_at(self, t: float, derivative: bool = False) -> SeriesStack:
-        return self._fold(*self._locate(t), derivative)
+        return self._at(*self._locate(t), derivative)
 
     def _element(self, stack: SeriesStack) -> BHolElement:
         return _stack_element(self.group.space, self.level, stack)
@@ -169,7 +156,7 @@ class LieCurve(_PiecewiseCurve):
                     f"curve budget violated: segment majorant sum {total:.4g} > "
                     f"{self.budget:.4g}")
         for i in range(len(self.segments) - 1):
-            end, start = self._element(self._fold(i, 1.0)), self._element(self._fold(i + 1, 0.0))
+            end, start = self._element(self._at(i, 1.0)), self._element(self._at(i + 1, 0.0))
             if germ_distance(end, start) > CURVE_CONTINUITY_TOL:
                 raise StructureError(
                     f"curve discontinuous at breakpoint {self.breakpoints[i + 1]}")
@@ -188,15 +175,15 @@ class LieCurve(_PiecewiseCurve):
             raise StructureError("curves must share breakpoints")
         level = max(self.level, other.level)
         zero = self.group.zero(level)
-        w = complex(alpha)
         segs = []
         for sa, sb in zip(self.segments, other.segments):
             n = max(len(sa), len(sb))
-            ca, ta, ra = _stack_segment(list(sa) + [zero] * (n - len(sa)), level)
-            cb, tb, rb = _stack_segment(list(sb) + [zero] * (n - len(sb)), level)
+            coeffs, tails, radii = _stack(bond(c, level) for seg in (sa, sb)
+                                          for c in list(seg) + [zero] * (n - len(seg)))
+            acc, tail = _fold(coeffs.reshape((2, n) + coeffs.shape[1:]),
+                              tails.reshape(2, n, -1), [1.0, alpha])
             segs.append(tuple(_stack_element(self.group.space, level, SeriesStack(c, r, tau))
-                              for c, tau, r in zip(ca + cb * w, ta + abs(w) * tb,
-                                                   np.minimum(ra, rb))))
+                              for c, tau, r in zip(acc, tail, np.minimum(radii[:n], radii[n:]))))
         return LieCurve(self.group, self.breakpoints, tuple(segs),
                         budget if budget is not None else self.budget)
 
@@ -272,8 +259,8 @@ class GroupCurve(_PiecewiseCurve):
     def __post_init__(self):
         super().__post_init__()
         for i in range(len(self.segments)):
-            GermGroupElement(self._element(self._fold(i, 0.0)))
-            GermGroupElement(self._element(self._fold(i, 1.0)))
+            GermGroupElement(self._element(self._at(i, 0.0)))
+            GermGroupElement(self._element(self._at(i, 1.0)))
 
     def value(self, t: float) -> GermGroupElement:
         return GermGroupElement(self._element(self._stack_at(t)))
@@ -309,6 +296,8 @@ def fit_lie_curve(group: GermLieGroup, fn, n_segments: int = 8) -> LieCurve:
     (Lagrange solve in the monomial basis); analytic inputs converge at
     fourth order in the segment width.
     """
+    if n_segments < 1:
+        raise StructureError(f"need at least one segment, got {n_segments}")
     bp = tuple(i / n_segments for i in range(n_segments + 1))
     nodes = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
     vand_inv = np.linalg.inv(np.vander(nodes, 4, increasing=True))
@@ -316,13 +305,10 @@ def fit_lie_curve(group: GermLieGroup, fn, n_segments: int = 8) -> LieCurve:
     for i in range(n_segments):
         t0, t1 = bp[i], bp[i + 1]
         values = _align(*(fn(t0 + s * (t1 - t0)) for s in nodes))
-        coeffs = []
-        for row in vand_inv:
-            acc = values[0].scale(row[0])
-            for w, v in zip(row[1:], values[1:]):
-                acc = acc + v.scale(w)
-            coeffs.append(acc)
-        segments.append(tuple(coeffs))
+        coeffs, tails, radii = _stack(values)
+        segments.append(tuple(_stack_element(values[0].parent, values[0].level,
+                                             SeriesStack(c, radii.min(axis=0), tau))
+                              for c, tau in zip(*_fold(coeffs, tails, vand_inv))))
     return LieCurve(group, bp, tuple(segments))
 
 
@@ -359,9 +345,7 @@ def random_spline_curve(group: GermLieGroup, rng: np.random.Generator,
         coeffs = [c0] + [random_algebra_element(group, rng,
                                                 _SPLINE_AMP * rng.uniform(0.1, 0.5) / 3)
                          for _ in range(3)]
-        prev_end = coeffs[0]
-        for c in coeffs[1:]:
-            prev_end = prev_end + c
+        prev_end = sum(coeffs[1:], coeffs[0])
         segments.append(tuple(coeffs))
     return LieCurve(group, bp, tuple(segments))
 
@@ -401,7 +385,8 @@ def rk4_pointwise(curve: LieCurve, pts, steps: int) -> np.ndarray:
 
 def roundtrip_report(group: GermLieGroup, curve: LieCurve, steps: int = 128,
                      n_samples: int = 7) -> Report:
-    """delta^l recovers the curve along its own evolution, sampled in (0, 1)."""
+    """delta^l recovers the curve along its own evolution, sampled in (0, 1);
+    inconclusive, with ``extras["reason"]``, when no sample node is left."""
     tol = _ROUNDTRIP_TOL
     rep = Report(check="log_derivative_roundtrip",
                  params={"steps": steps, "n_samples": n_samples, "tol": tol})
@@ -422,6 +407,8 @@ def roundtrip_report(group: GermLieGroup, curve: LieCurve, steps: int = 128,
             rep.fail({"t": result.times[idx], "err": err})
     rep.trials = count
     rep.extras = {"worst_err": worst}
+    if not count:
+        return rep.inconclusive("no sample node clear of the breakpoints")
     rep.note_margin(tol - worst)
     return rep
 
@@ -466,7 +453,8 @@ def group_roundtrip_report(group: GermLieGroup, gcurve: GroupCurve) -> Report:
 
 
 def product_rule_report(group: GermLieGroup, ga: GroupCurve, gb: GroupCurve, ts) -> Report:
-    """delta^l(gamma eta) = AD(eta^{-1}) . delta^l gamma + delta^l eta at sampled t."""
+    """delta^l(gamma eta) = AD(eta^{-1}) . delta^l gamma + delta^l eta at sampled t;
+    inconclusive, with ``extras["reason"]``, for an empty ``ts``."""
     tol = _PRODUCT_RULE_TOL
     rep = Report(check="log_derivative_product_rule", params={"tol": tol})
     prod = ga.mul(gb)
@@ -482,6 +470,8 @@ def product_rule_report(group: GermLieGroup, ga: GroupCurve, gb: GroupCurve, ts)
         if err > tol:
             rep.fail({"t": t, "err": err})
     rep.extras = {"worst_err": worst}
+    if not rep.trials:
+        return rep.inconclusive("no sample times")
     rep.note_margin(tol - worst)
     return rep
 
@@ -522,9 +512,7 @@ def smoothness_report(group: GermLieGroup, curve: LieCurve, direction: LieCurve,
     rep.trials = len(orders)
     rep.extras = {"orders": orders, "diffs": diffs}
     if not orders:
-        rep.status = "inconclusive"
-        rep.extras["reason"] = "difference quotients at floating-point floor"
-        return rep
+        return rep.inconclusive("difference quotients at floating-point floor")
     lo, hi = _ORDER_WINDOW
     for o in orders:
         rep.note_margin(min(o - lo, hi - o))

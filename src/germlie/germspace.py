@@ -95,8 +95,9 @@ class GermSpace:
                 f"got {self.ratio}")
         if self.base_radius <= 0:
             raise StructureError("base radius must be positive")
-        if self.levels < 2:
-            raise StructureError("need at least two levels")
+        if self.levels < 2 or self.degree_bound < 0:
+            raise StructureError("need at least two levels and a nonnegative degree bound, got "
+                                 f"{self.levels} and {self.degree_bound}")
 
     def radius(self, level: int) -> float:
         if not 0 <= level < self.levels:
@@ -291,39 +292,63 @@ def factorize(space: GermSpace, f, level: int) -> BHolElement:
 # derivative sups and the family convergence estimate
 # ---------------------------------------------------------------------------
 
-def derivative_sups(family, normalized_radius: float | None = None) -> np.ndarray:
+def _stack(family) -> tuple:
+    """Coefficients ``(members, anchors, N+1) + shape``, tails and radii
+    ``(members, anchors)`` of d = 1 elements over one coefficient space and
+    degree bound N; :class:`StructureError` otherwise, as cutting members to
+    the lowest bound would drop their higher coefficients from every bound."""
+    family = list(family)
+    reps = [s for el in family for s in el.reps]
+    if not reps or reps[0].dim != 1 or \
+            len({(len(el.reps), s.degree_bound, s.space) for el in family for s in el.reps}) > 1:
+        raise StructureError("family must be nonempty and d = 1, its members sharing one "
+                             "degree bound, coefficient space and anchor count")
+    shape = (len(family), len(family[0].reps))
+    return (np.array([s.coeffs for s in reps]).reshape(shape + reps[0].coeffs.shape),
+            np.array([s.tail_bound for s in reps]).reshape(shape),
+            np.array([s.radius for s in reps]).reshape(shape))
+
+
+def _fold(coeffs, tails, weights) -> tuple:
+    """``sum_f weights[..., f] * coeffs[f]`` and tails ``sum_f |weights[..., f]| tails[f]``
+    for weights of shape ``(F,)`` or ``(T, F)``, folded left as ``scale`` and
+    ``+`` do, so each row equals that element to the bit; radii are the caller's."""
+    w = np.asarray(weights, dtype=complex).T
+    mag = np.abs(w)
+    if w.ndim > 1:  # (F,) weights stay scalars: a broadcast per term slows every curve value
+        mag = mag.reshape(mag.shape + (1,) * (tails.ndim - 1))
+        w = w.reshape(w.shape + (1,) * (coeffs.ndim - 1))
+    acc, tail = coeffs[0] * w[0], tails[0] * mag[0]
+    for f in range(1, len(coeffs)):
+        acc = acc + coeffs[f] * w[f]
+        tail = tail + tails[f] * mag[f]
+    return acc, tail
+
+
+def _sups(stack, space: CoefficientSpace, rho: float = 1.0) -> np.ndarray:
+    return np.max(space.norm(stack[0]) * rho ** np.arange(stack[0].shape[2]), axis=(0, 1))
+
+
+def derivative_sups(family, normalized_radius: float = 1.0) -> np.ndarray:
     """s_k = sup over the family and anchors of norm(c_k) (exact for d = 1).
 
     With ``normalized_radius`` = rho the coefficients are rescaled to
     ``norm(c_k) * rho^k``, i.e. read in the unit-ball coordinates of the
-    level whose radius is rho.
+    level whose radius is rho.  The members must share one degree bound.
     """
     family = list(family)
-    if not family:
-        raise StructureError("family must be nonempty")
-    n = min(min(s.degree_bound for s in el.reps) for el in family)
-    out = np.zeros(n + 1)
-    for el in family:
-        for s in el.reps:
-            norms = s.space.norm(s.coeffs[: n + 1]) if s.dim == 1 else None
-            if norms is None:
-                raise StructureError("derivative_sups is d = 1 only")
-            if normalized_radius is not None:
-                norms = norms * normalized_radius ** np.arange(n + 1)
-            out = np.maximum(out, norms)
-    return out
+    return _sups(_stack(family), family[0].parent.space, normalized_radius)
 
 
-def _family_tail_remainder(family, r_over_rho: float) -> float:
+def _family_tail_remainder(stack, q: float) -> float:
     """Certified bound for sum_{k > N} s_k * r^k coming from the tail bounds.
 
     A tail function bounded by tau on the radius-rho ball has k-th
     normalized coefficient at most tau (Cauchy estimate), so the remainder
-    is at most tau_max * q^{N+1} / (1 - q) with q = r / rho < 1.
+    is at most tau_max * q^{N+1} / (1 - q) with q = r / rho < 1, for the
+    ``_stack`` of a family.
     """
-    tau = max(max(s.tail_bound for s in el.reps) for el in family)
-    n = min(min(s.degree_bound for s in el.reps) for el in family)
-    q = r_over_rho
+    tau, n = float(np.max(stack[1])), stack[0].shape[2] - 1
     if q >= 1.0:
         return math.inf if tau > 0 else 0.0
     return tau * q ** (n + 1) / (1.0 - q)
@@ -342,16 +367,20 @@ def family_convergence_check(family, R: float, r: float,
 
     For ``r >= R/(2e)`` the estimate has no content; with ``enforce_ratio``
     the check raises :class:`BudgetError`, otherwise it evaluates the raw
-    inequality and reports the (expected) failure.
+    inequality and reports the (expected) failure.  ``R <= 0``, ``r < 0`` and
+    members with different degree bounds raise :class:`StructureError`.
     """
     family = list(family)
     params = {"R": R, "r": r, "family_size": len(family)}
+    if not (R > 0 and r >= 0):
+        raise StructureError(f"family convergence needs R > 0 and r >= 0, got R = {R}, r = {r}")
     if enforce_ratio and not r < R / (2.0 * math.e):
         raise BudgetError(
             f"family convergence estimate needs r < R/(2e) = {R / (2 * math.e):.6g}, got r = {r}")
-    s_k = derivative_sups(family)
+    stack = _stack(family)
+    s_k = _sups(stack, family[0].parent.space)
     lhs = float(np.sum(s_k * r ** np.arange(len(s_k))))
-    lhs_rem = _family_tail_remainder(family, r / R)
+    lhs_rem = _family_tail_remainder(stack, r / R)
     sup = max(el.sample_sup(sup_samples) for el in family)
     denom = R - 2.0 * math.e * r
     factor = R / denom if denom > 0 else -math.inf
@@ -376,51 +405,33 @@ def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
 
     The monomial extreme rays ((z - a)/rho_n)^k are included by default;
     they span the extreme rays of the unit majorant ball at fixed degree and
-    make the family sups s_k equal to the certified unit-ball values.
+    make the family sups s_k equal to the certified unit-ball values.  Each
+    random member draws, per anchor, a handful of degrees and one complex
+    Gaussian coefficient per distinct degree, in increasing degree order.
     """
-    rho = space.radius(level)
-    n = space.degree_bound
-    family = []
+    rho, n, cs = space.radius(level), space.degree_bound, space.space
+    coeffs = np.zeros((size, len(space.anchors), n + 1) + cs.shape, dtype=complex)
+    for row in coeffs.reshape((-1, n + 1) + cs.shape):
+        for k in sorted(set(rng.integers(0, n + 1, size=rng.integers(1, 5)).tolist())):
+            row[k] = (rng.standard_normal(cs.shape) + 1j * rng.standard_normal(cs.shape)) / rho**k
+    m = batch_norm_upper(cs.norm(coeffs), np.zeros(coeffs.shape[:2]), rho)
+    coeffs = coeffs[m > 0] * (1.0 / m[m > 0]).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     if include_monomials:
+        unit = cs.one() if cs.kind != "vector" else np.eye(cs.dim, dtype=complex)[0]
+        mono = np.zeros((n + 1,) + coeffs.shape[1:], dtype=complex)
         for k in range(n + 1):
-            coeff = space.space.one() if space.space.kind != "vector" else \
-                np.eye(space.space.dim, dtype=complex)[0]
-            per_anchor = [[(k, coeff / rho ** k)] for _ in space.anchors]
-            family.append(space.element_from_coeff_lists(per_anchor, level))
-    for _ in range(size):
-        per_anchor = []
-        for _a in space.anchors:
-            ks = rng.integers(0, n + 1, size=rng.integers(1, 5))
-            pairs = []
-            for k in sorted(set(int(k) for k in ks)):
-                raw = rng.standard_normal(space.space.shape or ()) + \
-                    1j * rng.standard_normal(space.space.shape or ())
-                pairs.append((k, raw / rho ** k))
-            per_anchor.append(pairs)
-        el = space.element_from_coeff_lists(per_anchor, level)
-        m = el.norm_upper
-        if m > 0:
-            family.append(el.scale(1.0 / m))
-    return family
+            mono[k, :, k] = unit / rho ** k
+        coeffs = np.concatenate([mono, coeffs])
+    return [BHolElement(space, level, tuple(
+        TruncatedSeries(a, n, c, rho, 0.0, cs, space.dim) for a, c in zip(space.anchors, el)))
+        for el in coeffs]
 
 
 def combine_family(family, weights) -> tuple:
-    """Coefficients and tails of ``sum_f weights[t, f] * family[f]`` for every row t.
-
-    ``family`` holds d = 1 elements of one level and degree bound and
-    ``weights`` has shape ``(T, len(family))``.  Returns coefficients of shape
-    ``(T, anchors, N+1) + space.shape`` and tails of shape ``(T, anchors)``.
-    The sum folds left over the family as ``scale`` and ``+`` on
-    :class:`BHolElement` do, so each row equals that element to the bit.
-    """
-    coeffs = np.stack([np.stack([s.coeffs for s in el.reps]) for el in family])
-    tails = np.array([[s.tail_bound for s in el.reps] for el in family])
-    w = weights.reshape(weights.shape + (1,) * (coeffs.ndim - 1))
-    acc, tail = coeffs[0] * w[:, 0], tails[0] * np.abs(weights[:, :1])
-    for f in range(1, len(family)):
-        acc = acc + coeffs[f] * w[:, f]
-        tail = tail + tails[f] * np.abs(weights[:, f:f + 1])
-    return acc, tail
+    """Coefficients ``(T, anchors, N+1) + space.shape`` and tails ``(T, anchors)``
+    of ``sum_f weights[t, f] * family[f]`` for weights ``(T, len(family))``,
+    each row equal to the ``scale``/``+`` fold to the bit (see ``_fold``)."""
+    return _fold(*_stack(family)[:2], weights)
 
 
 def batch_norm_upper(norms, tails, rho: float) -> np.ndarray:
@@ -467,10 +478,10 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
               "degree_bound": space.degree_bound}
     rep = Report(check="compact_regularity", params=params)
 
-    family = unit_majorant_family(space, n, rng, family_size)
+    stack = _stack(unit_majorant_family(space, n, rng, family_size))
     rho_n = space.radius(n)
-    s_k = derivative_sups(family, normalized_radius=rho_n)
-    tail_rem = _family_tail_remainder(family, r)  # normalized units: q = r
+    s_k = _sups(stack, space.space, rho_n)
+    tail_rem = _family_tail_remainder(stack, r)  # normalized units: q = r
     nmax = len(s_k) - 1
     powers = r ** np.arange(nmax + 1)
     k0 = None
@@ -480,17 +491,15 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
             k0 = cand
             break
     if k0 is None:
-        rep.status = "inconclusive"
-        rep.extras = {"reason": f"no k0 within degree bound {nmax}: tail stays above eps/2"}
-        return rep
+        return rep.inconclusive(f"no k0 within degree bound {nmax}: tail stays above eps/2")
     delta = (1.0 - 2.0 * math.e * r) * r ** k0 * eps / 2.0
     rep.extras = {"delta": delta, "k0": k0}
 
     rho_l = space.radius(ell)
-    draws = rng.standard_normal((trials, 2, len(family)))
+    draws = rng.standard_normal((trials, 2, len(stack[0])))
     weights = draws[:, 0] + 1j * draws[:, 1]
     weights /= np.sum(np.abs(weights), axis=1, keepdims=True)
-    coeffs, tails = combine_family(family, weights)
+    coeffs, tails = _fold(*stack[:2], weights)
     norms = space.space.norm(coeffs)
     maj_n = batch_norm_upper(norms, tails, rho_n)
     maj_l = batch_norm_upper(norms, tails, rho_l)
@@ -548,10 +557,13 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
     the generating polynomial on both pieces.  With ``incompatible`` the
     pieces get *different* polynomials: on overlapping covers the glue must
     flag the disagreement (an invalid input, not a library bug); disjoint
-    covers glue to the product structure and always succeed.
+    covers glue to the product structure and always succeed.  Spaces over
+    C^2 and negative ``trials`` raise :class:`StructureError`.
     """
     if space_a.space != space_b.space or space_a.dim != space_b.dim:
         raise StructureError("pieces must share the coefficient space")
+    if space_a.dim != 1 or trials < 0:
+        raise StructureError("union_glue_check needs d = 1 spaces and trials >= 0")
     params = {"level": level, "trials": trials, "incompatible": incompatible}
     rep = Report(check="union_glue", params=params, trials=trials)
     union_anchors = tuple(dict.fromkeys(space_a.anchors + space_b.anchors))
@@ -573,13 +585,8 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
         fa, fb = poly(ca), poly(cb)
         ea = factorize(space_a, fa, level)
         eb = factorize(space_b, fb, level)
-        glued_reps = []
-        for a in union_anchors:
-            if a in space_a.anchors:
-                glued_reps.append(ea.reps[space_a.anchors.index(a)])
-            else:
-                glued_reps.append(eb.reps[space_b.anchors.index(a)])
-        glued = BHolElement(union_space, level, glued_reps)
+        pieces = {**dict(zip(space_b.anchors, eb.reps)), **dict(zip(space_a.anchors, ea.reps))}
+        glued = BHolElement(union_space, level, tuple(pieces[a] for a in union_anchors))
         defect = glued.coherence_defect()
         if incompatible and not disjoint:
             if defect <= tol:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import BudgetError
+from .errors import BudgetError, StructureError
 from .series import matrix_space
 
 __all__ = [
@@ -55,7 +55,7 @@ def dynkin_words(order: int) -> tuple:
     dropped.
     """
     if order < 1:
-        raise ValueError("bch order must be >= 1")
+        raise StructureError("bch order must be >= 1")
     acc: dict[tuple, Fraction] = {}
 
     def extend(word: list, weight: int, n_blocks: int, denom: int):
@@ -186,11 +186,11 @@ class MatrixLieBackend:
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("matrix dimension must be positive")
+            raise StructureError("matrix dimension must be positive")
         if not 0 < self.bch_radius <= BCH_RADIUS + 1e-15:
-            raise ValueError(f"bch_radius must lie in (0, ln 2], got {self.bch_radius}")
+            raise StructureError(f"bch_radius must lie in (0, ln 2], got {self.bch_radius}")
         if self.bch_order < 1:
-            raise ValueError("bch_order must be >= 1")
+            raise StructureError("bch_order must be >= 1")
 
     @property
     def space(self):

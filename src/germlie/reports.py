@@ -32,6 +32,12 @@ class Report:
         self.failures.append(detail)
         self.status = "fail"
 
+    def inconclusive(self, reason: str) -> "Report":
+        """Mark the check undecided, with ``reason`` in its extras."""
+        self.status = "inconclusive"
+        self.extras["reason"] = reason
+        return self
+
     def note_margin(self, margin: float):
         """Track the smallest (worst) margin seen across trials."""
         if self.worst_margin is None or margin < self.worst_margin:

@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from germlie.cli import _config_dict, build_parser
 from germlie.reports import Report
 
 
@@ -73,6 +76,21 @@ class TestExitCodes:
                       "--out", str(tmp_path / "r"))
         assert res.returncode == 2
         assert "nonnegative" in res.stderr
+
+    @pytest.mark.parametrize("suite, option, value", [
+        ("lie-local", "--bch-order", "0"),
+        ("germ-space", "--degree", "-1"),
+    ])
+    def test_out_of_range_option_is_config_error(self, tmp_path, suite, option, value):
+        res = run_cli("--suite", suite, option, value, "--trials", "8",
+                      "--out", str(tmp_path / "r"))
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr and "Traceback" not in res.stderr
+
+    def test_config_echoes_every_option_but_out(self):
+        parser = build_parser()
+        config = _config_dict(parser.parse_args(["--suite", "germ-space", "--out", "x"]))
+        assert set(config) == {a.dest for a in parser._actions} - {"help", "out"}
 
     def test_unknown_suite_is_usage_error(self, tmp_path):
         res = run_cli("--suite", "nope", "--out", str(tmp_path / "r"))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -238,6 +240,18 @@ class TestGroupCurve:
             assert_identical(gc.value(t).element, reference_value(gc, t), gc.level)
             assert_identical(gc.derivative(t), reference_derivative(gc, t), gc.level)
 
+    def test_spline_folds_match_reference_fold(self, germ_group):
+        # random splines, and group curves 1 + spline, value and derivative
+        for seed in range(4):
+            spline = random_spline_curve(germ_group, np.random.default_rng(seed), n_segments=3)
+            ident = germ_group.identity(spline.level).element
+            gc = GroupCurve(germ_group, spline.breakpoints,
+                            tuple((ident + seg[0],) + seg[1:] for seg in spline.segments))
+            for t in np.linspace(0.0, 1.0, 23):
+                assert_identical(spline.value(t), reference_value(spline, t), spline.level)
+                assert_identical(gc.value(t).element, reference_value(gc, t), gc.level)
+                assert_identical(gc.derivative(t), reference_derivative(gc, t), gc.level)
+
     def test_breakpoints_validated(self, germ_group):
         ident = germ_group.identity(1).element
         with pytest.raises(StructureError):
@@ -301,6 +315,14 @@ class TestLogDerivative:
         assert rep.passed
         assert rep.extras["worst_err"] < 1e-8
 
+    def test_no_samples_is_inconclusive(self, germ_group, rng):
+        curve = random_spline_curve(germ_group, rng)
+        gc = GroupCurve(germ_group, (0.0, 1.0), ((germ_group.identity(1).element,),))
+        for rep in (roundtrip_report(germ_group, curve, steps=16, n_samples=0),
+                    product_rule_report(germ_group, gc, gc, ts=[])):
+            assert rep.status == "inconclusive" and rep.trials == 0
+            assert rep.extras["reason"] and rep.worst_margin is None
+
     def test_product_rule_counts_generator_samples(self, germ_group, rng):
         ident = germ_group.identity(1).element
         ga = GroupCurve(germ_group, (0.0, 1.0),
@@ -322,6 +344,31 @@ class TestFit:
         fitted = fit_lie_curve(germ_group, fn, n_segments=2)
         for t in (0.1, 0.37, 0.77):
             assert germ_distance(fitted.value(t), fn(t)) < 1e-13
+
+    def test_coefficients_match_reference_fold(self, germ_group, rng):
+        # the Lagrange solve as scale and + over the node values, levels mixed
+        nodes = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
+        vand_inv = np.linalg.inv(np.vander(nodes, 4, increasing=True))
+        coeffs = [random_algebra_element(germ_group, rng, 0.05) for _ in range(3)]
+
+        def fn(t):
+            out = coeffs[0].scale(math.cos(t)) + coeffs[1].scale(t * t) + coeffs[2]
+            return bond(out, 2) if t > 0.5 else out
+
+        fitted = fit_lie_curve(germ_group, fn, n_segments=3)
+        for i, seg in enumerate(fitted.segments):
+            t0, t1 = fitted.breakpoints[i], fitted.breakpoints[i + 1]
+            values = [fn(t0 + s * (t1 - t0)) for s in nodes]
+            for got, row in zip(seg, vand_inv):
+                want = reference_fold(values[0].scale(row[0]), list(zip(values[1:], row[1:])))
+                assert_identical(got, want, want.level)
+
+    def test_needs_a_segment(self, germ_group):
+        def fn(t):
+            raise AssertionError("fn called")
+
+        with pytest.raises(StructureError, match="segment"):
+            fit_lie_curve(germ_group, fn, 0)
 
 
 class TestSmoothness:

@@ -8,7 +8,6 @@ from germlie.errors import BudgetError, EvaluationError, StructureError
 from germlie.germspace import (
     BHolElement,
     GermSpace,
-    _family_tail_remainder,
     bond,
     compact_regularity_check,
     derivative_sups,
@@ -33,6 +32,10 @@ class TestGermSpaceStructure:
             GermSpace(anchors=(0.0,), ratio=0.2)
         with pytest.raises(BudgetError):
             GermSpace(anchors=(0.0,), ratio=RATIO_CEILING)
+
+    def test_negative_degree_bound_rejected(self):
+        with pytest.raises(StructureError, match="degree bound"):
+            GermSpace(anchors=(0.0,), degree_bound=-1)
 
     def test_seminorm_scaling(self, scalar_germspace):
         # p_n = r * p_{n+1} exactly for the geometric radii
@@ -145,6 +148,14 @@ class TestDerivativeSups:
         with pytest.raises(StructureError):
             derivative_sups([])
 
+    def test_mixed_degree_bounds_rejected(self):
+        # c_8 of the degree-12 member fits neither s_0..s_4 nor any tail
+        high = GermSpace(anchors=(0.0,), levels=4).element_from_coeff_lists([[(8, 1.0)]], 0)
+        low = GermSpace(anchors=(0.0,), levels=4, degree_bound=4).zero_element(0)
+        for check in (derivative_sups, lambda fam: family_convergence_check(fam, 1.0, 0.1)):
+            with pytest.raises(StructureError, match="degree bound"):
+                check([high, low])
+
 
 class TestFamilyConvergence:
     def test_constant_family(self, scalar_germspace):
@@ -177,6 +188,13 @@ class TestFamilyConvergence:
         with pytest.raises(BudgetError):
             family_convergence_check(fam, R=1.0, r=0.25)
 
+    @pytest.mark.parametrize("R, r", [(0.0, 0.1), (1.0, -0.1)])
+    def test_radii_out_of_range_rejected(self, scalar_germspace, R, r):
+        # r < 0 used to fail a valid family with a negative "certified" remainder
+        el = scalar_germspace.constant_element(0.5, 0)
+        with pytest.raises(StructureError, match="R > 0 and r >= 0"):
+            family_convergence_check([el], R=R, r=r, enforce_ratio=False)
+
     def test_negative_control_fails_beyond_budget(self):
         # geometric coefficient growth at rate 1/r with r past the budget
         sp = GermSpace(anchors=(0.0,), base_radius=1.0, ratio=0.1, levels=4)
@@ -185,6 +203,54 @@ class TestFamilyConvergence:
         el = sp.element_from_coeff_lists(pairs, 0)
         rep = family_convergence_check([el], R=1.0, r=r_bad, enforce_ratio=False)
         assert not rep.passed
+
+
+def reference_unit_majorant_family(space, level, rng, size=64, include_monomials=True):
+    """unit_majorant_family one member at a time, through ``from_coeff_list``,
+    ``norm_upper`` and ``scale``."""
+    rho = space.radius(level)
+    n = space.degree_bound
+    family = []
+    if include_monomials:
+        for k in range(n + 1):
+            coeff = space.space.one() if space.space.kind != "vector" else \
+                np.eye(space.space.dim, dtype=complex)[0]
+            per_anchor = [[(k, coeff / rho ** k)] for _ in space.anchors]
+            family.append(space.element_from_coeff_lists(per_anchor, level))
+    for _ in range(size):
+        per_anchor = []
+        for _a in space.anchors:
+            ks = rng.integers(0, n + 1, size=rng.integers(1, 5))
+            pairs = []
+            for k in sorted(set(int(k) for k in ks)):
+                raw = rng.standard_normal(space.space.shape or ()) + \
+                    1j * rng.standard_normal(space.space.shape or ())
+                pairs.append((k, raw / rho ** k))
+            per_anchor.append(pairs)
+        el = space.element_from_coeff_lists(per_anchor, level)
+        m = el.norm_upper
+        if m > 0:
+            family.append(el.scale(1.0 / m))
+    return family
+
+
+class TestUnitMajorantFamily:
+    @pytest.mark.parametrize("include_monomials", [True, False])
+    @pytest.mark.parametrize("space", [scalar_space(), matrix_space(2), vector_space(3)],
+                             ids=["scalar", "matrix2", "vector3"])
+    def test_matches_per_member_reference(self, space, include_monomials):
+        sp = GermSpace(anchors=(0.0, 0.4 + 0.1j), ratio=0.1, levels=6, space=space)
+        for seed in range(5):
+            rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = reference_unit_majorant_family(sp, 1, rng_ref, 16, include_monomials)
+            got = unit_majorant_family(sp, 1, rng, 16, include_monomials)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            assert len(got) == len(want)
+            for x, y in zip(got, want):
+                assert x.level == y.level == 1
+                for a, b in zip(x.reps, y.reps):
+                    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+                    assert (a.anchor, a.radius, a.tail_bound) == (b.anchor, b.radius, b.tail_bound)
 
 
 class TestCompactRegularity:
@@ -238,7 +304,8 @@ def reference_compact_regularity(space, n, ell, eps, trials, rng, family_size=64
     family = unit_majorant_family(space, n, rng, family_size)
     rho_n = space.radius(n)
     s_k = derivative_sups(family, normalized_radius=rho_n)
-    tail_rem = _family_tail_remainder(family, r)
+    tau = max(s.tail_bound for el in family for s in el.reps)
+    tail_rem = tau * r ** (space.degree_bound + 1) / (1.0 - r)  # Cauchy estimate, q = r
     nmax = len(s_k) - 1
     powers = r ** np.arange(nmax + 1)
     k0 = None
@@ -329,6 +396,15 @@ class TestUnionGlue:
         b = GermSpace(anchors=(0.5,), base_radius=1.0, ratio=0.1, levels=4)
         rep = union_glue_check(a, b, 1, rng, trials=10, tol=1e-10)
         assert rep.passed
+
+    @pytest.mark.parametrize("dim, trials", [(2, 5), (1, -3)])
+    def test_invalid_input_rejected_before_drawing(self, rng, dim, trials):
+        anchors = ((0.0, 0.0),) if dim == 2 else (0.0,)
+        sp = GermSpace(anchors=anchors, ratio=0.1, levels=4, degree_bound=4, dim=dim)
+        state = rng.bit_generator.state
+        with pytest.raises(StructureError):
+            union_glue_check(sp, sp, 1, rng, trials=trials)
+        assert rng.bit_generator.state == state
 
     def test_incompatible_inputs_flagged(self, rng):
         a = GermSpace(anchors=(0.0,), base_radius=1.0, ratio=0.1, levels=4)

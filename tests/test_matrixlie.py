@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from germlie.errors import BudgetError
+from germlie.errors import BudgetError, StructureError
 from germlie.matrixlie import (
     MatrixLieBackend,
     bch_remainder_bound,
@@ -192,3 +192,7 @@ class TestNormAndRemainder:
     def test_radius_cap(self):
         with pytest.raises(ValueError):
             MatrixLieBackend(2, 8, bch_radius=1.0)
+
+    def test_invalid_order_is_structure_error(self):
+        with pytest.raises(StructureError, match="bch_order"):
+            MatrixLieBackend(2, 0)
