@@ -60,6 +60,11 @@ __all__ = [
 EVOL_BUDGET = 0.5 * math.log(2.0)  # admissible curve values per segment
 CURVE_CONTINUITY_TOL = 1e-12
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+# evol steps per batched block: a stacked step holds about 35 KiB of node-value
+# and bracket (Toeplitz) temporaries, so a block caps them near 0.6 MiB for any
+# step count; one stack over the 128 steps of a doubled 64-step run holds
+# 4.4 MiB, past the 5 % peak_rss_mb bound of the evolution benchmark
+_STEP_BLOCK = 16
 _SPLINE_AMP = 0.15  # majorant scale of random_spline_curve's start values
 _SMOOTHNESS_SCALES = (0.1, 0.05, 0.025)  # difference steps s of smoothness_report
 _ORDER_WINDOW = (1.9, 2.1)  # orders smoothness_report accepts
@@ -128,6 +133,22 @@ class _PiecewiseCurve:
 
     def _stack_at(self, t: float, derivative: bool = False) -> SeriesStack:
         return self._at(*self._locate(t), derivative)
+
+    def _values(self, ts) -> SeriesStack:
+        """The values at all ``ts`` as one stack, one ``_fold`` per segment;
+        row ``t * anchors + a`` equals ``_stack_at(ts[t])`` row ``a`` to the bit."""
+        located = [self._locate(t) for t in ts]
+        first = self._stacks[0][0]  # (F, anchors, K, m, m)
+        acc = np.empty((len(ts),) + first.shape[1:], dtype=complex)
+        tail, radius = np.empty((2, len(ts), first.shape[1]))
+        for i, (coeffs, tails, radii) in enumerate(self._stacks):
+            rows = [r for r, (seg, _) in enumerate(located) if seg == i]
+            if rows:
+                weights = [[located[r][1] ** j for j in range(len(coeffs))] for r in rows]
+                acc[rows], tail[rows] = _fold(coeffs, tails, weights)
+                radius[rows] = radii.min(axis=0)
+        flat = (-1,) + acc.shape[2:]
+        return SeriesStack(acc.reshape(flat), radius.reshape(-1), tail.reshape(-1))
 
     def _element(self, stack: SeriesStack) -> BHolElement:
         return _stack_element(self.group.space, self.level, stack)
@@ -203,9 +224,12 @@ def evol(curve: LieCurve, steps: int = 64, error_estimate: bool = True,
          keep_trajectory: bool = True) -> EvolutionResult:
     """Product-integral evolution of ``curve`` with ``steps`` uniform steps.
 
-    The error estimate is the coefficientwise endpoint drift against the run
-    with doubled steps.  The endpoint tails leave out the step error, so they
-    do not bound the distance to the exact evolution.  A value whose majorant
+    The Gauss-node values, the budget check and the step generators Omega_i
+    are batched over blocks of 16 steps; each step's exponential and the
+    product chain eta <- eta . exp(Omega_i) run step by step (see
+    ``_evol_run``).  The error estimate is the coefficientwise endpoint
+    drift against the run with doubled steps.  The endpoint tails leave out
+    the step error, so they do not bound the distance to the exact evolution.  A value whose majorant
     leaves the curve budget mid-integration raises :class:`BudgetError`
     naming the offending t.
     """
@@ -221,25 +245,39 @@ def evol(curve: LieCurve, steps: int = 64, error_estimate: bool = True,
 
 
 def _evol_run(curve: LieCurve, steps: int, keep: bool):
+    """One product integral in blocks of ``_STEP_BLOCK`` steps.
+
+    Per block, the Gauss-node values (``_values``), the budget check and the
+    step generators Omega_i are each one stack operation over all the
+    block's steps, as none depends on eta.  Each step then takes one
+    ``SeriesStack.exp`` of its own rows and one product in the serial chain
+    eta <- eta . exp(Omega_i).  The kernels are row-independent, so every
+    step equals its unbatched evaluation to the bit, and a budget violation
+    names the first offending step.
+    """
     eta = SeriesStack.from_series(curve.group.identity(curve.level).element.reps)
     snaps = [eta] if keep else []
-    times = [0.0]
+    anchors = len(eta.tail)
     dt = 1.0 / steps
     budget = curve.budget
-    for i in range(steps):
-        tm = i * dt + 0.5 * dt
-        g1, g2 = (curve._stack_at(tm + k * _GAUSS_OFFSET * dt) for k in (-1.0, 1.0))
-        worst = float(np.max(np.maximum(g1.majorant(), g2.majorant())))
-        if worst > budget * (1 + 1e-9):
-            raise BudgetError(f"evolution budget violated at t = {tm:.6g}: "
-                              f"majorant {worst:.4g} > {budget:.4g}")
+    for start in range(0, steps, _STEP_BLOCK):
+        tm = [i * dt + 0.5 * dt for i in range(start, min(start + _STEP_BLOCK, steps))]
+        g1, g2 = (curve._values([t + k * _GAUSS_OFFSET * dt for t in tm]) for k in (-1.0, 1.0))
+        worst = np.max(np.maximum(g1.majorant(), g2.majorant()).reshape(len(tm), anchors), axis=1)
+        over = np.flatnonzero(worst > budget * (1 + 1e-9))
+        if over.size:
+            raise BudgetError(f"evolution budget violated at t = {tm[over[0]]:.6g}: "
+                              f"majorant {worst[over[0]]:.4g} > {budget:.4g}")
         omega = g1.add(g2).scale(0.5 * dt).add(
             g1.bracket(g2).scale(math.sqrt(3.0) / 12.0 * dt * dt))
-        eta = eta.mul(omega.exp())
-        times.append((i + 1) * dt)
-        if keep:
-            snaps.append(eta)
-    return GermGroupElement(curve._element(eta)), tuple(times), snaps
+        for r in range(0, len(omega.tail), anchors):
+            rows = slice(r, r + anchors)
+            eta = eta.mul(SeriesStack(omega.coeffs[rows], omega.radius[rows],
+                                      omega.tail[rows]).exp())
+            if keep:
+                snaps.append(eta)
+    times = tuple(i * dt for i in range(steps + 1))
+    return GermGroupElement(curve._element(eta)), times, snaps
 
 
 # ---------------------------------------------------------------------------

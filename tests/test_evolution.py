@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.linalg
 from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, StructureError
 from germlie.evolution import (
+    _GAUSS_OFFSET,
     EVOL_BUDGET,
     GroupCurve,
     LieCurve,
@@ -119,6 +121,23 @@ class TestLieCurve:
             for t in np.linspace(0.0, 1.0, 37):
                 assert_identical(got.value(t), reference_value(want, t), want.level)
 
+    def test_values_match_stack_at_row_for_row(self, germ_group, rng):
+        dt = 1.0 / 64
+        gauss = [tm + k * _GAUSS_OFFSET * dt for tm in (0.5 * dt, 63 * dt + 0.5 * dt)
+                 for k in (-1.0, 1.0)]
+        for n_segments in (2, 3):
+            curve = random_spline_curve(germ_group, rng, n_segments)
+            ts = [*curve.breakpoints, *gauss, *rng.uniform(0.0, 1.0, 5)]
+            got = curve._values(ts)
+            anchors = len(curve._stack_at(0.0).tail)
+            assert got.coeffs.shape[0] == len(ts) * anchors
+            for r, t in enumerate(ts):
+                want = curve._stack_at(t)
+                rows = slice(r * anchors, (r + 1) * anchors)
+                assert np.array_equal(got.coeffs[rows], want.coeffs)
+                assert np.array_equal(got.tail[rows], want.tail)
+                assert np.array_equal(got.radius[rows], want.radius)
+
     def test_value_evaluates_local_polynomial(self, germ_group, rng):
         xi = random_algebra_element(germ_group, rng, 0.1)
         eta = random_algebra_element(germ_group, rng, 0.05)
@@ -172,11 +191,36 @@ class TestEvol:
     def test_endpoint_matches_reference_fold(self, germ_group, rng, monkeypatch):
         curve = random_spline_curve(germ_group, rng)
         got = evol(curve, 16)
-        monkeypatch.setattr(LieCurve, "_stack_at", lambda self, t: SeriesStack.from_series(
-            bond(reference_value(self, t), self.level).reps))
+        nodes = []
+
+        def reference_values(self, ts):
+            nodes.extend(ts)
+            return SeriesStack.from_series([s for t in ts
+                                            for s in bond(reference_value(self, t),
+                                                          self.level).reps])
+
+        monkeypatch.setattr(LieCurve, "_values", reference_values)
         want = evol(curve, 16)
+        assert len(nodes) == 2 * (16 + 32)  # two Gauss nodes per step, step doubling
         assert_identical(got.endpoint.element, want.endpoint.element, curve.level)
+        for a, b in zip(got.trajectory, want.trajectory):
+            assert_identical(a.element, b.element, curve.level)
         assert got.error_estimate == want.error_estimate
+
+    def test_one_exponential_per_step(self, germ_group, rng, monkeypatch):
+        # 40 steps span blocks of 16, 16 and 8, the doubled run five full blocks
+        curve = random_spline_curve(germ_group, rng)
+        rows = []
+        exp = SeriesStack.exp
+
+        def counted(self):
+            rows.append(len(self.tail))
+            return exp(self)
+
+        monkeypatch.setattr(SeriesStack, "exp", counted)
+        evol(curve, 40)
+        anchors = len(germ_group.space.anchors)
+        assert rows == [anchors] * (40 + 80)
 
     def test_rk4_oracle_on_constant_curve_is_expm(self, germ_group, rng):
         xi = random_algebra_element(germ_group, rng, 0.3)
@@ -194,6 +238,30 @@ class TestEvol:
         object.__setattr__(curve, "budget", 1e-9)  # simulate stale certificate
         with pytest.raises(BudgetError, match="t ="):
             evol(curve, 8)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2, "t = 0.414062: majorant 0.08052 > 0.08003"),
+        (3, "t = 0.476562: majorant 0.07382 > 0.0727"),
+        (5, "t = 0.460938: majorant 0.1312 > 0.1312"),
+    ])
+    def test_budget_error_in_a_later_block_names_first_t(self, germ_group, seed, message):
+        curve = random_spline_curve(germ_group, np.random.default_rng(seed))
+        budget = np.quantile([np.max(curve._stack_at(t).majorant())
+                              for t in np.linspace(0.0, 1.0, 65)], 0.6)
+        object.__setattr__(curve, "budget", float(budget))
+        with pytest.raises(BudgetError,
+                           match="^" + re.escape("evolution budget violated at " + message) + "$"):
+            evol(curve, 64)
+
+    def test_budget_error_for_a_single_offending_step(self, germ_group):
+        curve = random_spline_curve(germ_group, np.random.default_rng(2))
+        dt = 1.0 / 64
+        tms = [i * dt + 0.5 * dt for i in range(64)]
+        worst = [max(np.max(curve._stack_at(tm + k * _GAUSS_OFFSET * dt).majorant())
+                     for k in (-1.0, 1.0)) for tm in tms]
+        object.__setattr__(curve, "budget", float(sorted(worst)[-2]))
+        with pytest.raises(BudgetError, match=f"t = {tms[int(np.argmax(worst))]:.6g}:"):
+            evol(curve, 64)
 
     def test_reparametrization_invariance(self, germ_group, rng):
         # curve supported on [0, 1/2] vs its affine reparametrization
