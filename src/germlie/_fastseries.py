@@ -53,6 +53,10 @@ class SeriesStack:
             for i, a in enumerate(anchors)
         ]
 
+    def rows(self, index) -> "SeriesStack":
+        """The stack of the rows ``index`` selects (a slice or an index array)."""
+        return SeriesStack(self.coeffs[index], self.radius[index], self.tail[index])
+
     # -- norms -----------------------------------------------------------------
 
     def norms(self) -> np.ndarray:

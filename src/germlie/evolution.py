@@ -14,7 +14,10 @@ with g1, g2 the curve values at the two Gauss nodes of the step, so the
 approximation never leaves the group.  The endpoint is ``evol(gamma) =
 eta(1)``; step doubling provides the error estimate.  The endpoint tails
 carry the series arithmetic only, not the step error of the integrator, so
-evolution output is not certified.
+evolution output is not certified.  Curves of one group can evolve in
+lockstep: each step then exponentiates every curve's step generator in one
+stack and advances every chain with one product, and each endpoint equals
+its own run to the bit; ``smoothness_report`` evolves its seven curves so.
 
 ``log_derivative`` inverts the direction: for a differentiable group-valued
 curve it computes gamma(t)^{-1} . gamma'(t) segmentwise by series inversion
@@ -61,13 +64,18 @@ EVOL_BUDGET = 0.5 * math.log(2.0)  # admissible curve values per segment
 CURVE_CONTINUITY_TOL = 1e-12
 _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # evol steps per batched block: a stacked step holds about 35 KiB of node-value
-# and bracket (Toeplitz) temporaries, so a block caps them near 0.6 MiB for any
-# step count; one stack over the 128 steps of a doubled 64-step run holds
-# 4.4 MiB, past the 5 % peak_rss_mb bound of the evolution benchmark
+# and bracket (Toeplitz) temporaries per curve, so a block caps them near
+# 0.6 MiB for any step count; one stack over the 128 steps of a doubled 64-step
+# run holds 4.4 MiB, past the 5 % peak_rss_mb bound of the evolution benchmark.
+# A block keeps the Omega rows of all C lockstep curves (0.8 KiB a row, twice
+# while reordered step by step): 0.4 MiB for smoothness_report's C = 7
 _STEP_BLOCK = 16
 _SPLINE_AMP = 0.15  # majorant scale of random_spline_curve's start values
 _SMOOTHNESS_SCALES = (0.1, 0.05, 0.025)  # difference steps s of smoothness_report
 _ORDER_WINDOW = (1.9, 2.1)  # orders smoothness_report accepts
+# smoothness_report's difference-quotient changes at or below this are rounding
+# noise: exactly linear charts give 1e-14 to 2.6e-13, random splines 1.3e-10 up
+_ROUNDING_FLOOR = 1e-12
 _ROUNDTRIP_TOL = 1e-6  # germ distance the two round-trip reports accept
 _PRODUCT_RULE_TOL = 1e-8  # germ distance product_rule_report accepts
 _GROUP_ROUNDTRIP_STEPS = 128  # evol steps of group_roundtrip_report
@@ -110,13 +118,22 @@ class _PiecewiseCurve:
         cuts = np.cumsum([len(seg) for seg in self.segments])[:-1]
         object.__setattr__(self, "_stacks", tuple(zip(*(np.split(a, cuts) for a in stack))))
 
+    def _locate_all(self, ts) -> tuple:
+        """Segment indices and local parameters s of all ``ts``, located by one
+        ``searchsorted``; :class:`StructureError` names the first t outside [0, 1]."""
+        t = np.asarray(ts, dtype=float)
+        outside = np.flatnonzero(~((t >= -1e-12) & (t <= 1.0 + 1e-12)))
+        if outside.size:
+            raise StructureError(f"curve parameter {ts[outside[0]]} outside [0, 1]")
+        bp = np.asarray(self.breakpoints)
+        seg = np.minimum(np.maximum(np.searchsorted(bp, t, side="right") - 1, 0),
+                         len(self.segments) - 1)
+        s = np.minimum(np.maximum((t - bp[seg]) / (bp[seg + 1] - bp[seg]), 0.0), 1.0)
+        return seg, s.tolist()
+
     def _locate(self, t: float) -> tuple:
-        bp = self.breakpoints
-        if not -1e-12 <= t <= 1.0 + 1e-12:
-            raise StructureError(f"curve parameter {t} outside [0, 1]")
-        i = min(max(np.searchsorted(bp, t, side="right") - 1, 0), len(self.segments) - 1)
-        s = (t - bp[i]) / (bp[i + 1] - bp[i])
-        return i, min(max(s, 0.0), 1.0)
+        seg, s = self._locate_all([t])
+        return int(seg[0]), s[0]
 
     def _at(self, i: int, s: float, derivative: bool = False) -> SeriesStack:
         """Segment i's polynomial, or its t-derivative (c_0 weighted 0), at s."""
@@ -137,14 +154,14 @@ class _PiecewiseCurve:
     def _values(self, ts) -> SeriesStack:
         """The values at all ``ts`` as one stack, one ``_fold`` per segment;
         row ``t * anchors + a`` equals ``_stack_at(ts[t])`` row ``a`` to the bit."""
-        located = [self._locate(t) for t in ts]
+        seg, s = self._locate_all(ts)  # floats: numpy's array power may round s ** j otherwise
         first = self._stacks[0][0]  # (F, anchors, K, m, m)
         acc = np.empty((len(ts),) + first.shape[1:], dtype=complex)
         tail, radius = np.empty((2, len(ts), first.shape[1]))
         for i, (coeffs, tails, radii) in enumerate(self._stacks):
-            rows = [r for r, (seg, _) in enumerate(located) if seg == i]
-            if rows:
-                weights = [[located[r][1] ** j for j in range(len(coeffs))] for r in rows]
+            rows = np.flatnonzero(seg == i)
+            if rows.size:
+                weights = [[s[r] ** j for j in range(len(coeffs))] for r in rows]
                 acc[rows], tail[rows] = _fold(coeffs, tails, weights)
                 radius[rows] = radii.min(axis=0)
         flat = (-1,) + acc.shape[2:]
@@ -224,60 +241,84 @@ def evol(curve: LieCurve, steps: int = 64, error_estimate: bool = True,
          keep_trajectory: bool = True) -> EvolutionResult:
     """Product-integral evolution of ``curve`` with ``steps`` uniform steps.
 
-    The Gauss-node values, the budget check and the step generators Omega_i
-    are batched over blocks of 16 steps; each step's exponential and the
-    product chain eta <- eta . exp(Omega_i) run step by step (see
-    ``_evol_run``).  The error estimate is the coefficientwise endpoint
+    ``_evol_run`` on this one curve: the Gauss-node values, the budget check
+    and the step generators Omega_i are batched over blocks of 16 steps;
+    each step's exponential and the product chain eta <- eta . exp(Omega_i)
+    run step by step.  The error estimate is the coefficientwise endpoint
     drift against the run with doubled steps.  The endpoint tails leave out
-    the step error, so they do not bound the distance to the exact evolution.  A value whose majorant
-    leaves the curve budget mid-integration raises :class:`BudgetError`
-    naming the offending t.
+    the step error, so they do not bound the distance to the exact
+    evolution.  A value whose majorant leaves the curve budget
+    mid-integration raises :class:`BudgetError` naming the offending t.
     """
-    if steps < 4:
-        raise StructureError("steps must be at least 4")
-    endpoint, times, snaps = _evol_run(curve, steps, keep_trajectory)
+    (endpoint,), times, snaps = _evol_run((curve,), steps, keep_trajectory)
     est = None
     if error_estimate:
-        endpoint2, _, _ = _evol_run(curve, 2 * steps, False)
+        (endpoint2,), _, _ = _evol_run((curve,), 2 * steps, False)
         est = germ_distance(endpoint.element, endpoint2.element)
     traj = tuple(GermGroupElement(curve._element(s)) for s in snaps) if keep_trajectory else ()
     return EvolutionResult(endpoint, times, traj, steps, est)
 
 
-def _evol_run(curve: LieCurve, steps: int, keep: bool):
-    """One product integral in blocks of ``_STEP_BLOCK`` steps.
+def _evol_run(curves: tuple, steps: int, keep: bool):
+    """The product integrals of ``curves`` (of one group) in lockstep, in
+    blocks of ``_STEP_BLOCK`` steps.
 
-    Per block, the Gauss-node values (``_values``), the budget check and the
-    step generators Omega_i are each one stack operation over all the
-    block's steps, as none depends on eta.  Each step then takes one
-    ``SeriesStack.exp`` of its own rows and one product in the serial chain
-    eta <- eta . exp(Omega_i).  The kernels are row-independent, so every
-    step equals its unbatched evaluation to the bit, and a budget violation
-    names the first offending step.
+    Per block and curve, the Gauss-node values (``_values``), the budget
+    check and the step generators Omega_i are each one stack operation over
+    the block's steps, as none depends on eta.  Each step then takes one
+    ``SeriesStack.exp`` of that step's rows of every curve and one product
+    in the chain eta <- eta . exp(Omega_i), on a (curves * anchors)-row stack.
+    The kernels are row-independent and every row keeps its own radius and
+    exp order, so each endpoint equals its single-curve run, and each step
+    its unbatched evaluation, to the bit.  A budget violation names the first
+    offending t of any curve.  Returns the endpoints in curve order, the
+    times and, with ``keep``, eta (all curves' rows) at every node.
     """
-    eta = SeriesStack.from_series(curve.group.identity(curve.level).element.reps)
+    if steps < 4:
+        raise StructureError("steps must be at least 4")
+    eta = _step_major([SeriesStack.from_series(c.group.identity(c.level).element.reps)
+                       for c in curves], 1)
+    width = len(eta.tail)  # rows per step: every curve's anchors
+    anchors = width // len(curves)
     snaps = [eta] if keep else []
-    anchors = len(eta.tail)
     dt = 1.0 / steps
-    budget = curve.budget
     for start in range(0, steps, _STEP_BLOCK):
         tm = [i * dt + 0.5 * dt for i in range(start, min(start + _STEP_BLOCK, steps))]
-        g1, g2 = (curve._values([t + k * _GAUSS_OFFSET * dt for t in tm]) for k in (-1.0, 1.0))
-        worst = np.max(np.maximum(g1.majorant(), g2.majorant()).reshape(len(tm), anchors), axis=1)
-        over = np.flatnonzero(worst > budget * (1 + 1e-9))
-        if over.size:
-            raise BudgetError(f"evolution budget violated at t = {tm[over[0]]:.6g}: "
-                              f"majorant {worst[over[0]]:.4g} > {budget:.4g}")
-        omega = g1.add(g2).scale(0.5 * dt).add(
-            g1.bracket(g2).scale(math.sqrt(3.0) / 12.0 * dt * dt))
-        for r in range(0, len(omega.tail), anchors):
-            rows = slice(r, r + anchors)
-            eta = eta.mul(SeriesStack(omega.coeffs[rows], omega.radius[rows],
-                                      omega.tail[rows]).exp())
+        omegas, over = [], []
+        for curve in curves:
+            g1, g2 = (curve._values([t + k * _GAUSS_OFFSET * dt for t in tm])
+                      for k in (-1.0, 1.0))
+            worst = np.max(np.maximum(g1.majorant(), g2.majorant()).reshape(len(tm), anchors),
+                           axis=1)
+            bad = np.flatnonzero(worst > curve.budget * (1 + 1e-9))
+            if bad.size:
+                over.append((bad[0], worst[bad[0]], curve.budget))
+            omegas.append(g1.add(g2).scale(0.5 * dt).add(
+                g1.bracket(g2).scale(math.sqrt(3.0) / 12.0 * dt * dt)))
+        if over:
+            i, worst, budget = min(over, key=lambda o: o[0])  # the first curve on a tie
+            raise BudgetError(f"evolution budget violated at t = {tm[i]:.6g}: "
+                              f"majorant {worst:.4g} > {budget:.4g}")
+        omega = _step_major(omegas, len(tm))
+        for r in range(0, len(omega.tail), width):
+            eta = eta.mul(omega.rows(slice(r, r + width)).exp())
             if keep:
                 snaps.append(eta)
     times = tuple(i * dt for i in range(steps + 1))
-    return GermGroupElement(curve._element(eta)), times, snaps
+    ends = tuple(GermGroupElement(c._element(eta.rows(slice(k * anchors, (k + 1) * anchors))))
+                 for k, c in enumerate(curves))
+    return ends, times, snaps
+
+
+def _step_major(stacks, steps: int) -> SeriesStack:
+    """One stack of per-curve stacks of ``steps`` steps each, ordered step by
+    step: the rows of step j are every curve's rows of step j, in curve order."""
+    def merge(parts):
+        return np.stack([p.reshape((steps, -1) + p.shape[1:]) for p in parts],
+                        axis=1).reshape((-1,) + parts[0].shape[1:])
+
+    return SeriesStack(*(merge(parts) for parts in
+                         zip(*((st.coeffs, st.radius, st.tail) for st in stacks))))
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +441,16 @@ def rk4_pointwise(curve: LieCurve, pts, steps: int) -> np.ndarray:
         for j, c in enumerate(seg):
             coeffs[i, j] = c.eval(pts)
 
-    def a_of(t):
-        i, s = curve._locate(t)
-        return coeffs[i, 0] + s * (coeffs[i, 1] + s * (coeffs[i, 2] + s * coeffs[i, 3]))
+    h = 1.0 / steps
+    seg, s = curve._locate_all([i * h + d for i in range(steps) for d in (0.0, 0.5 * h, h)])
+
+    def a_of(n):
+        i, x = seg[n], s[n]
+        return coeffs[i, 0] + x * (coeffs[i, 1] + x * (coeffs[i, 2] + x * coeffs[i, 3]))
 
     y = np.tile(np.eye(m, dtype=complex), (len(pts), 1, 1))
-    h = 1.0 / steps
     for i in range(steps):
-        t = i * h
-        a1, a2, a3 = a_of(t), a_of(t + 0.5 * h), a_of(t + h)
+        a1, a2, a3 = (a_of(3 * i + k) for k in range(3))
         k1 = y @ a1
         k2 = (y + 0.5 * h * k1) @ a2
         k3 = (y + 0.5 * h * k2) @ a2
@@ -523,29 +565,28 @@ def smoothness_report(group: GermLieGroup, curve: LieCurve, direction: LieCurve,
     evolution map is twice differentiable; the report carries the observed
     orders of the second-difference ratio test at the scales s = 0.1, 0.05,
     0.025 and fails outside [1.9, 2.1].  This is evidence, not a smoothness proof.
+    Changes of the quotient at or below ``_ROUNDING_FLOOR`` are rounding noise
+    and give no order (an exactly linear chart has only those); with no order
+    left the report is inconclusive.  The base curve and the six curves
+    curve +- s * direction evolve in lockstep, in one ``_evol_run``.
     """
     rep = Report(check="evolution_smoothness_evidence",
                  params={"scales": list(_SMOOTHNESS_SCALES), "steps": steps,
                          "order_window": list(_ORDER_WINDOW)})
-    base = evol(curve, steps, error_estimate=False, keep_trajectory=False)
-    base_inv = group.inv(base.endpoint)
-
-    def chart(s: float) -> BHolElement:
-        shifted = curve.add_scaled(direction, s, budget=curve.budget + abs(s) * 2.0)
-        moved = evol(shifted, steps, error_estimate=False, keep_trajectory=False)
-        return group.log_germ(group.mul(base_inv, moved.endpoint))
-
-    quotients = []
-    for s in _SMOOTHNESS_SCALES:
-        q = (chart(s) + chart(-s).scale(-1.0)).scale(1.0 / (2.0 * s))
-        quotients.append(q)
+    shifted = [curve.add_scaled(direction, sign * s, budget=curve.budget + abs(s) * 2.0)
+               for s in _SMOOTHNESS_SCALES for sign in (1.0, -1.0)]
+    (base, *moved), _, _ = _evol_run((curve, *shifted), steps, False)
+    base_inv = group.inv(base)
+    charts = [group.log_germ(group.mul(base_inv, m)) for m in moved]
+    quotients = [(plus + minus.scale(-1.0)).scale(1.0 / (2.0 * s))
+                 for s, plus, minus in zip(_SMOOTHNESS_SCALES, charts[::2], charts[1::2])]
     diffs = [germ_distance(quotients[i], quotients[i + 1])
              for i in range(len(quotients) - 1)]
     orders = []
     for i in range(len(diffs) - 1):
-        ratio_scale = _SMOOTHNESS_SCALES[i] / _SMOOTHNESS_SCALES[i + 1]
-        if diffs[i + 1] <= 0:
+        if min(diffs[i], diffs[i + 1]) <= _ROUNDING_FLOOR:
             continue
+        ratio_scale = _SMOOTHNESS_SCALES[i] / _SMOOTHNESS_SCALES[i + 1]
         orders.append(math.log(diffs[i] / diffs[i + 1]) / math.log(ratio_scale))
     rep.trials = len(orders)
     rep.extras = {"orders": orders, "diffs": diffs}

@@ -7,11 +7,13 @@ import scipy.linalg
 
 from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, StructureError
+from germlie import evolution
 from germlie.evolution import (
     _GAUSS_OFFSET,
     EVOL_BUDGET,
     GroupCurve,
     LieCurve,
+    _evol_run,
     evol,
     fit_lie_curve,
     group_roundtrip_report,
@@ -25,6 +27,7 @@ from germlie.evolution import (
     trajectory_to_csv,
 )
 from germlie.germgroup import random_algebra_element
+from germlie.reports import Report
 from germlie.germspace import bond, germ_distance
 
 
@@ -76,6 +79,43 @@ def mixed_group_curve(group, rng):
     cs = [group.identity(1).element] + [random_algebra_element(group, rng, 0.05, level=1 + k % 2)
                                         for k in range(5)]
     return GroupCurve(group, (0.0, 0.4, 1.0), (tuple(cs), tuple(cs[:3])))
+
+
+def reference_smoothness_report(group, curve, direction, steps=32):
+    """smoothness_report with one ``evol`` per curve, the base curve first and
+    then s, -s for each scale."""
+    scales, window = (0.1, 0.05, 0.025), (1.9, 2.1)
+    rep = Report(check="evolution_smoothness_evidence",
+                 params={"scales": list(scales), "steps": steps, "order_window": list(window)})
+    base = evol(curve, steps, error_estimate=False, keep_trajectory=False)
+    base_inv = group.inv(base.endpoint)
+
+    def chart(s):
+        shifted = curve.add_scaled(direction, s, budget=curve.budget + abs(s) * 2.0)
+        moved = evol(shifted, steps, error_estimate=False, keep_trajectory=False)
+        return group.log_germ(group.mul(base_inv, moved.endpoint))
+
+    quotients = [(chart(s) + chart(-s).scale(-1.0)).scale(1.0 / (2.0 * s)) for s in scales]
+    diffs = [germ_distance(a, b) for a, b in zip(quotients, quotients[1:])]
+    orders = [math.log(diffs[i] / diffs[i + 1]) / math.log(scales[i] / scales[i + 1])
+              for i in range(len(diffs) - 1) if diffs[i + 1] > 0]
+    rep.trials = len(orders)
+    rep.extras = {"orders": orders, "diffs": diffs}
+    if not orders:
+        return rep.inconclusive("difference quotients at floating-point floor")
+    for o in orders:
+        rep.note_margin(min(o - window[0], window[1] - o))
+        if not window[0] <= o <= window[1]:
+            rep.fail({"order": o})
+    return rep
+
+
+def forge_budget(curve, quantile):
+    """Set the budget of ``curve`` to a quantile of its value majorants on 65 points."""
+    budget = np.quantile([np.max(curve._stack_at(t).majorant())
+                          for t in np.linspace(0.0, 1.0, 65)], quantile)
+    object.__setattr__(curve, "budget", float(budget))
+    return curve
 
 
 class TestLieCurve:
@@ -245,10 +285,7 @@ class TestEvol:
         (5, "t = 0.460938: majorant 0.1312 > 0.1312"),
     ])
     def test_budget_error_in_a_later_block_names_first_t(self, germ_group, seed, message):
-        curve = random_spline_curve(germ_group, np.random.default_rng(seed))
-        budget = np.quantile([np.max(curve._stack_at(t).majorant())
-                              for t in np.linspace(0.0, 1.0, 65)], 0.6)
-        object.__setattr__(curve, "budget", float(budget))
+        curve = forge_budget(random_spline_curve(germ_group, np.random.default_rng(seed)), 0.6)
         with pytest.raises(BudgetError,
                            match="^" + re.escape("evolution budget violated at " + message) + "$"):
             evol(curve, 64)
@@ -262,6 +299,42 @@ class TestEvol:
         object.__setattr__(curve, "budget", float(sorted(worst)[-2]))
         with pytest.raises(BudgetError, match=f"t = {tms[int(np.argmax(worst))]:.6g}:"):
             evol(curve, 64)
+
+    def test_lockstep_run_equals_single_curve_runs(self, germ_group, rng):
+        # different segment counts and levels: the stacked rows carry different radii
+        curves = (random_spline_curve(germ_group, rng, 2),
+                  random_spline_curve(germ_group, rng, 3),
+                  LieCurve.constant(germ_group, random_algebra_element(germ_group, rng, 0.1,
+                                                                       level=2)))
+        ends, times, snaps = _evol_run(curves, 24, True)
+        assert [c.level for c in curves] == [1, 1, 2]
+        anchors = len(germ_group.space.anchors)
+        for k, curve in enumerate(curves):
+            (want,), want_times, want_snaps = _evol_run((curve,), 24, True)
+            assert times == want_times
+            assert_identical(ends[k].element, want.element, curve.level)
+            assert ends[k].cert_margin == want.cert_margin
+            for got, ref in zip(snaps, want_snaps, strict=True):
+                rows = slice(k * anchors, (k + 1) * anchors)
+                assert np.array_equal(got.coeffs[rows], ref.coeffs)
+                assert np.array_equal(got.tail[rows], ref.tail)
+                assert np.array_equal(got.radius[rows], ref.radius)
+
+    def test_lockstep_budget_error_names_the_offending_curves_t(self, germ_group, rng):
+        curve = random_spline_curve(germ_group, rng)
+        shifted = forge_budget(curve.add_scaled(random_spline_curve(germ_group, rng), 0.1), 0.6)
+        with pytest.raises(BudgetError) as single:
+            evol(shifted, 64)
+        with pytest.raises(BudgetError, match="^" + re.escape(str(single.value)) + "$"):
+            _evol_run((curve, curve, shifted), 64, False)
+
+    def test_lockstep_budget_error_names_first_t_over_all_curves(self, germ_group):
+        # seed 3 first offends at t = 0.476562, seed 2 at t = 0.414062: one block
+        late, early = (forge_budget(random_spline_curve(germ_group, np.random.default_rng(seed)),
+                                    0.6) for seed in (3, 2))
+        message = "evolution budget violated at t = 0.414062: majorant 0.08052 > 0.08003"
+        with pytest.raises(BudgetError, match="^" + re.escape(message) + "$"):
+            _evol_run((late, early), 64, False)
 
     def test_reparametrization_invariance(self, germ_group, rng):
         # curve supported on [0, 1/2] vs its affine reparametrization
@@ -446,3 +519,61 @@ class TestSmoothness:
         rep = smoothness_report(germ_group, curve, direction, steps=32)
         assert rep.passed
         assert all(1.9 <= o <= 2.1 for o in rep.extras["orders"])
+
+    def test_lockstep_matches_reference(self, germ_group):
+        rng = np.random.default_rng(53)
+        for k in range(6):
+            curve = random_spline_curve(germ_group, rng, 2 + k % 2)
+            direction = random_spline_curve(germ_group, rng, 2 + k % 2)
+            if k == 3:  # one level deeper than the curve
+                direction = LieCurve(germ_group, direction.breakpoints,
+                                     tuple(tuple(bond(c, 2) for c in seg)
+                                           for seg in direction.segments))
+            got = smoothness_report(germ_group, curve, direction, steps=32)
+            want = reference_smoothness_report(germ_group, curve, direction, steps=32)
+            assert (got.status, got.trials, got.worst_margin) == \
+                (want.status, want.trials, want.worst_margin)
+            assert got.extras == want.extras
+            assert got.params == want.params
+
+    def test_one_exponential_per_step_for_all_seven_curves(self, germ_group, rng, monkeypatch):
+        curve = random_spline_curve(germ_group, rng)
+        direction = random_spline_curve(germ_group, rng)
+        rows = []
+        exp = SeriesStack.exp
+
+        def counted(self):
+            rows.append(len(self.tail))
+            return exp(self)
+
+        monkeypatch.setattr(SeriesStack, "exp", counted)
+        smoothness_report(germ_group, curve, direction, steps=32)
+        assert rows == [7 * len(germ_group.space.anchors)] * 32
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_linear_direction_is_at_the_rounding_floor(self, germ_group, seed):
+        # the charts of xi + s * c xi are exactly linear in s: the quotients
+        # differ by rounding alone, which carries no order
+        rng = np.random.default_rng(seed)
+        xi = random_algebra_element(germ_group, rng, 0.1)
+        rep = smoothness_report(germ_group, LieCurve.constant(germ_group, xi),
+                                LieCurve.constant(germ_group, xi.scale(rng.uniform(0.2, 1.0))))
+        assert max(rep.extras["diffs"]) < 1e-12
+        assert rep.status == "inconclusive"
+        assert rep.extras["reason"] == "difference quotients at floating-point floor"
+        assert rep.extras["orders"] == [] and rep.trials == 0
+
+    def test_zero_difference_is_at_the_rounding_floor(self, germ_group, rng, monkeypatch):
+        diffs = iter([0.0, 3e-13])
+        monkeypatch.setattr(evolution, "germ_distance", lambda a, b: next(diffs))
+        xi = random_algebra_element(germ_group, rng, 0.1)
+        rep = smoothness_report(germ_group, LieCurve.constant(germ_group, xi),
+                                LieCurve.constant(germ_group, xi))
+        assert rep.status == "inconclusive"
+        assert rep.extras["diffs"] == [0.0, 3e-13]
+
+    def test_steps_precondition(self, germ_group, rng):
+        xi = random_algebra_element(germ_group, rng, 0.1)
+        curve = LieCurve.constant(germ_group, xi)
+        with pytest.raises(StructureError, match="steps"):
+            smoothness_report(germ_group, curve, curve, steps=2)
