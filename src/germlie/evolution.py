@@ -74,7 +74,7 @@ _SPLINE_AMP = 0.15  # majorant scale of random_spline_curve's start values
 _SMOOTHNESS_SCALES = (0.1, 0.05, 0.025)  # difference steps s of smoothness_report
 _ORDER_WINDOW = (1.9, 2.1)  # orders smoothness_report accepts
 # smoothness_report's difference-quotient changes at or below this are rounding
-# noise: exactly linear charts give 1e-14 to 2.6e-13, random splines 1.3e-10 up
+# noise: exactly linear charts give at most 2.6e-13, random splines 1.3e-10 and up
 _ROUNDING_FLOOR = 1e-12
 _ROUNDTRIP_TOL = 1e-6  # germ distance the two round-trip reports accept
 _PRODUCT_RULE_TOL = 1e-8  # germ distance product_rule_report accepts

@@ -285,7 +285,10 @@ class TestEvol:
         (5, "t = 0.460938: majorant 0.1312 > 0.1312"),
     ])
     def test_budget_error_in_a_later_block_names_first_t(self, germ_group, seed, message):
-        curve = forge_budget(random_spline_curve(germ_group, np.random.default_rng(seed)), 0.6)
+        curve = random_spline_curve(germ_group, np.random.default_rng(seed))
+        budget = np.quantile([np.max(curve._stack_at(t).majorant())
+                              for t in np.linspace(0.0, 1.0, 65)], 0.6)
+        object.__setattr__(curve, "budget", float(budget))
         with pytest.raises(BudgetError,
                            match="^" + re.escape("evolution budget violated at " + message) + "$"):
             evol(curve, 64)
