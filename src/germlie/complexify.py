@@ -142,7 +142,7 @@ class Transition:
             for k in range(2, p.degree_bound + 1):
                 if norms[k] > 1e-13:
                     est = min(est, float(norms[k] ** (-1.0 / k)))
-            best = min(best, 0.8 * est if est < math.inf else p.radius)
+            best = min(best, 0.8 * est)
         return best
 
 

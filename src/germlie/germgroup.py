@@ -44,10 +44,10 @@ _RANDOM_MAX_DEGREE = 3  # degree bound of the random generators' global polynomi
 _RANDOM_DECAY = 0.35  # geometric decay of its coefficients
 
 
-def _stack_element(space: GermSpace, level: int, stack: SeriesStack) -> BHolElement:
-    """The element of U_level whose per-anchor series are the rows of ``stack``."""
-    return BHolElement(space, level,
-                       tuple(stack.to_series(space.anchors, space.space, space.dim)))
+def _rows(elements) -> SeriesStack:
+    """The per-anchor rows of ``elements``, in order, as one stack."""
+    return SeriesStack(*(np.concatenate(parts) for parts in
+                         zip(*((el.coeffs, el.radius, el.tail) for el in elements))))
 
 
 @dataclass(frozen=True)
@@ -175,15 +175,12 @@ class GermLieGroup:
                     f"local product budget violated: majorant sum {s:.6g} >= "
                     f"{self.backend.bch_radius:.6g}")
             prepped.append((xb, yb, bch_remainder_bound(s, order)))
-        xs = SeriesStack.from_series([s for xb, _, _ in prepped for s in xb.reps])
-        ys = SeriesStack.from_series([s for _, yb, _ in prepped for s in yb.reps])
-        zs = evaluate_bch_words(xs, ys, order, SeriesStack.bracket)
-        rems = np.repeat([rem for _, _, rem in prepped], n_anchors)
-        zs = SeriesStack(zs.coeffs, zs.radius, zs.tail + rems)
-        series = zs.to_series([a for _ in prepped for a in self.space.anchors],
-                              self.space.space, self.space.dim)
-        return [BHolElement(self.space, xb.level, tuple(series[i * n_anchors:(i + 1) * n_anchors]))
-                for i, (xb, _, _) in enumerate(prepped)]
+        zs = evaluate_bch_words(_rows(xb for xb, _, _ in prepped),
+                                _rows(yb for _, yb, _ in prepped), order, SeriesStack.bracket)
+        tails = zs.tail + np.repeat([rem for _, _, rem in prepped], n_anchors)
+        cuts = (slice(i * n_anchors, (i + 1) * n_anchors) for i in range(len(prepped)))
+        return [BHolElement(self.space, xb.level, zs.coeffs[c], zs.radius[c], tails[c])
+                for (xb, _, _), c in zip(prepped, cuts)]
 
     # -- charts -----------------------------------------------------------------
 
@@ -209,7 +206,8 @@ class GermLieGroup:
     def _on_stack(self, el: BHolElement, op) -> BHolElement:
         """Apply a :class:`SeriesStack` method to every anchor's series at once."""
         self._require_d1("exp, log and inverse of germs")
-        return _stack_element(self.space, el.level, op(SeriesStack.from_series(el.reps)))
+        out = op(SeriesStack(el.coeffs, el.radius, el.tail))
+        return BHolElement(self.space, el.level, out.coeffs, out.radius, out.tail)
 
     def exp_germ(self, eta: BHolElement) -> GermGroupElement:
         """Postcomposition with the exponential, all anchors in one stack."""
@@ -283,17 +281,13 @@ def element_from_matrix_poly(space: GermSpace, matrix_coeffs, level: int) -> BHo
     deg = len(coeffs) - 1
     if deg > space.degree_bound:
         raise StructureError("generator degree exceeds the space degree bound")
-    reps = []
-    rho = space.radius(level)
-    for a in space.anchors:
-        shifted = []
+    zero = space.zero_element(level)
+    shifted = np.zeros_like(zero.coeffs)
+    for i, a in enumerate(space.anchors):
         for k in range(deg + 1):
-            acc = np.zeros_like(coeffs[0])
             for j in range(k, deg + 1):
-                acc = acc + math.comb(j, k) * coeffs[j] * (a ** (j - k))
-            shifted.append((k, acc))
-        reps.append(shifted)
-    return space.element_from_coeff_lists(reps, level)
+                shifted[i, k] += math.comb(j, k) * coeffs[j] * (a ** (j - k))
+    return BHolElement(space, level, shifted, zero.radius, zero.tail)
 
 
 def random_algebra_element(group: GermLieGroup, rng: np.random.Generator,

@@ -5,10 +5,11 @@ and a ratio r strictly below 1/(2e), and grades the neighborhoods
 
     U_n  =  union of the open balls of radius rho_n = rho_0 * r^n around K,
 
-so the seminorms p_n(x) = |x| / rho_n satisfy p_n = r * p_{n+1}.  Bounded
-holomorphic functions on U_n are represented per anchor by truncated series
-(:class:`BHolElement`) and germs identify elements across levels after
-bonding (restriction, operator norm at most one).
+so the seminorms p_n(x) = |x| / rho_n satisfy p_n = r * p_{n+1}.  A bounded
+holomorphic function on U_n (:class:`BHolElement`) is one truncated series
+per anchor, stored as one coefficient stack with per-anchor radii and tails,
+on which bonding (restriction, operator norm at most one) and the linear
+structure act; germs identify elements across levels after bonding.
 
 The module turns the structural facts about this scale of Banach spaces into
 executable checks:
@@ -30,6 +31,7 @@ random generator, and emit :class:`germlie.reports.Report` values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +43,7 @@ from .series import (
     CoefficientSpace,
     TruncatedSeries,
     cauchy_series,
+    linear_combination,
     scalar_space,
 )
 
@@ -111,18 +114,16 @@ class GermSpace:
         return self.constant_element(self.space.zero(), level)
 
     def constant_element(self, value, level: int) -> "BHolElement":
-        reps = tuple(
-            TruncatedSeries.constant(value, a, self.radius(level), self.space,
-                                     self.degree_bound, self.dim)
-            for a in self.anchors)
-        return BHolElement(self, level, reps)
+        rows = (len(self.anchors),)
+        coeffs = np.zeros(rows + (self.degree_bound + 1,) * self.dim + self.space.shape, complex)
+        coeffs[(slice(None),) + (0,) * self.dim] = value
+        return BHolElement(self, level, coeffs, np.full(rows, self.radius(level)), np.zeros(rows))
 
     def element_from_coeff_lists(self, per_anchor_pairs, level: int) -> "BHolElement":
-        reps = tuple(
+        return BHolElement.of(self, level, (
             TruncatedSeries.from_coeff_list(pairs, a, self.radius(level), self.space,
                                             self.degree_bound, self.dim)
-            for a, pairs in zip(self.anchors, per_anchor_pairs))
-        return BHolElement(self, level, reps)
+            for a, pairs in zip(self.anchors, per_anchor_pairs)))
 
     def sample_points(self, level: int, count: int, interior: float = 0.5) -> np.ndarray:
         """Deterministic points inside U_level (d = 1), spread over all anchors."""
@@ -138,31 +139,65 @@ class GermSpace:
         return np.concatenate(pts)[:count]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BHolElement:
     """A bounded holomorphic function on U_n, one truncated series per anchor.
 
-    ``norm_upper`` caches the majorant bound for the sup over U_n (max over
-    anchors).  On overlapping anchor balls the per-anchor series must agree
-    at shared sample points -- they represent one function.  The i-th series
-    is anchored at the parent's i-th anchor.
+    The series are one stack: read-only ``coeffs`` ``(anchors, N+1) +
+    space.shape`` (``(anchors, N+1, N+1) + space.shape`` for d = 2), ``radius``
+    and ``tail`` ``(anchors,)``, row i at the parent's i-th anchor.  ``reps``
+    views them as :class:`TruncatedSeries` (built on first use), and ``of``
+    builds an element from series.  Bonding, ``+``, ``-`` and ``scale`` act on
+    the stack with the arithmetic of ``restrict``, ``linear_combination`` and
+    ``TruncatedSeries.scale``.  On overlapping anchor balls the series must
+    agree at shared sample points -- they represent one function.
     """
 
     parent: GermSpace
     level: int
-    reps: tuple
+    coeffs: np.ndarray
+    radius: np.ndarray
+    tail: np.ndarray
+    _reps: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.reps) != len(self.parent.anchors):
-            raise StructureError("one series per anchor required")
-        rho = self.parent.radius(self.level)
-        for s, a in zip(self.reps, self.parent.anchors):
-            if s.radius > rho * (1 + 1e-12) or s.radius <= 0:
-                raise StructureError("series radius must not exceed the level radius")
-            if s.space != self.parent.space:
-                raise StructureError("coefficient space mismatch with parent")
+        sp, coeffs = self.parent, np.asarray(self.coeffs, dtype=complex)
+        radius, tail = np.asarray(self.radius, dtype=float), np.asarray(self.tail, dtype=float)
+        want = (len(sp.anchors),) + (coeffs.shape[1:2] or (0,)) * sp.dim + sp.space.shape
+        if coeffs.shape != want or not radius.shape == tail.shape == want[:1]:
+            raise StructureError(f"one series per anchor required, over {sp.space}; got a "
+                                 f"coefficient stack of shape {coeffs.shape}")
+        cap = sp.radius(self.level) * (1 + 1e-12)  # checked on lists: per-call numpy costs more
+        if not all(0 < r <= cap for r in radius.tolist()):
+            raise StructureError("series radius must not exceed the level radius")
+        if not all(0 <= t < math.inf for t in tail.tolist()):
+            raise StructureError("tail bounds must be finite and nonnegative")
+        for name, value in (("coeffs", coeffs), ("radius", radius), ("tail", tail)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, parent: GermSpace, level: int, reps) -> "BHolElement":
+        """The element of the series ``reps``, the i-th at the parent's i-th anchor."""
+        reps = tuple(reps)
+        for s, a in zip(reps, parent.anchors):
             if (s.anchor if s.dim == 1 else tuple(s.anchor)) != a:
                 raise StructureError(f"series anchored at {s.anchor}, not at its anchor {a}")
+        if len({s.degree_bound for s in reps}) != 1:
+            raise StructureError("one series per anchor required, all of one degree bound")
+        el = cls(parent, level, np.stack([s.coeffs for s in reps]),
+                 [s.radius for s in reps], [s.tail_bound for s in reps])
+        object.__setattr__(el, "_reps", reps)
+        return el
+
+    @property
+    def reps(self) -> tuple:
+        if self._reps is None:
+            sp, n = self.parent, self.coeffs.shape[1] - 1
+            object.__setattr__(self, "_reps", tuple(
+                TruncatedSeries(a, n, c, r, t, sp.space, sp.dim) for a, c, r, t in
+                zip(sp.anchors, self.coeffs, self.radius.tolist(), self.tail.tolist())))
+        return self._reps
 
     @property
     def norm_upper(self) -> float:
@@ -191,46 +226,48 @@ class BHolElement:
         if self.parent.dim != 1:
             raise StructureError("coherence_defect is d = 1 only")
         theta = 2 * np.pi * np.arange(_COHERENCE_POINTS) / _COHERENCE_POINTS
-        worst = 0.0
-        anchors = self.parent.anchors
-        for i in range(len(anchors)):
-            for j in range(i + 1, len(anchors)):
-                a, b = complex(anchors[i]), complex(anchors[j])
-                gap = abs(b - a)
-                if gap >= self.reps[i].radius + self.reps[j].radius:
-                    continue
-                mid = 0.5 * (a + b)
-                spread = 0.25 * max(self.reps[i].radius + self.reps[j].radius - gap, 0.0)
-                pts = mid + spread * 0.5 * np.exp(1j * theta)
-                keep = (np.abs(pts - a) < self.reps[i].radius) & \
-                       (np.abs(pts - b) < self.reps[j].radius)
-                if not np.any(keep):
-                    continue
-                va = self.reps[i].eval(pts[keep])
-                vb = self.reps[j].eval(pts[keep])
-                worst = max(worst, float(np.max(self.parent.space.norm(va - vb))))
+        worst, anchors, rad = 0.0, self.parent.anchors, self.radius.tolist()
+        for i, j in itertools.combinations(range(len(anchors)), 2):
+            a, b = complex(anchors[i]), complex(anchors[j])
+            gap = abs(b - a)
+            if gap >= rad[i] + rad[j]:
+                continue
+            pts = 0.5 * (a + b) + 0.25 * (rad[i] + rad[j] - gap) * 0.5 * np.exp(1j * theta)
+            keep = (np.abs(pts - a) < rad[i]) & (np.abs(pts - b) < rad[j])
+            if np.any(keep):
+                diff = self.reps[i].eval(pts[keep]) - self.reps[j].eval(pts[keep])
+                worst = max(worst, float(np.max(self.parent.space.norm(diff))))
         return worst
 
     # algebra (levelwise, pointwise)
     def _zip(self, other, fn):
-        if self.parent is not other.parent and self.parent != other.parent:
+        if self.parent != other.parent:
             raise StructureError("elements live on different germ spaces")
         if self.level != other.level:
             raise StructureError("bond to a common level first")
-        return BHolElement(self.parent, self.level,
-                           tuple(fn(a, b) for a, b in zip(self.reps, other.reps)))
+        return BHolElement.of(self.parent, self.level,
+                              tuple(fn(a, b) for a, b in zip(self.reps, other.reps)))
+
+    def _combine(self, other, beta: float):
+        """``self + beta * other`` as ``linear_combination`` forms it per anchor: on
+        the series if the checks fail or degree bounds differ (the longer truncates)."""
+        if (self.parent, self.level, self.coeffs.shape) != \
+                (other.parent, other.level, other.coeffs.shape):
+            return self._zip(other, lambda a, b: linear_combination(a, b, 1.0, beta))
+        # complex(1.0) * as in linear_combination: it can turn a -0.0 into 0.0
+        coeffs = complex(1.0) * self.coeffs + complex(beta) * other.coeffs
+        return BHolElement(self.parent, self.level, coeffs, np.minimum(self.radius, other.radius),
+                           self.tail + abs(beta) * other.tail)
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._combine(other, 1.0)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._combine(other, -1.0)
 
     def scale(self, alpha):
-        return BHolElement(self.parent, self.level, tuple(s.scale(alpha) for s in self.reps))
-
-    def map_reps(self, fn):
-        return BHolElement(self.parent, self.level, tuple(fn(s) for s in self.reps))
+        return BHolElement(self.parent, self.level, self.coeffs * complex(alpha), self.radius,
+                           abs(complex(alpha)) * self.tail)
 
 
 def bond(e: BHolElement, level: int) -> BHolElement:
@@ -239,9 +276,8 @@ def bond(e: BHolElement, level: int) -> BHolElement:
         raise StructureError(f"cannot bond upward: {e.level} -> {level}")
     if level == e.level:
         return e
-    rho = e.parent.radius(level)
-    return BHolElement(e.parent, level,
-                       tuple(s.restrict(min(rho, s.radius)) for s in e.reps))
+    return BHolElement(e.parent, level, e.coeffs, np.minimum(e.parent.radius(level), e.radius),
+                       e.tail)
 
 
 def _align(*elements) -> tuple:
@@ -283,9 +319,8 @@ def factorize(space: GermSpace, f, level: int) -> BHolElement:
     if space.dim != 1:
         raise StructureError("factorize is implemented for d = 1")
     rho = space.radius(level)
-    reps = tuple(cauchy_series(f, a, rho, space.degree_bound, space.space)
-                 for a in space.anchors)
-    return BHolElement(space, level, reps)
+    return BHolElement.of(space, level, (cauchy_series(f, a, rho, space.degree_bound, space.space)
+                                         for a in space.anchors))
 
 
 # ---------------------------------------------------------------------------
@@ -298,26 +333,21 @@ def _stack(family) -> tuple:
     degree bound N; :class:`StructureError` otherwise, as cutting members to
     the lowest bound would drop their higher coefficients from every bound."""
     family = list(family)
-    reps = [s for el in family for s in el.reps]
-    if not reps or reps[0].dim != 1 or \
-            len({(len(el.reps), s.degree_bound, s.space) for el in family for s in el.reps}) > 1:
+    if not family or family[0].parent.dim != 1 or \
+            len({(el.coeffs.shape, el.parent.space) for el in family}) > 1:
         raise StructureError("family must be nonempty and d = 1, its members sharing one "
                              "degree bound, coefficient space and anchor count")
-    shape = (len(family), len(family[0].reps))
-    return (np.array([s.coeffs for s in reps]).reshape(shape + reps[0].coeffs.shape),
-            np.array([s.tail_bound for s in reps]).reshape(shape),
-            np.array([s.radius for s in reps]).reshape(shape))
+    return tuple(np.stack([getattr(el, name) for el in family])
+                 for name in ("coeffs", "tail", "radius"))
 
 
 def _fold(coeffs, tails, weights) -> tuple:
-    """``sum_f weights[..., f] * coeffs[f]`` and tails ``sum_f |weights[..., f]| tails[f]``
-    for weights of shape ``(F,)`` or ``(T, F)``, folded left as ``scale`` and
-    ``+`` do, so each row equals that element to the bit; radii are the caller's."""
+    """``sum_f weights[t, f] * coeffs[f]`` and tails ``sum_f |weights[t, f]| tails[f]``
+    for weights of shape ``(T, F)``, folded left as ``scale`` and ``+`` do, so
+    each row t equals that element to the bit; radii are the caller's."""
     w = np.asarray(weights, dtype=complex).T
-    mag = np.abs(w)
-    if w.ndim > 1:  # (F,) weights stay scalars: a broadcast per term slows every curve value
-        mag = mag.reshape(mag.shape + (1,) * (tails.ndim - 1))
-        w = w.reshape(w.shape + (1,) * (coeffs.ndim - 1))
+    mag = np.abs(w).reshape(w.shape + (1,) * (tails.ndim - 1))
+    w = w.reshape(w.shape + (1,) * (coeffs.ndim - 1))
     acc, tail = coeffs[0] * w[0], tails[0] * mag[0]
     for f in range(1, len(coeffs)):
         acc = acc + coeffs[f] * w[f]
@@ -422,9 +452,8 @@ def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
         for k in range(n + 1):
             mono[k, :, k] = unit / rho ** k
         coeffs = np.concatenate([mono, coeffs])
-    return [BHolElement(space, level, tuple(
-        TruncatedSeries(a, n, c, rho, 0.0, cs, space.dim) for a, c in zip(space.anchors, el)))
-        for el in coeffs]
+    radius, tail = np.full(len(space.anchors), rho), np.zeros(len(space.anchors))
+    return [BHolElement(space, level, el, radius, tail) for el in coeffs]
 
 
 def combine_family(family, weights) -> tuple:
@@ -586,7 +615,7 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
         ea = factorize(space_a, fa, level)
         eb = factorize(space_b, fb, level)
         pieces = {**dict(zip(space_b.anchors, eb.reps)), **dict(zip(space_a.anchors, ea.reps))}
-        glued = BHolElement(union_space, level, tuple(pieces[a] for a in union_anchors))
+        glued = BHolElement.of(union_space, level, (pieces[a] for a in union_anchors))
         defect = glued.coherence_defect()
         if incompatible and not disjoint:
             if defect <= tol:

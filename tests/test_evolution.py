@@ -28,7 +28,7 @@ from germlie.evolution import (
 )
 from germlie.germgroup import random_algebra_element
 from germlie.reports import Report
-from germlie.germspace import bond, germ_distance
+from germlie.germspace import BHolElement, bond, germ_distance
 
 
 def reference_fold(start, terms):
@@ -41,13 +41,13 @@ def reference_fold(start, terms):
 
 
 def reference_value(curve, t):
-    i, s = curve._locate(t)
+    (i,), (s,) = curve._locate_all([t])
     seg = curve.segments[i]
     return reference_fold(seg[0], [(c, s ** j) for j, c in enumerate(seg[1:], start=1)])
 
 
 def reference_derivative(curve, t):
-    i, s = curve._locate(t)
+    (i,), (s,) = curve._locate_all([t])
     seg = curve.segments[i]
     dt = curve.breakpoints[i + 1] - curve.breakpoints[i]
     lvl = max(c.level for c in seg)
@@ -112,7 +112,7 @@ def reference_smoothness_report(group, curve, direction, steps=32):
 
 def forge_budget(curve, quantile):
     """Set the budget of ``curve`` to a quantile of its value majorants on 65 points."""
-    budget = np.quantile([np.max(curve._stack_at(t).majorant())
+    budget = np.quantile([np.max(curve._values([t]).majorant())
                           for t in np.linspace(0.0, 1.0, 65)], quantile)
     object.__setattr__(curve, "budget", float(budget))
     return curve
@@ -139,7 +139,7 @@ class TestLieCurve:
 
     def test_mixed_degree_bounds_rejected(self, germ_group, rng):
         xi, eta = (random_algebra_element(germ_group, rng, 0.1) for _ in range(2))
-        short = eta.map_reps(lambda s: s.truncate(6))
+        short = BHolElement.of(eta.parent, eta.level, (s.truncate(6) for s in eta.reps))
         with pytest.raises(StructureError, match="degree bound"):
             LieCurve(germ_group, (0.0, 1.0), ((xi, short),))
 
@@ -161,22 +161,29 @@ class TestLieCurve:
             for t in np.linspace(0.0, 1.0, 37):
                 assert_identical(got.value(t), reference_value(want, t), want.level)
 
-    def test_values_match_stack_at_row_for_row(self, germ_group, rng):
+    def test_values_match_reference_fold_row_for_row(self, germ_group, rng):
         dt = 1.0 / 64
         gauss = [tm + k * _GAUSS_OFFSET * dt for tm in (0.5 * dt, 63 * dt + 0.5 * dt)
                  for k in (-1.0, 1.0)]
+        anchors = len(germ_group.space.anchors)
         for n_segments in (2, 3):
             curve = random_spline_curve(germ_group, rng, n_segments)
             ts = [*curve.breakpoints, *gauss, *rng.uniform(0.0, 1.0, 5)]
             got = curve._values(ts)
-            anchors = len(curve._stack_at(0.0).tail)
             assert got.coeffs.shape[0] == len(ts) * anchors
             for r, t in enumerate(ts):
-                want = curve._stack_at(t)
-                rows = slice(r * anchors, (r + 1) * anchors)
-                assert np.array_equal(got.coeffs[rows], want.coeffs)
-                assert np.array_equal(got.tail[rows], want.tail)
-                assert np.array_equal(got.radius[rows], want.radius)
+                rows = got.rows(slice(r * anchors, (r + 1) * anchors))
+                assert_identical(curve._element(rows), reference_value(curve, t), curve.level)
+
+    def test_values_on_a_named_segment_read_its_ends(self, germ_group, rng):
+        # a breakpoint on segment i is that polynomial at s = 1, on i + 1 at s = 0
+        curve = random_spline_curve(germ_group, rng, 3)
+        for i, seg in enumerate(curve.segments):
+            lo, hi = curve.breakpoints[i:i + 2]
+            start, end = (curve._element(curve._values([t], segment=i)) for t in (lo, hi))
+            assert_identical(start, seg[0], curve.level)
+            assert_identical(end, reference_fold(seg[0], [(c, 1.0) for c in seg[1:]]),
+                             curve.level)
 
     def test_value_evaluates_local_polynomial(self, germ_group, rng):
         xi = random_algebra_element(germ_group, rng, 0.1)
@@ -286,7 +293,7 @@ class TestEvol:
     ])
     def test_budget_error_in_a_later_block_names_first_t(self, germ_group, seed, message):
         curve = random_spline_curve(germ_group, np.random.default_rng(seed))
-        budget = np.quantile([np.max(curve._stack_at(t).majorant())
+        budget = np.quantile([np.max(curve._values([t]).majorant())
                               for t in np.linspace(0.0, 1.0, 65)], 0.6)
         object.__setattr__(curve, "budget", float(budget))
         with pytest.raises(BudgetError,
@@ -297,7 +304,7 @@ class TestEvol:
         curve = random_spline_curve(germ_group, np.random.default_rng(2))
         dt = 1.0 / 64
         tms = [i * dt + 0.5 * dt for i in range(64)]
-        worst = [max(np.max(curve._stack_at(tm + k * _GAUSS_OFFSET * dt).majorant())
+        worst = [max(np.max(curve._values([tm + k * _GAUSS_OFFSET * dt]).majorant())
                      for k in (-1.0, 1.0)) for tm in tms]
         object.__setattr__(curve, "budget", float(sorted(worst)[-2]))
         with pytest.raises(BudgetError, match=f"t = {tms[int(np.argmax(worst))]:.6g}:"):
@@ -373,8 +380,16 @@ class TestEvol:
         path = tmp_path / "traj.csv"
         trajectory_to_csv(res, pts, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("t,point,re_00,im_00")
+        assert lines[0] == "t,point,re_00,im_00,re_01,im_01,re_10,im_10,re_11,im_11"
         assert len(lines) == 1 + 9 * 3
+        rows = iter(lines[1:])
+        for t, g in zip(res.times, res.trajectory, strict=True):
+            want = g.eval(pts)
+            for p in range(len(pts)):
+                cells = next(rows).split(",")
+                assert (float(cells[0]), int(cells[1])) == (t, p)
+                vals = np.array([float(x) for x in cells[2:]]).view(complex).reshape(2, 2)
+                assert np.array_equal(vals, want[p])
 
 
 class TestGroupCurve:
@@ -439,6 +454,18 @@ class TestLogDerivative:
         rep = roundtrip_report(germ_group, curve, steps=128)
         assert rep.passed
         assert rep.extras["worst_err"] < 1e-6
+
+    def test_roundtrip_checks_each_node_once(self, germ_group, rng, monkeypatch):
+        # at 16 steps the sample at node 8 is nudged off the breakpoint 0.5 onto node 10
+        curve = random_spline_curve(germ_group, rng)
+        nodes = []
+        stencil = evolution.trajectory_log_derivative
+        monkeypatch.setattr(evolution, "trajectory_log_derivative",
+                            lambda group, result, index: nodes.append(index)
+                            or stencil(group, result, index))
+        rep = roundtrip_report(germ_group, curve, steps=16, n_samples=7)
+        assert nodes == [2, 4, 6, 10, 12, 14]
+        assert rep.trials == 6
 
     def test_evolution_of_log_derivative(self, germ_group, rng):
         ident = germ_group.identity(1).element

@@ -21,7 +21,14 @@ from germlie.germspace import (
     unit_majorant_family,
 )
 from germlie.reports import Report
-from germlie.series import TruncatedSeries, matrix_space, scalar_space, vector_space
+from germlie.series import (
+    TruncatedSeries,
+    _degrees,
+    linear_combination,
+    matrix_space,
+    scalar_space,
+    vector_space,
+)
 
 RATIO_CEILING = 1.0 / (2.0 * math.e)
 
@@ -413,6 +420,104 @@ class TestUnionGlue:
         assert rep.passed  # the check passes when every invalid input is flagged
 
 
+ELEMENT_SPACES = {
+    "scalar": GermSpace(anchors=(0.0, 0.4 + 0.1j), ratio=0.1, levels=4, degree_bound=6),
+    "matrix2": GermSpace(anchors=(0.0, 1.5 + 0.5j), ratio=0.1, levels=4, degree_bound=6,
+                         space=matrix_space(2)),
+    "d2": GermSpace(anchors=((0.0, 0.0), (0.5, 0.1j)), ratio=0.1, levels=4, degree_bound=4,
+                    dim=2),
+}
+
+
+def signed_zero_element(sp, level, rng):
+    """Random per-anchor series built by ``BHolElement.of``, with about a third of
+    the real and imaginary parts +0.0 or -0.0; radii and tails vary per anchor."""
+    n = sp.degree_bound
+    parts = rng.standard_normal((len(sp.anchors),) + (n + 1,) * sp.dim + sp.space.shape + (2,))
+    parts[rng.random(parts.shape) < 0.35] = 0.0
+    parts[rng.random(parts.shape) < 0.5] *= -1.0  # signs on the zeros too
+    coeffs = np.ascontiguousarray(parts).view(complex)[..., 0]
+    coeffs[:, _degrees(n, sp.dim) > n] = 0.0
+    radius = sp.radius(level) * rng.uniform(0.5, 1.0, len(sp.anchors))
+    tail = rng.uniform(0.0, 1e-3, len(sp.anchors))
+    return BHolElement.of(sp, level, (
+        TruncatedSeries(a, n, c, r, t, sp.space, sp.dim)
+        for a, c, r, t in zip(sp.anchors, coeffs, radius.tolist(), tail.tolist())))
+
+
+def assert_same_bits(got, want):
+    """Equal levels and bit-equal stacks (signed zeros included)."""
+    assert got.level == want.level
+    for name in ("coeffs", "radius", "tail"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestElementStack:
+    @pytest.mark.parametrize("name", sorted(ELEMENT_SPACES))
+    def test_linear_structure_matches_series_arithmetic(self, name, rng):
+        sp = ELEMENT_SPACES[name]
+        for _ in range(4):
+            x, y = (signed_zero_element(sp, 1, rng) for _ in range(2))
+            for got, beta in ((x + y, 1.0), (x - y, -1.0)):
+                assert_same_bits(got, BHolElement.of(sp, 1, (
+                    linear_combination(a, b, 1.0, beta) for a, b in zip(x.reps, y.reps))))
+            for alpha in (-0.3, 2.5j, complex(-0.0, 1.5), 0.0, -1.0):
+                assert_same_bits(x.scale(alpha),
+                                 BHolElement.of(sp, 1, (s.scale(alpha) for s in x.reps)))
+            for level in (2, 3):
+                rho = sp.radius(level)
+                assert_same_bits(bond(x, level), BHolElement.of(sp, level, (
+                    s.restrict(min(rho, s.radius)) for s in x.reps)))
+
+    @pytest.mark.parametrize("name", sorted(ELEMENT_SPACES))
+    def test_reps_view_the_stack(self, name, rng):
+        sp = ELEMENT_SPACES[name]
+        x, y = (signed_zero_element(sp, 1, rng) for _ in range(2))
+        el = bond(x - y.scale(0.5j), 2)
+        assert len(el.reps) == len(sp.anchors) and el.reps is el.reps
+        for s, a, c, r, t in zip(el.reps, sp.anchors, el.coeffs, el.radius, el.tail):
+            assert s.coeffs.tobytes() == c.tobytes()
+            assert (s.radius, s.tail_bound, s.space, s.dim) == (r, t, sp.space, sp.dim)
+            assert (s.anchor if sp.dim == 1 else tuple(s.anchor)) == a
+
+    def test_arrays_are_read_only(self, scalar_germspace, rng):
+        x = signed_zero_element(scalar_germspace, 1, rng)
+        for el in (x, x + x, x.scale(2.0), bond(x, 2), scalar_germspace.zero_element(0),
+                   unit_majorant_family(scalar_germspace, 1, rng, 4)[0]):
+            for name in ("coeffs", "radius", "tail"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(el, name)[0] = 0.0
+
+    def test_mixed_degree_bounds_truncate_like_the_series(self, scalar_germspace, rng):
+        x, y = (signed_zero_element(scalar_germspace, 1, rng) for _ in range(2))
+        short = BHolElement.of(scalar_germspace, 1, (s.truncate(3) for s in y.reps))
+        assert_same_bits(x - short, BHolElement.of(scalar_germspace, 1, (
+            linear_combination(a, b, 1.0, -1.0) for a, b in zip(x.reps, short.reps))))
+        assert (x - short).coeffs.shape[1] == 4
+
+    def test_stack_shape_and_radius_validated(self, scalar_germspace):
+        sp = scalar_germspace
+        good = sp.zero_element(1)
+        with pytest.raises(StructureError, match="one series per anchor"):
+            BHolElement(sp, 1, good.coeffs[:1], good.radius[:1], good.tail[:1])
+        with pytest.raises(StructureError, match="level radius"):
+            BHolElement(sp, 2, good.coeffs, good.radius, good.tail)
+        with pytest.raises(StructureError, match="tail"):
+            BHolElement(sp, 1, good.coeffs, good.radius, [0.0, math.inf])
+        with pytest.raises(StructureError, match="degree bound"):
+            BHolElement.of(sp, 1, (good.reps[0], good.reps[1].truncate(3)))
+
+    def test_compact_regularity_builds_no_series(self, scalar_germspace, rng, monkeypatch):
+        built = []
+        post_init = TruncatedSeries.__post_init__
+        monkeypatch.setattr(TruncatedSeries, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        rep = compact_regularity_check(scalar_germspace, 1, 3, 0.1, 30, rng)
+        assert rep.passed and rep.trials == 30
+        assert built == []
+
+
 class TestCoherence:
     def test_incoherent_element_detected(self):
         sp = GermSpace(anchors=(0.0, 0.5), base_radius=1.0, ratio=0.1, levels=4)
@@ -421,7 +526,7 @@ class TestCoherence:
             TruncatedSeries.constant(1.0, 0.0, 1.0, scalar_space(), 12),
             TruncatedSeries.constant(2.0, 0.5, 1.0, scalar_space(), 12),
         )
-        el = BHolElement(sp, 0, reps)
+        el = BHolElement.of(sp, 0, reps)
         assert el.coherence_defect() > 0.5
 
     def test_two_variable_coherence_rejected(self):
@@ -440,7 +545,7 @@ class TestElementAnchors:
         reps = tuple(TruncatedSeries.constant(1.0, a, 1.0, scalar_space(), 4, dim)
                      for a in wrong)
         with pytest.raises(StructureError, match="anchor"):
-            BHolElement(sp, 0, reps)
+            BHolElement.of(sp, 0, reps)
 
     @staticmethod
     def _two_variable_element(anchors):
