@@ -192,6 +192,8 @@ class RealAtlas:
 
     def __post_init__(self):
         for tr in self.transitions:
+            if not (0 <= tr.i < len(self.charts) and 0 <= tr.j < len(self.charts)):
+                raise StructureError(f"transition ({tr.i},{tr.j}) names a chart outside the atlas")
             if tr.i == tr.j:
                 continue
             if not self.between(tr.j, tr.i):

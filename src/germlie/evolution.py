@@ -37,12 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
 from .germgroup import GermGroupElement, GermLieGroup, _rows, random_algebra_element
 from .germspace import BHolElement, _align, _fold, _stack, bond, germ_distance
 from .reports import Report
-from .series import multiply as series_multiply
+from .series import SeriesStack, multiply as series_multiply
 
 __all__ = [
     "LieCurve",
@@ -155,7 +154,8 @@ class _PiecewiseCurve:
                 radius[rows] = radii.min(axis=0)
             acc[rows], tail[rows] = _fold(coeffs, tails, weights)
         flat = (-1,) + acc.shape[2:]
-        return SeriesStack(acc.reshape(flat), radius.reshape(-1), tail.reshape(-1))
+        return SeriesStack(acc.reshape(flat), radius.reshape(-1), tail.reshape(-1),
+                           self.group.space.space.submult_factor)
 
     def _element(self, stack: SeriesStack) -> BHolElement:
         return BHolElement(self.group.space, self.level, stack.coeffs, stack.radius, stack.tail)
@@ -259,9 +259,9 @@ def _evol_run(curves: tuple, steps: int, keep: bool):
     """
     if steps < 4:
         raise StructureError("steps must be at least 4")
-    eta = _rows(c.group.identity(c.level).element for c in curves)
-    width = len(eta.tail)  # rows per step: every curve's anchors
-    anchors = width // len(curves)
+    kappa = curves[0].group.space.space.submult_factor
+    eta = _rows((c.group.identity(c.level).element for c in curves), kappa)
+    anchors = len(eta.tail) // len(curves)
     snaps = [eta] if keep else []
     dt = 1.0 / steps
     for start in range(0, steps, _STEP_BLOCK):
@@ -281,26 +281,17 @@ def _evol_run(curves: tuple, steps: int, keep: bool):
             i, worst, budget = min(over, key=lambda o: o[0])  # the first curve on a tie
             raise BudgetError(f"evolution budget violated at t = {tm[i]:.6g}: "
                               f"majorant {worst:.4g} > {budget:.4g}")
-        omega = _step_major(omegas, len(tm))
-        for r in range(0, len(omega.tail), width):
-            eta = eta.mul(omega.rows(slice(r, r + width)).exp())
+        # row (c T + j) anchors + a of the curve-major block is curve c, step j, anchor a
+        omega = _rows(omegas, kappa)
+        step0 = (np.arange(len(curves))[:, None] * len(tm) * anchors + np.arange(anchors)).ravel()
+        for j in range(len(tm)):
+            eta = eta.mul(omega.rows(step0 + j * anchors).exp())
             if keep:
                 snaps.append(eta)
     times = tuple(i * dt for i in range(steps + 1))
     ends = tuple(GermGroupElement(c._element(eta.rows(slice(k * anchors, (k + 1) * anchors))))
                  for k, c in enumerate(curves))
     return ends, times, snaps
-
-
-def _step_major(stacks, steps: int) -> SeriesStack:
-    """One stack of per-curve stacks of ``steps`` steps each, ordered step by
-    step: the rows of step j are every curve's rows of step j, in curve order."""
-    def merge(parts):
-        return np.stack([p.reshape((steps, -1) + p.shape[1:]) for p in parts],
-                        axis=1).reshape((-1,) + parts[0].shape[1:])
-
-    return SeriesStack(*(merge(parts) for parts in
-                         zip(*((st.coeffs, st.radius, st.tail) for st in stacks))))
 
 
 # ---------------------------------------------------------------------------

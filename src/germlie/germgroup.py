@@ -24,11 +24,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from ._fastseries import SeriesStack
 from .errors import BudgetError, StructureError
 from .germspace import BHolElement, GermSpace, _align, bond
 from .matrixlie import MatrixLieBackend, bch_remainder_bound, evaluate_bch_words
-from .series import multiply as series_multiply, series_to_json
+from .series import SeriesStack, multiply as series_multiply, series_to_json
 
 __all__ = [
     "GermLieGroup",
@@ -44,10 +43,11 @@ _RANDOM_MAX_DEGREE = 3  # degree bound of the random generators' global polynomi
 _RANDOM_DECAY = 0.35  # geometric decay of its coefficients
 
 
-def _rows(elements) -> SeriesStack:
-    """The per-anchor rows of ``elements``, in order, as one stack."""
-    return SeriesStack(*(np.concatenate(parts) for parts in
-                         zip(*((el.coeffs, el.radius, el.tail) for el in elements))))
+def _rows(parts, kappa: float) -> SeriesStack:
+    """The rows of ``parts`` (elements or stacks), in order, as one stack whose
+    coefficient norm has submultiplicativity constant ``kappa``."""
+    return SeriesStack(*(np.concatenate(arrays) for arrays in
+                         zip(*((p.coeffs, p.radius, p.tail) for p in parts))), kappa)
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ class GermLieGroup:
                     f"local product budget violated: majorant sum {s:.6g} >= "
                     f"{self.backend.bch_radius:.6g}")
             prepped.append((xb, yb, bch_remainder_bound(s, order)))
-        zs = evaluate_bch_words(_rows(xb for xb, _, _ in prepped),
-                                _rows(yb for _, yb, _ in prepped), order, SeriesStack.bracket)
+        xs, ys = (_rows((p[k] for p in prepped), self.space.space.submult_factor) for k in (0, 1))
+        zs = evaluate_bch_words(xs, ys, order, SeriesStack.bracket)
         tails = zs.tail + np.repeat([rem for _, _, rem in prepped], n_anchors)
         cuts = (slice(i * n_anchors, (i + 1) * n_anchors) for i in range(len(prepped)))
         return [BHolElement(self.space, xb.level, zs.coeffs[c], zs.radius[c], tails[c])
@@ -206,7 +206,7 @@ class GermLieGroup:
     def _on_stack(self, el: BHolElement, op) -> BHolElement:
         """Apply a :class:`SeriesStack` method to every anchor's series at once."""
         self._require_d1("exp, log and inverse of germs")
-        out = op(SeriesStack(el.coeffs, el.radius, el.tail))
+        out = op(SeriesStack(el.coeffs, el.radius, el.tail, self.space.space.submult_factor))
         return BHolElement(self.space, el.level, out.coeffs, out.radius, out.tail)
 
     def exp_germ(self, eta: BHolElement) -> GermGroupElement:

@@ -101,7 +101,7 @@ def evaluate_bch_words(x, y, order: int, bracket_fn):
     """Evaluate the truncated Dynkin sum for arbitrary arguments.
 
     ``x`` and ``y`` only need scalar multiplication and addition (numpy
-    arrays and :class:`~germlie._fastseries.SeriesStack` both qualify);
+    arrays and :class:`~germlie.series.SeriesStack` both qualify);
     ``bracket_fn`` is the Lie bracket of the ambient algebra.
     """
     plan, words = _suffix_plan(order)

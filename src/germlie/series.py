@@ -19,6 +19,11 @@ Coefficients live in a :class:`CoefficientSpace`: complex scalars, vectors,
 or m x m matrices.  The matrix norm is twice the spectral norm, which makes
 ``norm([x, y]) <= norm(x) * norm(y)`` hold exactly; this is the norm the Lie
 machinery in the rest of the package relies on.
+
+The d = 1 ring arithmetic (product, exp, log, inverse) lives once, on the
+row-independent batch type :class:`SeriesStack`; the Lie-group hot paths run
+it over many series at once and the single-series functions on a one-row
+stack, so every row of a stack equals the single-series result bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "scalar_space",
     "vector_space",
     "matrix_space",
+    "SeriesStack",
     "linear_combination",
     "multiply",
     "bracket",
@@ -143,7 +149,7 @@ def spectral_norms(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 kernels on (B, K, m, m) stacks: product, exp, log and inverse
+# the d = 1 stack type: product, exp, log and inverse of (B, K, m, m) stacks
 # ---------------------------------------------------------------------------
 
 _TOEPLITZ_INDEX: dict[tuple[int, int], np.ndarray] = {}
@@ -210,12 +216,6 @@ def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
     return coeffs, tail
 
 
-def _stack_norms(coeffs, kappa):
-    """Norms sigma_max / kappa of a (B, K, m, m) stack: twice the spectral norm
-    for matrices (kappa = 1/2), the modulus for scalars as 1 x 1 (kappa = 1)."""
-    return spectral_norms(coeffs) / kappa
-
-
 def _identity_stack(like):
     one = np.zeros_like(like)
     one[:, 0] = np.eye(like.shape[-1])
@@ -230,7 +230,7 @@ def _horner(x, x_norms, tail, tops, alpha, beta, kappa):
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
     s_tail = np.zeros(len(x))
     for j in range(int(tops.max()) - 1, 0, -1):
-        c, t = _cauchy_product(x, s, x_norms, _stack_norms(s, kappa), tail, s_tail, unit, kappa)
+        c, t = _cauchy_product(x, s, x_norms, spectral_norms(s) / kappa, tail, s_tail, unit, kappa)
         live = tops > j
         s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
         s_tail = np.where(live, abs(beta(j)) * t, s_tail)
@@ -255,73 +255,148 @@ def _log_order(q: float, n: int) -> int:
     return j
 
 
-def _exp_kernel(coeffs, tail, radius, kappa):
-    """exp of B series (B, K, m, m) by S <- 1 + a S / j, j = J .. 1: coefficients,
-    radii, tails.  As ``norm(a^j) <= kappa^{j-1} m^j``, the terms above J add
-    q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the tail, q = kappa * majorant."""
-    # the unit-radius variable keeps badly scaled rows well conditioned
-    pw = (radius[:, None] ** np.arange(coeffs.shape[1]))[:, :, None, None]
-    x = coeffs * pw
-    x_norms = _stack_norms(x, kappa)
-    q = kappa * (np.sum(x_norms, axis=1) + tail)
-    orders = np.array([_exp_order(float(v)) for v in q])
-    s, s_tail = _horner(x, x_norms, tail, orders + 1, lambda j: 1.0, lambda j: 1.0 / j, kappa)
-    fact = np.array([math.factorial(j + 1) for j in orders], dtype=float)
-    rem = q ** (orders + 1) / fact / (kappa * np.maximum(1.0 - q / (orders + 2), 1e-9))
-    return s / pw, radius, s_tail + rem
+class SeriesStack:
+    """A batch of B d = 1 series sharing one degree bound; anchors and levels
+    stay with the caller.  ``kappa`` is :attr:`CoefficientSpace.submult_factor`
+    of the coefficient space, and every stack derived from this one keeps it.
+    """
 
+    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms")
 
-def _log_kernel(coeffs, tail, radius, kappa):
-    """Principal log of B series by log(1 + w) = w (1 - w (1/2 - w (1/3 - ...)))
-    to order J, the terms above J in the tail; :class:`BudgetError` unless
-    ``majorant(a - 1) < 1`` on every row.  Returns coefficients, radii, tails."""
-    pw = (radius[:, None] ** np.arange(coeffs.shape[1]))[:, :, None, None]
-    w = coeffs * pw - _identity_stack(coeffs)
-    w_norms = _stack_norms(w, kappa)
-    mw = np.sum(w_norms, axis=1) + tail
-    if np.max(mw) >= 0.999:
-        raise BudgetError(f"log branch budget violated: majorant(a - 1) = {np.max(mw):.4g} >= 1")
-    q = kappa * mw
-    orders = np.array([_log_order(float(v), coeffs.shape[1] - 1) for v in q])
-    s, s_tail = _horner(w, w_norms, tail, orders, lambda j: 1.0 / j, lambda j: -1.0, kappa)
-    out, out_tail = _cauchy_product(w, s, w_norms, _stack_norms(s, kappa), tail, s_tail,
-                                    np.ones_like(radius), kappa)
-    rem = q ** (orders + 1) / (kappa * (orders + 1) * (1.0 - q))
-    return out / pw, radius, out_tail + rem
+    def __init__(self, coeffs: np.ndarray, radius: np.ndarray, tail: np.ndarray, kappa: float):
+        self.coeffs = coeffs  # (B, K, m, m), scalars as 1 x 1 matrices
+        self.radius = radius  # (B,)
+        self.tail = tail      # (B,)
+        self.kappa = kappa
+        self._norms = None
 
+    @classmethod
+    def from_series(cls, series: list) -> "SeriesStack":
+        coeffs = np.stack([s.coeffs.reshape(-1, s.space.dim, s.space.dim) for s in series])
+        radius = np.array([s.radius for s in series], dtype=float)
+        tail = np.array([s.tail_bound for s in series], dtype=float)
+        return cls(coeffs, radius, tail, series[0].space.submult_factor)
 
-def _invert_kernel(coeffs, tail, radius, kappa):
-    """Inverse of B series (B, K, m, m) as in :func:`invert`: coefficients, radii, tails."""
-    n_rows, k, m, _ = coeffs.shape
-    try:
-        a0_inv = np.linalg.inv(coeffs[:, 0])
-    except np.linalg.LinAlgError:
-        raise BudgetError("constant coefficient is singular") from None
-    rows = coeffs.transpose(0, 2, 1, 3)  # block row [a_0 .. a_n] per series
-    b = np.zeros_like(coeffs)
-    b[:, 0] = a0_inv
-    for d in range(1, k):
-        acc = np.matmul(rows[:, :, 1:d + 1].reshape(n_rows, m, d * m),
-                        b[:, d - 1::-1].reshape(n_rows, d * m, m))
-        b[:, d] = -np.matmul(a0_inv, acc)
-    pad = ((0, 0), (0, k - 1), (0, 0), (0, 0))
-    ab = _truncated_product(np.pad(coeffs, pad), np.pad(b, pad))
-    r_norms = _stack_norms(_identity_stack(ab) - ab, kappa)
-    b_norms = _stack_norms(b, kappa)
-    floor = radius * 1e-6
-    while True:
-        pw = radius[:, None] ** np.arange(2 * k - 1)
-        mb = np.sum(b_norms * pw[:, :k], axis=1)
-        q = kappa * (np.sum(r_norms * pw, axis=1) + kappa * mb * tail)
-        short = q >= 0.95
-        if not np.any(short):
-            return b, radius, mb * q / (1.0 - q)
-        radius = np.where(short, 0.75 * radius, radius)
-        if np.any(radius < floor):
-            i = int(np.argmax(radius < floor))
+    def to_series(self, anchors, space: CoefficientSpace, dim: int = 1) -> list:
+        n = self.coeffs.shape[1] - 1
+        return [TruncatedSeries(a, n, self.coeffs[i].reshape((n + 1,) + space.shape),
+                                float(self.radius[i]), float(self.tail[i]), space, dim)
+                for i, a in enumerate(anchors)]
+
+    def rows(self, index) -> "SeriesStack":
+        """The stack of the rows ``index`` selects (a slice or an index array)."""
+        return SeriesStack(self.coeffs[index], self.radius[index], self.tail[index], self.kappa)
+
+    def norms(self) -> np.ndarray:
+        """Coefficient norms sigma_max / kappa, shape (B, K): twice the spectral
+        norm for matrices, the modulus for scalars."""
+        if self._norms is None:
+            self._norms = spectral_norms(self.coeffs) / self.kappa
+        return self._norms
+
+    def majorant(self) -> np.ndarray:
+        pw = self.radius[:, None] ** np.arange(self.coeffs.shape[1])
+        return np.sum(self.norms() * pw, axis=1) + self.tail
+
+    def add(self, other: "SeriesStack", alpha=1.0, beta=1.0) -> "SeriesStack":
+        return SeriesStack(alpha * self.coeffs + beta * other.coeffs,
+                           np.minimum(self.radius, other.radius),
+                           abs(alpha) * self.tail + abs(beta) * other.tail, self.kappa)
+
+    def scale(self, alpha) -> "SeriesStack":
+        return SeriesStack(self.coeffs * alpha, self.radius, self.tail * abs(complex(alpha)),
+                           self.kappa)
+
+    def __add__(self, other):
+        if not isinstance(other, SeriesStack):
+            return NotImplemented
+        return self.add(other)
+
+    def __rmul__(self, alpha):
+        if np.isscalar(alpha):
+            return self.scale(alpha)
+        return NotImplemented
+
+    def mul(self, other: "SeriesStack") -> "SeriesStack":
+        radius = np.minimum(self.radius, other.radius)
+        coeffs, tail = _cauchy_product(self.coeffs, other.coeffs, self.norms(), other.norms(),
+                                       self.tail, other.tail, radius, self.kappa)
+        return SeriesStack(coeffs, radius, tail, self.kappa)
+
+    def bracket(self, other: "SeriesStack") -> "SeriesStack":
+        return self.mul(other).add(other.mul(self), 1.0, -1.0)
+
+    def exp(self) -> "SeriesStack":
+        """exp by S <- 1 + a S / j, j = J .. 1.  As ``norm(a^j) <= kappa^{j-1} m^j``,
+        the terms above J add q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the
+        tail, q = kappa * majorant."""
+        kappa = self.kappa
+        # the unit-radius variable keeps badly scaled rows well conditioned
+        pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
+        x = self.coeffs * pw
+        x_norms = spectral_norms(x) / kappa
+        q = kappa * (np.sum(x_norms, axis=1) + self.tail)
+        orders = np.array([_exp_order(float(v)) for v in q])
+        s, s_tail = _horner(x, x_norms, self.tail, orders + 1, lambda j: 1.0, lambda j: 1.0 / j,
+                            kappa)
+        fact = np.array([math.factorial(j + 1) for j in orders], dtype=float)
+        rem = q ** (orders + 1) / fact / (kappa * np.maximum(1.0 - q / (orders + 2), 1e-9))
+        return SeriesStack(s / pw, self.radius, s_tail + rem, kappa)
+
+    def log(self) -> "SeriesStack":
+        """Principal log by log(1 + w) = w (1 - w (1/2 - w (1/3 - ...))) to order J,
+        the terms above J in the tail; :class:`BudgetError` unless
+        ``majorant(a - 1) < 1`` on every row."""
+        kappa = self.kappa
+        pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
+        w = self.coeffs * pw - _identity_stack(self.coeffs)
+        w_norms = spectral_norms(w) / kappa
+        mw = np.sum(w_norms, axis=1) + self.tail
+        if np.max(mw) >= 0.999:
             raise BudgetError(
-                "Neumann budget unattainable: needs kappa*majorant(1 - a b) < 0.95, "
-                f"got {q[i]:.3g} at radius {radius[i] / 0.75:.3g} (minimum {floor[i]:.3g})")
+                f"log branch budget violated: majorant(a - 1) = {np.max(mw):.4g} >= 1")
+        q = kappa * mw
+        orders = np.array([_log_order(float(v), self.coeffs.shape[1] - 1) for v in q])
+        s, s_tail = _horner(w, w_norms, self.tail, orders, lambda j: 1.0 / j, lambda j: -1.0,
+                            kappa)
+        out, out_tail = _cauchy_product(w, s, w_norms, spectral_norms(s) / kappa, self.tail,
+                                        s_tail, np.ones_like(self.radius), kappa)
+        rem = q ** (orders + 1) / (kappa * (orders + 1) * (1.0 - q))
+        return SeriesStack(out / pw, self.radius, out_tail + rem, kappa)
+
+    def invert(self) -> "SeriesStack":
+        """The inverse of every row as in :func:`invert`, radii shrunk row by row."""
+        coeffs, tail, radius, kappa = self.coeffs, self.tail, self.radius, self.kappa
+        n_rows, k, m, _ = coeffs.shape
+        try:
+            a0_inv = np.linalg.inv(coeffs[:, 0])
+        except np.linalg.LinAlgError:
+            raise BudgetError("constant coefficient is singular") from None
+        rows = coeffs.transpose(0, 2, 1, 3)  # block row [a_0 .. a_n] per series
+        b = np.zeros_like(coeffs)
+        b[:, 0] = a0_inv
+        for d in range(1, k):
+            acc = np.matmul(rows[:, :, 1:d + 1].reshape(n_rows, m, d * m),
+                            b[:, d - 1::-1].reshape(n_rows, d * m, m))
+            b[:, d] = -np.matmul(a0_inv, acc)
+        pad = ((0, 0), (0, k - 1), (0, 0), (0, 0))
+        ab = _truncated_product(np.pad(coeffs, pad), np.pad(b, pad))
+        r_norms = spectral_norms(_identity_stack(ab) - ab) / kappa
+        b_norms = spectral_norms(b) / kappa
+        floor = radius * 1e-6
+        while True:
+            pw = radius[:, None] ** np.arange(2 * k - 1)
+            mb = np.sum(b_norms * pw[:, :k], axis=1)
+            q = kappa * (np.sum(r_norms * pw, axis=1) + kappa * mb * tail)
+            short = q >= 0.95
+            if not np.any(short):
+                return SeriesStack(b, radius, mb * q / (1.0 - q), kappa)
+            radius = np.where(short, 0.75 * radius, radius)
+            if np.any(radius < floor):
+                i = int(np.argmax(radius < floor))
+                raise BudgetError(
+                    "Neumann budget unattainable: needs kappa*majorant(1 - a b) < 0.95, "
+                    f"got {q[i]:.3g} at radius {radius[i] / 0.75:.3g} (minimum {floor[i]:.3g})")
 
 
 def _degrees(n: int, dim: int) -> np.ndarray:
@@ -329,6 +404,14 @@ def _degrees(n: int, dim: int) -> np.ndarray:
     variables: ``arange(n + 1)`` for d = 1, the grid ``i + j`` for d = 2."""
     k = np.arange(n + 1)
     return k if dim == 1 else np.add.outer(k, k)
+
+
+def _multi_index(k, dim: int, n: int) -> tuple:
+    """The slot of multi-index ``k``: ``dim`` nonnegative ints of total degree <= n."""
+    idx = (int(k),) if np.isscalar(k) else tuple(int(q) for q in k)
+    if len(idx) != dim or min(idx) < 0 or sum(idx) > n:
+        raise StructureError(f"multi-index {idx} does not fit dimension {dim}, degree bound {n}")
+    return idx
 
 
 def _anchor_key(anchor) -> tuple:
@@ -429,12 +512,7 @@ class TruncatedSeries:
         s = cls.zero(anchor, radius, space, degree_bound, dim)
         coeffs = s.coeffs.copy()
         for k, value in pairs:
-            idx = (int(k),) if np.isscalar(k) else tuple(int(q) for q in k)
-            if len(idx) != dim:
-                raise StructureError(f"multi-index {idx} does not match dimension {dim}")
-            if sum(idx) > degree_bound:
-                raise StructureError(f"multi-index {idx} exceeds degree bound {degree_bound}")
-            coeffs[idx] = np.asarray(value, dtype=complex)
+            coeffs[_multi_index(k, dim, degree_bound)] = np.asarray(value, dtype=complex)
         return cls(anchor, degree_bound, coeffs, radius, 0.0, space, dim)
 
     # -- norms --------------------------------------------------------------
@@ -606,31 +684,21 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.degree_bound, b.degree_bound)
     a = a.truncate(n)
     b = b.truncate(n)
-    kappa = a.space.submult_factor
-    k = n + 1
-
     if a.dim == 1:
-        # a single series is a B = 1 stack; scalars are 1 x 1 matrices
-        m = a.space.dim
-        coeffs, tail = _cauchy_product(
-            a.coeffs.reshape(1, k, m, m), b.coeffs.reshape(1, k, m, m),
-            a.coeff_norms()[None], b.coeff_norms()[None],
-            np.array([a.tail_bound]), np.array([b.tail_bound]), np.array([radius]), kappa)
-        coeffs = coeffs[0].reshape(a.coeffs.shape)
-        tail = float(tail[0])
-    else:
-        # d = 2 is not performance critical: each nonzero a_ij adds a_ij * b
-        # into the window of the full product shifted by (i, j)
-        deg = _degrees(2 * n, 2)
-        full = np.zeros(deg.shape + a.space.shape, dtype=complex)
-        prod = np.matmul if a.space.kind == "matrix" else np.multiply
-        for i, j in np.argwhere(a.coeffs.reshape(k, k, -1).any(axis=-1)):
-            full[i:i + k, j:j + k] += prod(a.coeffs[i, j], b.coeffs)
-        coeffs = full[:k, :k].copy()
-        coeffs[deg[:k, :k] > n] = 0.0
-        overflow = float(np.sum((a.space.norm(full) * radius ** deg)[deg > n]))
-        ma, mb = a.poly_majorant(radius), b.poly_majorant(radius)
-        tail = _product_tail(ma, mb, a.tail_bound, b.tail_bound, overflow, kappa)
+        return _unrow(_row(a).mul(_row(b)), a)
+    # d = 2 is not performance critical: each nonzero a_ij adds a_ij * b
+    # into the window of the full product shifted by (i, j)
+    k = n + 1
+    deg = _degrees(2 * n, 2)
+    full = np.zeros(deg.shape + a.space.shape, dtype=complex)
+    prod = np.matmul if a.space.kind == "matrix" else np.multiply
+    for i, j in np.argwhere(a.coeffs.reshape(k, k, -1).any(axis=-1)):
+        full[i:i + k, j:j + k] += prod(a.coeffs[i, j], b.coeffs)
+    coeffs = full[:k, :k].copy()
+    coeffs[deg[:k, :k] > n] = 0.0
+    overflow = float(np.sum((a.space.norm(full) * radius ** deg)[deg > n]))
+    ma, mb = a.poly_majorant(radius), b.poly_majorant(radius)
+    tail = _product_tail(ma, mb, a.tail_bound, b.tail_bound, overflow, a.space.submult_factor)
     return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space, a.dim)
 
 
@@ -639,17 +707,30 @@ def bracket(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return linear_combination(multiply(a, b), multiply(b, a), 1.0, -1.0)
 
 
-def _unary(a: TruncatedSeries, what: str, kernel) -> TruncatedSeries:
-    """Run a stack kernel on ``a`` as a B = 1 stack, scalars as 1 x 1 matrices."""
+def _row(a: TruncatedSeries) -> SeriesStack:
+    """The d = 1 ring-valued series ``a`` as a one-row stack, scalars as 1 x 1
+    matrices, its norms taken from ``a.coeff_norms()``."""
+    k, m = a.degree_bound + 1, a.space.dim
+    row = SeriesStack(a.coeffs.reshape(1, k, m, m), np.array([a.radius]),
+                      np.array([a.tail_bound]), a.space.submult_factor)
+    row._norms = a.coeff_norms()[None]
+    return row
+
+
+def _unrow(row: SeriesStack, like: TruncatedSeries) -> TruncatedSeries:
+    """The one-row stack ``row`` as a series with the anchor and space of ``like``."""
+    coeffs = row.coeffs[0].reshape(like.coeffs.shape)
+    return TruncatedSeries(like.anchor, like.degree_bound, coeffs, float(row.radius[0]),
+                           float(row.tail[0]), like.space)
+
+
+def _unary(a: TruncatedSeries, what: str, method) -> TruncatedSeries:
+    """``method`` of :class:`SeriesStack` on ``a`` as a one-row stack."""
     if a.space.kind == "vector":
         raise StructureError(f"{what} needs a ring of coefficients")
     if a.dim != 1:
         raise StructureError(f"{what} is implemented for d = 1 only")
-    k, m = a.degree_bound + 1, a.space.dim
-    coeffs, radius, tail = kernel(a.coeffs.reshape(1, k, m, m), np.array([a.tail_bound]),
-                                  np.array([a.radius]), a.space.submult_factor)
-    return TruncatedSeries(a.anchor, a.degree_bound, coeffs[0].reshape(a.coeffs.shape),
-                           float(radius[0]), float(tail[0]), a.space)
+    return _unrow(method(_row(a)), a)
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
@@ -663,12 +744,12 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     0.75 (recorded in the result) down to 1e-6 times the input radius, then
     :class:`BudgetError`.  Like every tail here, it ignores rounding.
     """
-    return _unary(a, "invert", _invert_kernel)
+    return _unary(a, "invert", SeriesStack.invert)
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """exp(a) with the factorial remainder folded into the tail bound (d = 1)."""
-    return _unary(a, "exp", _exp_kernel)
+    return _unary(a, "exp", SeriesStack.exp)
 
 
 def series_log(a: TruncatedSeries) -> TruncatedSeries:
@@ -677,7 +758,7 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
     The branch budget ``majorant(a - 1) < 1`` must hold on the series radius;
     callers with germ structure can bond deeper and retry.  d = 1 only.
     """
-    return _unary(a, "log", _log_kernel)
+    return _unary(a, "log", SeriesStack.log)
 
 
 # ---------------------------------------------------------------------------
@@ -822,19 +903,24 @@ def series_to_json(s: TruncatedSeries) -> dict:
 
 
 def series_from_json(doc: dict) -> TruncatedSeries:
-    space = CoefficientSpace(doc["space"]["kind"], doc["space"]["dim"])
-    dim = int(doc.get("dim", 1))
-    if dim == 1:
-        anchor = complex(doc["anchor"][0], doc["anchor"][1])
-    else:
-        anchor = np.array([complex(p[0], p[1]) for p in doc["anchor"]])
-    n = int(doc["degree_bound"])
-    coeffs = np.zeros((n + 1,) * dim + space.shape, dtype=complex)
-    for entry in doc["coeffs"]:
-        flat = np.array([complex(p[0], p[1]) for p in entry[1:]])
-        coeffs[tuple(int(q) for q in entry[0])] = flat.reshape(space.shape)
-    return TruncatedSeries(anchor, n, coeffs, float(doc["radius"]),
-                           float(doc["tail_bound"]), space, dim)
+    """The series of a :func:`series_to_json` document; :class:`StructureError`
+    if the document is malformed."""
+    try:
+        space = CoefficientSpace(doc["space"]["kind"], doc["space"]["dim"])
+        dim = int(doc.get("dim", 1))
+        if dim == 1:
+            anchor = complex(doc["anchor"][0], doc["anchor"][1])
+        else:
+            anchor = np.array([complex(p[0], p[1]) for p in doc["anchor"]])
+        n = int(doc["degree_bound"])
+        coeffs = np.zeros((n + 1,) * dim + space.shape, dtype=complex)
+        for entry in doc["coeffs"]:
+            flat = np.array([complex(p[0], p[1]) for p in entry[1:]])
+            coeffs[_multi_index(entry[0], dim, n)] = flat.reshape(space.shape)
+        return TruncatedSeries(anchor, n, coeffs, float(doc["radius"]),
+                               float(doc["tail_bound"]), space, dim)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise StructureError(f"malformed series document: {exc!r}") from exc
 
 
 def series_json_dumps(s: TruncatedSeries) -> str:

@@ -182,6 +182,13 @@ class TestAtlasIO:
         rep = certify_cocycles(extend_transitions(atlas2, 0.1))
         assert rep.passed
 
+    def test_transition_outside_charts_rejected(self, circle3):
+        doc = atlas_to_json(circle3)
+        assert doc["transitions"][-1]["i"] == doc["transitions"][-1]["j"] == 2
+        doc["transitions"][-1].update(i=5, j=5)  # an identity record of a fourth chart
+        with pytest.raises(StructureError, match="outside the atlas"):
+            atlas_from_json(doc)
+
     def test_schema_fields(self, circle3):
         doc = atlas_to_json(circle3)
         assert set(doc) == {"charts", "transitions"}

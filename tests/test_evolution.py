@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, StructureError
 from germlie import evolution
 from germlie.evolution import (
@@ -29,6 +28,7 @@ from germlie.evolution import (
 from germlie.germgroup import random_algebra_element
 from germlie.reports import Report
 from germlie.germspace import BHolElement, bond, germ_distance
+from germlie.series import SeriesStack
 
 
 def reference_fold(start, terms):

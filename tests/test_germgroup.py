@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from germlie import germgroup, series
-from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, StructureError
 from germlie.germgroup import (
     GermGroupElement,
@@ -14,7 +13,7 @@ from germlie.germgroup import (
     random_group_element,
 )
 from germlie.germspace import GermSpace, bond, germ_distance
-from germlie.series import matrix_space
+from germlie.series import SeriesStack, matrix_space
 
 
 def sample_pts(group, n=20):

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from germlie._fastseries import SeriesStack
 from germlie.errors import BudgetError, EvaluationError, StructureError
 from germlie.series import (
+    SeriesStack,
     TruncatedSeries,
     bracket,
     cauchy_coefficients,
@@ -453,6 +453,23 @@ class TestSerialization:
         doc = series_to_json(random_scalar_series(rng))
         assert {"anchor", "degree_bound", "coeffs", "radius", "tail_bound"} <= set(doc)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["coeffs"].append([[-1], [5.0, 0.0]]),
+        lambda doc: doc["coeffs"].append([[7], [5.0, 0.0]]),
+        lambda doc: doc["coeffs"][1].append([5.0, 0.0]),
+        lambda doc: doc.pop("radius"),
+    ], ids=["negative-degree", "beyond-degree-bound", "extra-value", "missing-key"])
+    def test_malformed_document_is_structural(self, edit):
+        doc = series_to_json(TruncatedSeries.from_coeff_list([(1, 2.0)], 0.0, 1.0, SP, 3))
+        edit(doc)
+        with pytest.raises(StructureError):
+            series_from_json(doc)
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_coeff_list_outside_degrees_rejected(self, index):
+        with pytest.raises(StructureError):
+            TruncatedSeries.from_coeff_list([(index, 5.0)], 0.0, 1.0, SP, 3)
+
 
 class TestDimensionTwo:
     def test_eval_and_multiply(self, rng):
@@ -551,3 +568,18 @@ class TestSeriesStack:
             assert_matches_naive(out.coeffs[i], out.radius[i], out.tail[i], x, y)
             ref = multiply(x, y)
             assert_matches_naive(ref.coeffs, ref.radius, ref.tail_bound, x, y)
+
+    def test_scalar_stack_keeps_kappa_one(self, rng):
+        # scalars as 1 x 1 matrices under the modulus, which is 1-submultiplicative
+        x, y = (near_unit_series(rng, SP, 1.0, 12, 0.3, 1e-7) for _ in range(2))
+        a, b = SeriesStack.from_series([x]), SeriesStack.from_series([y])
+        assert a.kappa == 1.0 and a.coeffs.shape == (1, 13, 1, 1)
+        (back,) = a.to_series([0.0], SP)
+        assert np.array_equal(back.coeffs, x.coeffs) and back.tail_bound == x.tail_bound
+        derived = (a.rows(slice(0, 1)), a.add(b), a.scale(0.5), a.mul(b), a.bracket(b),
+                   a.exp(), a.log(), a.invert())
+        assert [d.kappa for d in derived] == [1.0] * len(derived)
+        for out, ref in ((a.mul(b), multiply(x, y)), (a.exp(), series_exp(x)),
+                         (a.log(), series_log(x)), (a.invert(), invert(x))):
+            assert np.array_equal(out.coeffs.reshape(ref.coeffs.shape), ref.coeffs)
+            assert out.tail[0] == ref.tail_bound and out.radius[0] == ref.radius

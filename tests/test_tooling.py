@@ -23,6 +23,14 @@ def test_tracer_wraps_every_traced_name():
     assert tr.spans == [] and tr.ops == 0
 
 
+def test_traced_stack_class_is_the_one_series_runs():
+    # a copy of the class under the tracer's module name would be wrapped while
+    # nothing ran it, and every fastseries.* counter would read 0
+    import germlie._fastseries
+    import germlie.series
+    assert germlie._fastseries.SeriesStack is germlie.series.SeriesStack
+
+
 def test_benchmark_selftest_passes():
     # the tracer's structural pins (mul counts, aliases, spans) break tier-1 too
     root = TRACER.parent.parent
