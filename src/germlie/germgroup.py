@@ -85,18 +85,22 @@ class GermGroupElement:
 
 
 def _invertibility_margin(el: BHolElement) -> float:
-    space = el.parent.space
-    worst = math.inf
-    for s in el.reps:
-        c0 = s.coeffs[(0,) * s.dim]
-        try:
-            c0_inv = np.linalg.inv(c0)
-        except np.linalg.LinAlgError:
-            return -math.inf
-        centered = float(np.sum(s.majorant_coeffs()[1:])) + s.tail_bound
-        q = space.submult_factor * float(space.norm(c0_inv)) * centered
-        worst = min(worst, 1.0 - q)
-    return worst
+    """``1 - kappa norm(c0^{-1}) (majorant - norm(c0))`` at the worst anchor,
+    all anchors in one batch; -inf if a constant coefficient is singular."""
+    space, dim = el.parent.space, el.parent.dim
+    if space.kind != "matrix":
+        return -math.inf
+    if dim == 1:
+        pw = el.radius[:, None] ** np.arange(el.coeffs.shape[1])
+        centered = np.sum((space.norm(el.coeffs) * pw)[:, 1:], axis=1) + el.tail
+    else:
+        centered = np.array([float(np.sum(s.majorant_coeffs()[1:])) + s.tail_bound
+                             for s in el.reps])
+    try:
+        c0_inv = np.linalg.inv(el.coeffs[(slice(None),) + (0,) * dim])
+    except np.linalg.LinAlgError:
+        return -math.inf
+    return float(np.min(1.0 - space.submult_factor * space.norm(c0_inv) * centered))
 
 
 @dataclass(frozen=True)

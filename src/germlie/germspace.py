@@ -201,7 +201,11 @@ class BHolElement:
 
     @property
     def norm_upper(self) -> float:
-        return max(s.majorant_norm() for s in self.reps)
+        """The largest ``majorant_norm`` over the anchors, on the stack for d = 1."""
+        if self.parent.dim != 1:
+            return max(s.majorant_norm() for s in self.reps)
+        norms = self.parent.space.norm(self.coeffs)
+        return float(batch_norm_upper(norms, self.tail, self.radius[:, None]))
 
     def sample_sup(self, n: int = 128) -> float:
         return max(s.sample_sup(s.radius, n) for s in self.reps)
@@ -297,7 +301,9 @@ def germ_distance(x, y) -> float:
     different anchor sets) raise :class:`StructureError`.
     """
     ex, ey = _align(x, y)
-    return max(s.poly_majorant() for s in (ex - ey).reps)
+    diff = ex - ey  # its norm_upper without the tails is the largest poly_majorant
+    return BHolElement(diff.parent, diff.level, diff.coeffs, diff.radius,
+                       np.zeros_like(diff.tail)).norm_upper
 
 
 def germs_equal(x, y) -> bool:
@@ -463,9 +469,10 @@ def combine_family(family, weights) -> tuple:
     return _fold(*_stack(family)[:2], weights)
 
 
-def batch_norm_upper(norms, tails, rho: float) -> np.ndarray:
+def batch_norm_upper(norms, tails, rho) -> np.ndarray:
     """``norm_upper`` at radius rho of every row of a batch, from coefficient
-    norms ``(T, anchors, N+1)`` and tails ``(T, anchors)``."""
+    norms ``(T, anchors, N+1)`` and tails ``(T, anchors)``; rho is a float or
+    broadcasts against ``(T, anchors, 1)``."""
     pw = rho ** np.arange(norms.shape[-1])
     return np.max(np.sum(norms * pw, axis=-1) + tails, axis=-1)
 

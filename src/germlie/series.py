@@ -140,10 +140,12 @@ def spectral_norms(values: np.ndarray) -> np.ndarray:
     if m == 1:
         return np.abs(values[..., 0, 0])
     if m == 2:
-        f = np.sum(np.abs(values) ** 2, axis=(-2, -1))
-        det = values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0]
-        disc = np.sqrt(np.maximum(f * f - 4.0 * np.abs(det) ** 2, 0.0))
-        return np.sqrt(np.maximum(0.5 * (f + disc), 0.0))
+        sq = np.abs(values)
+        np.square(sq, out=sq)
+        f = np.add.reduce(sq.reshape(sq.shape[:-2] + (4,)), axis=-1)
+        det = np.abs(values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0])
+        disc = np.sqrt(np.maximum(f * f - 4.0 * (det * det), 0.0))
+        return np.sqrt(0.5 * (f + disc))
     sv = np.linalg.svd(values, compute_uv=False)
     return sv[..., 0]
 
@@ -182,18 +184,23 @@ def _product_tail(ma, mb, tail_a, tail_b, overflow, kappa):
     return kappa * (ma * tail_b + mb * tail_a + tail_a * tail_b + overflow)
 
 
+def _block_toeplitz(b):
+    """(B, K*m, K*m) block upper-triangular Toeplitz matrices of a (B, K, m, m)
+    stack, block (i, d) being b_{d-i} for d >= i and zero below the diagonal."""
+    n_rows, k, m, _ = b.shape
+    padded = np.concatenate([b, np.zeros_like(b[:, :1])], axis=1)
+    return np.take(padded.reshape(n_rows, -1), _toeplitz_index(k, m), axis=1)
+
+
 def _truncated_product(a, b):
     """Coefficients of the Cauchy products of B pairs of (B, K, m, m) stacks up
     to degree K - 1."""
     n_rows, k, m, _ = a.shape
     # one matmul per row: a as the block row [a_0 .. a_{k-1}] of shape
-    # (m, k*m) times the block upper-triangular Toeplitz matrix of b, whose
-    # block (i, d) is b_{d-i} for d >= i
-    padded = np.concatenate([b, np.zeros_like(b[:, :1])], axis=1)
-    toeplitz = np.take(padded.reshape(n_rows, -1), _toeplitz_index(k, m), axis=1)
+    # (m, k*m) times the block Toeplitz matrix of b
     row = a.transpose(0, 2, 1, 3).reshape(n_rows, m, k * m)
     return np.ascontiguousarray(
-        np.matmul(row, toeplitz).reshape(n_rows, m, k, m).transpose(0, 2, 1, 3))
+        np.matmul(row, _block_toeplitz(b)).reshape(n_rows, m, k, m).transpose(0, 2, 1, 3))
 
 
 def _cauchy_product(a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
@@ -224,17 +231,36 @@ def _identity_stack(like):
 
 def _horner(x, x_norms, tail, tops, alpha, beta, kappa):
     """S <- alpha(j) 1 + beta(j) x S for j = top - 1 .. 1 from S = alpha(top) 1,
-    each row to its own top, so no row depends on the rest of the stack."""
-    one = _identity_stack(x)
-    unit = np.ones(len(x))
+    each row to its own top, so no row depends on the rest of the stack.
+
+    S is held degree-reversed, R_e = S_{K-1-e}: then (x S)_{K-1-e} is
+    sum_{f >= e} x_{f-e} R_f, so the block Toeplitz matrix of x, gathered
+    once, is x's left-multiplication operator and each term is one matmul.
+    The tail of each product is :func:`_product_tail` at unit radius, with
+    the suffix sums of S's norms read off the cumulative sums of R's.
+    """
+    n_rows, k, m, _ = x.shape
+    op = _block_toeplitz(x)
+    one = np.zeros_like(x)
+    one[:, -1] = np.eye(m)
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
-    s_tail = np.zeros(len(x))
+    s_tail = np.zeros(n_rows)
+    mx, mx_high = x_norms.sum(axis=1), x_norms[:, 1:]
+    all_live = int(tops.min())  # every row is live while j < all_live
     for j in range(int(tops.max()) - 1, 0, -1):
-        c, t = _cauchy_product(x, s, x_norms, spectral_norms(s) / kappa, tail, s_tail, unit, kappa)
-        live = tops > j
-        s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
-        s_tail = np.where(live, abs(beta(j)) * t, s_tail)
-    return s, s_tail
+        c = np.matmul(op, s.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
+        suffix = (spectral_norms(s) / kappa).cumsum(axis=1)
+        overflow = (mx_high * suffix[:, : k - 1]).sum(axis=1)
+        t = _product_tail(mx, suffix[:, -1], tail, s_tail, overflow, kappa)
+        c = alpha(j) * one + beta(j) * c
+        t = abs(beta(j)) * t
+        if j < all_live:
+            s, s_tail = c, t
+        else:
+            live = tops > j
+            s = np.where(live[:, None, None, None], c, s)
+            s_tail = np.where(live, t, s_tail)
+    return np.ascontiguousarray(s[:, ::-1]), s_tail
 
 
 def _exp_order(m: float) -> int:
@@ -329,7 +355,9 @@ class SeriesStack:
     def exp(self) -> "SeriesStack":
         """exp by S <- 1 + a S / j, j = J .. 1.  As ``norm(a^j) <= kappa^{j-1} m^j``,
         the terms above J add q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the
-        tail, q = kappa * majorant."""
+        tail, q = kappa * majorant.  :func:`_horner` gathers the block Toeplitz
+        matrix of a once and holds S degree-reversed, so each of the J
+        products is one matmul."""
         kappa = self.kappa
         # the unit-radius variable keeps badly scaled rows well conditioned
         pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]

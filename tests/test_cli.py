@@ -1,16 +1,24 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import germlie
 from germlie.cli import _config_dict, build_parser
 from germlie.reports import Report
 
+# the child interpreter imports germlie from the same source tree as the tests
+_SRC = str(Path(germlie.__file__).resolve().parent.parent)
+
 
 def run_cli(*argv, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "germlie", *argv],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestDeterminism:

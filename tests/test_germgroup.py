@@ -12,12 +12,39 @@ from germlie.germgroup import (
     random_algebra_element,
     random_group_element,
 )
-from germlie.germspace import GermSpace, bond, germ_distance
+from germlie.evolution import evol, random_spline_curve
+from germlie.germspace import BHolElement, GermSpace, bond, germ_distance
 from germlie.series import SeriesStack, matrix_space
 
 
 def sample_pts(group, n=20):
     return group.space.sample_points(1, n, interior=0.4)
+
+
+def reference_margin(el):
+    """The Neumann margin of ``GermGroupElement`` computed series by series."""
+    space, worst = el.parent.space, np.inf
+    for s in el.reps:
+        try:
+            c0_inv = np.linalg.inv(s.coeffs[(0,) * s.dim])
+        except np.linalg.LinAlgError:
+            return -np.inf
+        centered = float(np.sum(s.majorant_coeffs()[1:])) + s.tail_bound
+        q = space.submult_factor * float(space.norm(c0_inv)) * centered
+        worst = min(worst, 1.0 - q)
+    return worst
+
+
+def near_identity_element(space, level, rng, scale):
+    """Identity plus a random perturbation, per-anchor radii and tails varying."""
+    m, n, rows = space.space.dim, space.degree_bound, len(space.anchors)
+    shape = (rows,) + (n + 1,) * space.dim + (m, m)
+    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    coeffs[(slice(None),) + (0,) * space.dim] += np.eye(m)
+    if space.dim == 2:
+        coeffs[:, series._degrees(n, 2) > n] = 0.0
+    radius = space.radius(level) * rng.uniform(0.5, 1.0, rows)
+    return BHolElement(space, level, coeffs, radius, rng.uniform(0.0, 1e-3, rows))
 
 
 class TestLocalProduct:
@@ -205,6 +232,36 @@ class TestGroupOps:
 
     def test_certificate_rejects_singular_values(self, germ_group):
         sing = germ_group.space.constant_element(np.diag([1.0, 0.0]), 1)
+        with pytest.raises(BudgetError, match="certificate"):
+            GermGroupElement(sing)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_certificate_matches_per_series_margin(self, rng, dim):
+        anchors = (0.0, 0.3 + 0.2j, -0.4) if dim == 1 else ((0.0, 0.0), (0.5, 0.1j))
+        space = GermSpace(anchors=anchors, ratio=0.1, space=matrix_space(3),
+                          degree_bound=6 if dim == 1 else 4, dim=dim)
+        for scale in (0.01, 0.1, 0.3):
+            for _ in range(5):
+                el = near_identity_element(space, 1, rng, scale)
+                margin = reference_margin(el)
+                if margin > 0:
+                    assert GermGroupElement(el).cert_margin == margin
+                else:
+                    with pytest.raises(BudgetError, match="certificate"):
+                        GermGroupElement(el)
+
+    def test_certificate_of_trajectory_nodes_matches(self, germ_group):
+        curve = random_spline_curve(germ_group, np.random.default_rng(3))
+        result = evol(curve, 16, error_estimate=False)
+        for node in result.trajectory:
+            assert node.cert_margin == reference_margin(node.element)
+
+    def test_certificate_rejects_one_singular_anchor(self, germ_group, rng):
+        el = near_identity_element(germ_group.space, 1, rng, 1e-3)
+        coeffs = np.array(el.coeffs)
+        coeffs[1, 0] = np.diag([1.0, 0.0])
+        sing = BHolElement(el.parent, el.level, coeffs, el.radius, el.tail)
+        assert reference_margin(sing) == -np.inf
         with pytest.raises(BudgetError, match="certificate"):
             GermGroupElement(sing)
 

@@ -453,6 +453,28 @@ def assert_same_bits(got, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
+NORM_SPACES = dict(ELEMENT_SPACES, **{
+    "vector3": GermSpace(anchors=(0.0, 0.4 + 0.1j, -0.3j), ratio=0.1, levels=4,
+                         degree_bound=6, space=vector_space(3)),
+    "d2matrix3": GermSpace(anchors=((0.0, 0.0), (0.5, 0.1j)), ratio=0.1, levels=4,
+                           degree_bound=4, space=matrix_space(3), dim=2),
+})
+
+
+class TestStackedNorms:
+    @pytest.mark.parametrize("name", sorted(NORM_SPACES))
+    def test_norm_upper_and_distance_match_the_series(self, name, rng):
+        # the largest per-anchor majorant_norm / poly_majorant, bit for bit
+        sp = NORM_SPACES[name]
+        for _ in range(6):
+            x, y = (signed_zero_element(sp, 1, rng) for _ in range(2))
+            for el in (x, bond(y, 2), x.scale(-0.3j)):
+                want = max(s.majorant_norm() for s in el.reps)
+                assert el.norm_upper == want and type(el.norm_upper) is float
+            want = max(s.poly_majorant() for s in (bond(x, 2) - bond(y, 2)).reps)
+            assert germ_distance(x, bond(y, 2)) == want
+
+
 class TestElementStack:
     @pytest.mark.parametrize("name", sorted(ELEMENT_SPACES))
     def test_linear_structure_matches_series_arithmetic(self, name, rng):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from germlie import series as series_module
 from germlie.errors import BudgetError, EvaluationError, StructureError
 from germlie.series import (
     SeriesStack,
@@ -24,8 +25,10 @@ from germlie.series import (
     series_json_loads,
     series_log,
     series_to_json,
+    spectral_norms,
     vector_space,
 )
+from germlie.series import _cauchy_product, _exp_order, _identity_stack, _log_order
 
 SP = scalar_space()
 MS = matrix_space(2)
@@ -110,6 +113,30 @@ def reference_invert(a):
         acc = one - multiply(u, acc)
     acc = acc.with_tail(q ** (n + 2) / (kappa * (1.0 - q)))
     return rescale(multiply(acc, constant(c0_inv, at.radius)), 1.0 / radius)
+
+
+def reference_horner(x, x_norms, tail, tops, alpha, beta, kappa):
+    """The Horner loop of ``SeriesStack.exp``/``log`` with S in degree order and
+    one full ``_cauchy_product`` (Toeplitz gather of S, unit-radius majorants,
+    masked update) per term, kept as an oracle for the reversed-layout loop."""
+    one = _identity_stack(x)
+    unit = np.ones(len(x))
+    s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
+    s_tail = np.zeros(len(x))
+    for j in range(int(tops.max()) - 1, 0, -1):
+        c, t = _cauchy_product(x, s, x_norms, spectral_norms(s) / kappa, tail, s_tail, unit, kappa)
+        live = tops > j
+        s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
+        s_tail = np.where(live, abs(beta(j)) * t, s_tail)
+    return s, s_tail
+
+
+def reference_spectral_norms(values):
+    """The closed-form largest singular value of 2 x 2 matrices as first written."""
+    f = np.sum(np.abs(values) ** 2, axis=(-2, -1))
+    det = values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0]
+    disc = np.sqrt(np.maximum(f * f - 4.0 * np.abs(det) ** 2, 0.0))
+    return np.sqrt(np.maximum(0.5 * (f + disc), 0.0))
 
 
 def near_unit_series(rng, space, radius, degree, scale, tail=0.0):
@@ -583,3 +610,69 @@ class TestSeriesStack:
                          (a.log(), series_log(x)), (a.invert(), invert(x))):
             assert np.array_equal(out.coeffs.reshape(ref.coeffs.shape), ref.coeffs)
             assert out.tail[0] == ref.tail_bound and out.radius[0] == ref.radius
+
+    @staticmethod
+    def exp_log_stacks(rng, b, m):
+        """A stack for exp and a near-unit stack for log, row scales spread over
+        two decades so that the rows take different exp and log orders."""
+        k = 13
+        kappa = 0.5 if m > 1 else 1.0
+        shape = (b, k, m, m)
+        raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 0.6 ** np.arange(k)[:, None, None]
+        # unit-radius majorant of row i equal to scale[i]
+        scale = np.geomspace(0.004, 0.6, b) if b > 1 else np.array([0.3])
+        raw *= (scale / np.sum(spectral_norms(raw) / kappa, axis=1))[:, None, None, None]
+        radius = rng.uniform(0.3, 1.0, b)
+        x = raw / radius[:, None, None, None] ** np.arange(k)[:, None, None]
+        tail = rng.choice([0.0, 1e-9], b)
+        unit = SeriesStack(_identity_stack(x) + x, radius, tail, kappa)
+        return SeriesStack(x, radius, tail, kappa), unit
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 14, 65])
+    def test_exp_log_match_per_term_product_horner(self, rng, monkeypatch, b, m):
+        x, near_unit = self.exp_log_stacks(rng, b, m)
+        got = (x.exp(), near_unit.log())
+        monkeypatch.setattr(series_module, "_horner", reference_horner)
+        want = (x.exp(), near_unit.log())
+        for out, ref in zip(got, want):
+            assert np.array_equal(out.radius, ref.radius)
+            for i in range(b):
+                scale = np.max(np.abs(ref.coeffs[i]))
+                assert_allclose(out.coeffs[i], ref.coeffs[i], rtol=1e-13, atol=1e-13 * scale)
+            assert_allclose(out.tail, ref.tail, rtol=1e-12, atol=0.0)
+        if b > 1:  # the live mask of the Horner loop is mixed
+            kappa = x.kappa
+            q = kappa * (np.sum(spectral_norms(x.coeffs * x.radius[:, None, None, None]
+                                               ** np.arange(13)[:, None, None]) / kappa, axis=1)
+                         + x.tail)
+            assert len({_exp_order(float(v)) for v in q}) > 1
+            w = near_unit.coeffs * near_unit.radius[:, None, None, None] \
+                ** np.arange(13)[:, None, None] - _identity_stack(near_unit.coeffs)
+            q = kappa * (np.sum(spectral_norms(w) / kappa, axis=1) + near_unit.tail)
+            assert len({_log_order(float(v), 12) for v in q}) > 1
+
+
+class TestSpectralNorms:
+    def test_two_by_two_matches_closed_form_and_svd(self, rng):
+        for i in range(400):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 14)), 2, 2)
+            v = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+                * 10.0 ** rng.uniform(-8, 2)
+            if i % 4 == 0:  # singular rows
+                v[..., 1, :] = v[..., 0, :] * complex(rng.standard_normal())
+            got = spectral_norms(v)
+            assert got.tobytes() == reference_spectral_norms(v).tobytes()
+            sv = np.linalg.svd(v, compute_uv=False)
+            # the closed form loses digits as sigma_2 -> sigma_1; compare where they part
+            apart = sv[..., 1] <= 0.5 * sv[..., 0]
+            assert_allclose(got[apart], sv[..., 0][apart], rtol=1e-15, atol=0.0)
+        strided = v[:, ::-1]
+        assert spectral_norms(strided).tobytes() == reference_spectral_norms(strided).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_other_sizes_match_svd(self, rng, m):
+        v = rng.standard_normal((5, 7, m, m)) + 1j * rng.standard_normal((5, 7, m, m))
+        assert_allclose(spectral_norms(v), np.linalg.svd(v, compute_uv=False)[..., 0],
+                        rtol=1e-14)
