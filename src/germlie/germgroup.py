@@ -88,7 +88,7 @@ def _invertibility_margin(el: BHolElement) -> float:
     """``1 - kappa norm(c0^{-1}) (majorant - norm(c0))`` at the worst anchor,
     all anchors in one batch; -inf if a constant coefficient is singular."""
     space, dim = el.parent.space, el.parent.dim
-    if space.kind != "matrix":
+    if space.kind != "matrix":  # a vector stack (anchors, m) is no batch of matrices
         return -math.inf
     if dim == 1:
         pw = el.radius[:, None] ** np.arange(el.coeffs.shape[1])

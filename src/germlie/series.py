@@ -233,12 +233,10 @@ def _horner(x, x_norms, tail, tops, alpha, beta, kappa):
     """S <- alpha(j) 1 + beta(j) x S for j = top - 1 .. 1 from S = alpha(top) 1,
     each row to its own top, so no row depends on the rest of the stack.
 
-    S is held degree-reversed, R_e = S_{K-1-e}: then (x S)_{K-1-e} is
-    sum_{f >= e} x_{f-e} R_f, so the block Toeplitz matrix of x, gathered
-    once, is x's left-multiplication operator and each term is one matmul.
-    The tail of each product is :func:`_product_tail` at unit radius, with
-    the suffix sums of S's norms read off the cumulative sums of R's.
-    """
+    S is held degree-reversed, R_e = S_{K-1-e}, where (x S)_{K-1-e} is
+    sum_{f >= e} x_{f-e} R_f: the block Toeplitz matrix of x, gathered once,
+    times R is each term's product, and the cumulative sums of R's norms are
+    the suffix sums of S's that :func:`_product_tail` needs at unit radius."""
     n_rows, k, m, _ = x.shape
     op = _block_toeplitz(x)
     one = np.zeros_like(x)
