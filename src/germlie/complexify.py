@@ -533,14 +533,21 @@ def atlas_to_json(atlas: RealAtlas) -> dict:
 
 
 def atlas_from_json(doc: dict) -> RealAtlas:
-    charts = tuple(
-        ChartInterval(c["interval"][0], c["interval"][1], c["U"][0], c["U"][1],
-                      c["V"][0], c["V"][1])
-        for c in doc["charts"]
-    )
-    transitions = tuple(
-        Transition(t["i"], t["j"], (t["overlap"][0], t["overlap"][1]),
-                   tuple(series_from_json(s) for s in t["series"]))
-        for t in doc["transitions"]
-    )
-    return RealAtlas(charts, transitions)
+    """The atlas of an :func:`atlas_to_json` document; :class:`StructureError`
+    if the document is malformed."""
+    try:
+        charts = tuple(
+            ChartInterval(c["interval"][0], c["interval"][1], c["U"][0], c["U"][1],
+                          c["V"][0], c["V"][1])
+            for c in doc["charts"]
+        )
+        transitions = tuple(
+            Transition(t["i"], t["j"], (t["overlap"][0], t["overlap"][1]),
+                       tuple(series_from_json(s) for s in t["series"]))
+            for t in doc["transitions"]
+        )
+        return RealAtlas(charts, transitions)
+    except StructureError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise StructureError(f"malformed atlas document: {exc!r}") from exc

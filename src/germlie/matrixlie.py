@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -132,24 +133,13 @@ def bch_tail_coefficients() -> np.ndarray:
     which is the standard majorant behind convergence on ``norm(x)+norm(y) <
     ln 2``.
     """
-    n_max = _MAJORANT_ORDER
-    u = [Fraction(0)] * (n_max + 1)
-    for j in range(1, n_max + 1):
-        u[j] = Fraction(1, math.factorial(j))
-    total = [Fraction(0)] * (n_max + 1)
-    power = [Fraction(0)] * (n_max + 1)
-    power[0] = Fraction(1)
-    for k in range(1, n_max + 1):
-        nxt = [Fraction(0)] * (n_max + 1)
-        for i in range(n_max + 1):
-            if power[i] == 0:
-                continue
-            for j in range(1, n_max + 1 - i):
-                nxt[i + j] += power[i] * u[j]
-        power = nxt
-        for n in range(n_max + 1):
-            total[n] += power[n] / k
-    return np.array([float(c) for c in total])
+    # g' = h with (2 - e^t) h = e^t, so h_n = 1/n! + sum_{j=1..n} h_{n-j}/j!
+    # and a_n = h_{n-1}/n
+    inv_fact = [Fraction(1, math.factorial(j)) for j in range(_MAJORANT_ORDER)]
+    h: list[Fraction] = []
+    for n in range(_MAJORANT_ORDER):
+        h.append(inv_fact[n] + sum(h[n - j] * inv_fact[j] for j in range(1, n + 1)))
+    return np.array([0.0] + [float(h_n / (n + 1)) for n, h_n in enumerate(h)])
 
 
 def bch_remainder_bound(s: float, order: int) -> float:
@@ -176,19 +166,17 @@ def bch_remainder_bound(s: float, order: int) -> float:
 class MatrixLieBackend:
     """gl(m, C) with the scaled operator norm, exp/log charts, Ad, and BCH.
 
-    ``bch_radius`` must stay at or below ln 2, the convergence budget of the
-    scaled norm.
+    ``bch_radius`` is the constant ln 2, the convergence budget of the scaled
+    norm.
     """
 
     dim: int = 2
     bch_order: int = 8
-    bch_radius: float = BCH_RADIUS
+    bch_radius: ClassVar[float] = BCH_RADIUS
 
     def __post_init__(self):
         if self.dim < 1:
             raise StructureError("matrix dimension must be positive")
-        if not 0 < self.bch_radius <= BCH_RADIUS + 1e-15:
-            raise StructureError(f"bch_radius must lie in (0, ln 2], got {self.bch_radius}")
         if self.bch_order < 1:
             raise StructureError("bch_order must be >= 1")
 

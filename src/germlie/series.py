@@ -301,10 +301,10 @@ class SeriesStack:
         tail = np.array([s.tail_bound for s in series], dtype=float)
         return cls(coeffs, radius, tail, series[0].space.submult_factor)
 
-    def to_series(self, anchors, space: CoefficientSpace, dim: int = 1) -> list:
+    def to_series(self, anchors, space: CoefficientSpace) -> list:
         n = self.coeffs.shape[1] - 1
         return [TruncatedSeries(a, n, self.coeffs[i].reshape((n + 1,) + space.shape),
-                                float(self.radius[i]), float(self.tail[i]), space, dim)
+                                float(self.radius[i]), float(self.tail[i]), space)
                 for i, a in enumerate(anchors)]
 
     def rows(self, index) -> "SeriesStack":
@@ -383,12 +383,12 @@ class SeriesStack:
                 f"log branch budget violated: majorant(a - 1) = {np.max(mw):.4g} >= 1")
         q = kappa * mw
         orders = np.array([_log_order(float(v), self.coeffs.shape[1] - 1) for v in q])
-        s, s_tail = _horner(w, w_norms, self.tail, orders, lambda j: 1.0 / j, lambda j: -1.0,
-                            kappa)
-        out, out_tail = _cauchy_product(w, s, w_norms, spectral_norms(s) / kappa, self.tail,
-                                        s_tail, np.ones_like(self.radius), kappa)
+        # the last Horner step (j = 1) is the product w S on the gathered operator
+        s, s_tail = _horner(w, w_norms, self.tail, orders + 1,
+                            lambda j: 1.0 / (j - 1) if j > 1 else 0.0,
+                            lambda j: -1.0 if j > 1 else 1.0, kappa)
         rem = q ** (orders + 1) / (kappa * (orders + 1) * (1.0 - q))
-        return SeriesStack(out / pw, self.radius, out_tail + rem, kappa)
+        return SeriesStack(s / pw, self.radius, s_tail + rem, kappa)
 
     def invert(self) -> "SeriesStack":
         """The inverse of every row as in :func:`invert`, radii shrunk row by row."""
@@ -549,11 +549,19 @@ class TruncatedSeries:
             object.__setattr__(self, "_norm_cache", self.space.norm(self.coeffs))
         return self._norm_cache
 
-    def majorant_coeffs(self, rho: float | None = None) -> np.ndarray:
-        """The scalar majorant sequence ``norm(c_k) * rho^|k|`` indexed by total degree."""
+    def _rho(self, rho: float | None) -> float:
+        """``rho``, or the validity radius when None; :class:`StructureError` if it
+        is negative or NaN, :class:`BudgetError` if it exceeds the radius."""
         rho = self.radius if rho is None else float(rho)
+        if not rho >= 0:
+            raise StructureError(f"rho must be a non-negative radius, got {rho}")
         if rho > self.radius * (1 + 1e-12):
             raise BudgetError(f"rho={rho} exceeds validity radius {self.radius}")
+        return rho
+
+    def majorant_coeffs(self, rho: float | None = None) -> np.ndarray:
+        """The scalar majorant sequence ``norm(c_k) * rho^|k|`` indexed by total degree."""
+        rho = self._rho(rho)
         n = self.degree_bound
         norms = self.coeff_norms()
         if self.dim == 1:
@@ -574,11 +582,12 @@ class TruncatedSeries:
 
         For d = 1 the maximum principle puts the sup of the represented
         polynomial on the circle |z - a| = rho, so evenly spaced boundary
-        angles give a deterministic, rapidly tight lower bound.
+        angles give a deterministic, rapidly tight lower bound;
+        :class:`StructureError` unless ``n >= 1``.
         """
-        rho = self.radius if rho is None else float(rho)
-        if rho > self.radius * (1 + 1e-12):
-            raise BudgetError(f"rho={rho} exceeds validity radius {self.radius}")
+        rho = self._rho(rho)
+        if n < 1:
+            raise StructureError(f"sample_sup needs n >= 1 boundary samples, got {n}")
         theta = 2 * np.pi * np.arange(n) / n
         if self.dim == 1:
             pts = self.anchor + rho * np.exp(1j * theta)
@@ -711,7 +720,7 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     a = a.truncate(n)
     b = b.truncate(n)
     if a.dim == 1:
-        return _unrow(_row(a).mul(_row(b)), a)
+        return _row(a).mul(_row(b)).to_series([a.anchor], a.space)[0]
     # d = 2 is not performance critical: each nonzero a_ij adds a_ij * b
     # into the window of the full product shifted by (i, j)
     k = n + 1
@@ -743,20 +752,13 @@ def _row(a: TruncatedSeries) -> SeriesStack:
     return row
 
 
-def _unrow(row: SeriesStack, like: TruncatedSeries) -> TruncatedSeries:
-    """The one-row stack ``row`` as a series with the anchor and space of ``like``."""
-    coeffs = row.coeffs[0].reshape(like.coeffs.shape)
-    return TruncatedSeries(like.anchor, like.degree_bound, coeffs, float(row.radius[0]),
-                           float(row.tail[0]), like.space)
-
-
 def _unary(a: TruncatedSeries, what: str, method) -> TruncatedSeries:
     """``method`` of :class:`SeriesStack` on ``a`` as a one-row stack."""
     if a.space.kind == "vector":
         raise StructureError(f"{what} needs a ring of coefficients")
     if a.dim != 1:
         raise StructureError(f"{what} is implemented for d = 1 only")
-    return _unrow(method(_row(a)), a)
+    return method(_row(a)).to_series([a.anchor], a.space)[0]
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:

@@ -189,6 +189,20 @@ class TestAtlasIO:
         with pytest.raises(StructureError, match="outside the atlas"):
             atlas_from_json(doc)
 
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: doc.clear(),
+        lambda doc: doc["charts"][0].pop("U"),
+        lambda doc: doc["transitions"][0].pop("j"),
+        lambda doc: doc.update(charts=5),
+        lambda doc: doc["transitions"][0].update(overlap=[0.1]),
+    ], ids=["empty", "chart-without-U", "transition-without-j", "charts-not-a-list",
+            "short-overlap"])
+    def test_malformed_document_is_structure_error(self, circle3, mangle):
+        doc = atlas_to_json(circle3)
+        mangle(doc)
+        with pytest.raises(StructureError, match="malformed atlas document"):
+            atlas_from_json(doc)
+
     def test_schema_fields(self, circle3):
         doc = atlas_to_json(circle3)
         assert set(doc) == {"charts", "transitions"}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,30 @@ from germlie.matrixlie import (
 
 B2 = MatrixLieBackend(2, 8)
 B3 = MatrixLieBackend(3, 8)
+
+
+def reference_bch_tail_coefficients() -> np.ndarray:
+    """The coefficients of -log(2 - e^t) = sum_k u^k / k, u = e^t - 1, to n = 60,
+    by exact convolution powers of u: the table as first written, kept as an
+    oracle for the recurrence."""
+    n_max = 60
+    u = [Fraction(0)] * (n_max + 1)
+    for j in range(1, n_max + 1):
+        u[j] = Fraction(1, math.factorial(j))
+    total = [Fraction(0)] * (n_max + 1)
+    power = [Fraction(0)] * (n_max + 1)
+    power[0] = Fraction(1)
+    for k in range(1, n_max + 1):
+        nxt = [Fraction(0)] * (n_max + 1)
+        for i in range(n_max + 1):
+            if power[i] == 0:
+                continue
+            for j in range(1, n_max + 1 - i):
+                nxt[i + j] += power[i] * u[j]
+        power = nxt
+        for n in range(n_max + 1):
+            total[n] += power[n] / k
+    return np.array([float(c) for c in total])
 
 
 class TestWordTable:
@@ -183,15 +208,20 @@ class TestNormAndRemainder:
         assert a[1] == pytest.approx(1.0)
         assert np.all(a >= 0)
 
+    def test_majorant_table_matches_composition_oracle(self):
+        assert bch_tail_coefficients().tobytes() == reference_bch_tail_coefficients().tobytes()
+
+    def test_majorant_low_coefficients_exact(self):
+        a = bch_tail_coefficients()
+        want = [Fraction(0), Fraction(1), Fraction(1), Fraction(1), Fraction(13, 12),
+                Fraction(5, 4), Fraction(541, 360), Fraction(223, 120)]
+        assert list(a[:8]) == [float(c) for c in want]
+
     def test_remainder_monotone_decreasing_in_order(self):
         s = 0.3
         rems = [bch_remainder_bound(s, order) for order in (4, 6, 8, 10)]
         assert all(r2 < r1 for r1, r2 in zip(rems, rems[1:]))
         assert math.isinf(bch_remainder_bound(0.8, 8))
-
-    def test_radius_cap(self):
-        with pytest.raises(ValueError):
-            MatrixLieBackend(2, 8, bch_radius=1.0)
 
     def test_invalid_order_is_structure_error(self):
         with pytest.raises(StructureError, match="bch_order"):

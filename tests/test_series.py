@@ -417,6 +417,21 @@ class TestNorms:
         with pytest.raises(BudgetError):
             s.majorant_norm(0.7)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: s.majorant_coeffs(-0.5),
+        lambda s: s.poly_majorant(float("nan")),
+        lambda s: s.majorant_norm(-0.5),
+        lambda s: s.sample_sup(-0.5),
+        lambda s: s.sample_sup(float("nan")),
+        lambda s: s.sample_sup(0.5, n=0),
+    ], ids=["coeffs-negative", "poly-nan", "norm-negative", "sample-negative", "sample-nan",
+            "sample-no-points"])
+    def test_rho_outside_domain_rejected(self, call):
+        s = TruncatedSeries.from_coeff_list([(0, 1.0), (1, 1.0)], 0.0, 1.0, SP, 4)  # 1 + z
+        with pytest.raises(StructureError):
+            call(s)
+        assert s.sample_sup(0.0) == s.majorant_norm(0.0) == 1.0
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=8),
            st.floats(0.1, 1.0))
