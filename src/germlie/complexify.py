@@ -169,7 +169,9 @@ def build_transition(fn, i: int, j: int, overlap: tuple, n_pieces: int = 3,
     is valid on 0.64 * piece_radius and carries its data-driven tail.  The
     piece keeps the real part of its coefficients; the majorant of the
     dropped imaginary part (quadrature rounding for maps real on the real
-    axis) joins the tail.
+    axis) joins the tail.  ``fn`` takes a 1-d complex array of points and
+    returns one value per point (a scalar return is a constant), as
+    :func:`~germlie.series.cauchy_series` requires.
     """
     lo, hi = overlap
     anchors = np.linspace(lo, hi, n_pieces + 2)[1:-1] if n_pieces > 1 else \

@@ -432,6 +432,16 @@ def _degrees(n: int, dim: int) -> np.ndarray:
     return k if dim == 1 else np.add.outer(k, k)
 
 
+def _powers(w, n: int) -> np.ndarray:
+    """``w^0..w^n`` on a new last axis, as running products (faster than
+    ``w[..., None] ** arange(n + 1)``, which powers each complex entry anew)."""
+    w = np.asarray(w, dtype=complex)
+    out = np.empty(w.shape + (n + 1,), dtype=complex)
+    out[..., 0] = 1.0
+    out[..., 1:] = w[..., None]
+    return np.multiply.accumulate(out, axis=-1, out=out)
+
+
 def _multi_index(k, dim: int, n: int) -> tuple:
     """The slot of multi-index ``k``: ``dim`` nonnegative ints of total degree <= n."""
     idx = (int(k),) if np.isscalar(k) else tuple(int(q) for q in k)
@@ -615,17 +625,14 @@ class TruncatedSeries:
         """
         n = self.degree_bound
         if self.dim == 1:
-            w = np.asarray(points, dtype=complex) - self.anchor
-            vand = w[..., None] ** np.arange(n + 1)
+            vand = _powers(np.asarray(points, dtype=complex) - self.anchor, n)
             return np.tensordot(vand, self.coeffs, axes=([-1], [0]))
         pts = np.asarray(points, dtype=complex)
-        w0 = pts[..., 0] - self.anchor[0]
-        w1 = pts[..., 1] - self.anchor[1]
-        v0 = w0[..., None] ** np.arange(n + 1)
-        v1 = w1[..., None] ** np.arange(n + 1)
+        v0 = _powers(pts[..., 0] - self.anchor[0], n)
+        v1 = _powers(pts[..., 1] - self.anchor[1], n)
         partial = np.tensordot(v1, self.coeffs, axes=([-1], [1]))  # (..., i) + space shape
         weighted = v0.reshape(v0.shape + (1,) * len(self.space.shape)) * partial
-        return np.sum(weighted, axis=w0.ndim)
+        return np.sum(weighted, axis=pts.ndim - 1)
 
     # -- structural operations ---------------------------------------------
 
@@ -797,14 +804,31 @@ _QUAD_POINTS = 256  # quadrature nodes of cauchy_series
 _GUARD_TOL = 1e-6  # relative slack of its three guards
 
 
+def _sample(f, zs: np.ndarray) -> np.ndarray:
+    """``f`` at the 1-d point array ``zs`` in one call, points on the leading
+    axis; a 0-d result is a constant and is filled to ``zs.shape``.  A result
+    without the points on its leading axis, or a ``TypeError``/``ValueError``
+    of the call (a pointwise-only evaluator), raises :class:`StructureError`."""
+    try:
+        vals = np.asarray(f(zs), dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"evaluator failed on a 1-d array of points: {exc}") from exc
+    if vals.ndim == 0:
+        return np.full(zs.shape, vals)
+    if vals.shape[0] != zs.shape[0]:
+        raise StructureError(
+            f"evaluator returned shape {vals.shape} for {zs.shape[0]} points; it must "
+            "take a 1-d array of points and put them on the leading axis of its result")
+    return vals
+
+
 def _circle_fft(f, anchor, radius, n_points):
     """Normalized DFT of ``f`` on ``|z - anchor| = radius``, entry k being
     ``beta_k radius^k`` up to aliasing, and the circle sup in the coefficient
     space of the sample shape.  Rejects non-finite samples."""
     theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    zs = anchor + radius * np.exp(1j * theta)
-    samples = np.asarray([f(z) for z in zs], dtype=complex)
-    if not np.all(np.isfinite(samples.view(float))):
+    samples = _sample(f, anchor + radius * np.exp(1j * theta))
+    if not np.all(np.isfinite(samples)):
         raise EvaluationError("evaluator returned non-finite samples on the quadrature circle")
     circle_sup = float(np.max(_infer_space(samples.shape[1:]).norm(samples)))
     return np.fft.fft(samples, axis=0) / n_points, circle_sup
@@ -826,7 +850,9 @@ def cauchy_coefficients(f, anchor, radius, k_max, n_points=256):
     coefficients carry no tail; :func:`cauchy_series` adds one.
 
     Requires ``n_points >= 4 * k_max``; f must be bounded holomorphic on the
-    open disc of the given radius around the anchor.
+    open disc of the given radius around the anchor.  f is called once, on
+    the 1-d complex array of the ``n_points`` nodes, and returns its values
+    with the points on the leading axis; a scalar return is a constant.
     """
     if n_points < 4 * k_max:
         raise StructureError(f"need n_points >= 4*k_max, got {n_points} < {4 * k_max}")
@@ -850,10 +876,18 @@ def cauchy_series(f, anchor, radius: float, degree_bound: int,
     the validity radius plus twice the geometric aliasing remainder, which
     is estimated from the sampled (not the true) circle sup.  Constants come
     back with norm exactly the constant's norm.
+
+    f is called three times (both circles and 16 probe points), each time on
+    a 1-d complex array of points, and returns its values with the points on
+    the leading axis, shape ``(points,) + space.shape``; a scalar return is a
+    constant.  Other value shapes raise :class:`StructureError`.
     """
     n = degree_bound
     rq, rq2 = 0.8 * radius, 0.5 * radius
     hat, circle_sup = _circle_fft(f, anchor, rq, _QUAD_POINTS)
+    if hat.shape[1:] != space.shape:
+        raise StructureError(f"evaluator values have shape {hat.shape[1:]}, "
+                             f"the coefficient space {space.shape}")
     hat2, _ = _circle_fft(f, anchor, rq2, _QUAD_POINTS)
     scale = max(1.0, circle_sup)
     r_cert = 0.8 * rq  # the validity radius, 0.64 * radius
@@ -883,8 +917,7 @@ def cauchy_series(f, anchor, radius: float, degree_bound: int,
     series = TruncatedSeries(anchor, n, np.ascontiguousarray(betas), r_cert, tail, space)
 
     probe = anchor + 0.5 * r_cert * np.exp(2j * np.pi * (np.arange(16) + 0.37) / 16)
-    want = np.stack([np.asarray(f(z), dtype=complex) for z in probe])
-    resid = float(np.max(space.norm(series.eval(probe) - want)))
+    resid = float(np.max(space.norm(series.eval(probe) - _sample(f, probe))))
     if resid > tail + _GUARD_TOL * scale:
         raise EvaluationError(
             "not boundedly holomorphic at claimed radius: reconstruction "

@@ -124,6 +124,19 @@ class TestFactorize:
         f_sup = np.max(np.abs(np.array([f(z) for z in circle])))
         assert abs(el.sample_sup(128) - f_sup) <= tail + 1e-8
 
+    def test_one_array_call_per_circle_and_probe(self, scalar_germspace):
+        shapes = []
+
+        def counted_exp(z):
+            shapes.append(np.shape(z))
+            return np.exp(z)
+
+        el = factorize(scalar_germspace, counted_exp, 0)
+        assert len(shapes) == 3 * len(scalar_germspace.anchors)
+        assert all(len(shape) == 1 for shape in shapes)
+        assert_allclose(el.reps[0].coeffs, [1.0 / math.factorial(k) for k in range(13)],
+                        rtol=0, atol=1e-10)
+
     def test_unbounded_input_flagged(self):
         sp = GermSpace(anchors=(0.0,), base_radius=1.0, ratio=0.1, levels=4)
         with pytest.raises(EvaluationError, match="not boundedly holomorphic"):
@@ -418,6 +431,14 @@ class TestUnionGlue:
         b = GermSpace(anchors=(0.5,), base_radius=1.0, ratio=0.1, levels=4)
         rep = union_glue_check(a, b, 0, rng, trials=5, incompatible=True)
         assert rep.passed  # the check passes when every invalid input is flagged
+
+    @pytest.mark.parametrize("space", [scalar_space(), vector_space(3), matrix_space(2)],
+                             ids=["scalar", "vector3", "matrix2"])
+    def test_coefficient_spaces(self, rng, space):
+        a = GermSpace(anchors=(0.0,), base_radius=1.0, ratio=0.1, levels=4, space=space)
+        b = GermSpace(anchors=(0.5,), base_radius=1.0, ratio=0.1, levels=4, space=space)
+        assert union_glue_check(a, b, 1, rng, trials=5, tol=1e-10).passed
+        assert union_glue_check(a, b, 0, rng, trials=5, incompatible=True).passed
 
 
 ELEMENT_SPACES = {

@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from germlie.series import (
     TruncatedSeries,
     bracket,
     cauchy_coefficients,
+    cauchy_series,
     invert,
     linear_combination,
     matrix_space,
@@ -28,7 +31,7 @@ from germlie.series import (
     spectral_norms,
     vector_space,
 )
-from germlie.series import _cauchy_product, _exp_order, _identity_stack, _log_order
+from germlie.series import _cauchy_product, _degrees, _exp_order, _identity_stack, _log_order
 
 SP = scalar_space()
 MS = matrix_space(2)
@@ -475,6 +478,68 @@ class TestCauchyExtraction:
     def test_quadrature_count_precondition(self):
         with pytest.raises(StructureError):
             cauchy_coefficients(lambda z: z, 0.0, 1.0, 20, 64)
+
+
+class TestArrayEvaluators:
+    """The Cauchy extractor calls f once per point array, points on the leading axis."""
+
+    def test_scalar_evaluator_against_vector_space(self):
+        with pytest.raises(StructureError, match="coefficient space"):
+            cauchy_series(np.exp, 0.0, 1.0, 8, vector_space(3))
+
+    @pytest.mark.parametrize("f", [lambda z: np.stack([z, z]), lambda z: cmath.exp(z)],
+                             ids=["points-not-leading", "pointwise-only"])
+    def test_misshaped_evaluator(self, f):
+        with pytest.raises(StructureError, match="1-d array of points"):
+            cauchy_series(f, 0.0, 1.0, 8, vector_space(2))
+        with pytest.raises(StructureError, match="1-d array of points"):
+            cauchy_coefficients(f, 0.0, 1.0, 8, 64)
+
+
+def _mp_horner(c, w):
+    """Nested Horner in mpmath: axis 0 of ``c`` runs over powers of w[0], the
+    next axis (d = 2) over powers of w[1]."""
+    acc = mpmath.mpc(0)
+    for row in c[::-1]:
+        term = _mp_horner(row, w[1:]) if c.ndim > 1 else mpmath.mpc(complex(row))
+        acc = acc * w[0] + term
+    return acc
+
+
+def _mp_eval(coeffs, ws, dim):
+    """50-digit values of the polynomial ``coeffs`` (``dim`` degree axes, then
+    the space shape) at each offset in ``ws``."""
+    flat = coeffs.reshape(coeffs.shape[:dim] + (-1,))
+    out = np.empty((len(ws), flat.shape[-1]), complex)
+    with mpmath.workdps(50):
+        for p, w in enumerate(ws):
+            w_mp = [mpmath.mpc(complex(x)) for x in np.atleast_1d(w)]
+            for e in range(flat.shape[-1]):
+                out[p, e] = complex(_mp_horner(flat[..., e], w_mp))
+    return out.reshape((len(ws),) + coeffs.shape[dim:])
+
+
+class TestEvalOracle:
+    """``eval`` at degree 30 against 50-digit mpmath, out to 0.98 of the radius."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
+    def test_degree30_matches_mpmath(self, rng, dim, space):
+        n, radius = 30, 0.9
+        deg = _degrees(n, dim)
+        coeffs = (rng.standard_normal(deg.shape + space.shape)
+                  + 1j * rng.standard_normal(deg.shape + space.shape))
+        coeffs *= (radius ** -deg.astype(float)).reshape(deg.shape + (1,) * len(space.shape))
+        coeffs[deg > n] = 0.0
+        anchor = 0.2 - 0.1j if dim == 1 else (0.2 - 0.1j, -0.3j)
+        s = TruncatedSeries(anchor, n, coeffs, radius, 0.0, space, dim)
+        count = 24 if dim == 1 else 12
+        w = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+        w *= 0.98 * radius / np.linalg.norm(w, axis=1, keepdims=True)
+        ws = w[:, 0] if dim == 1 else w
+        want = _mp_eval(coeffs, ws, dim)
+        err = float(np.max(space.norm(s.eval(s.anchor + ws) - want)))
+        assert err <= 1e-14 * s.majorant_norm()
 
 
 class TestSerialization:
