@@ -614,7 +614,7 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
                    if a != b) and not set(space_a.anchors) & set(space_b.anchors)
 
     cs = space_a.space
-    unit = np.eye(cs.dim)[0] if cs.kind == "vector" else cs.one()
+    unit = cs.one() if cs.kind != "vector" else np.eye(cs.dim, dtype=complex)[0]
 
     def poly(coeffs):
         return lambda z: np.multiply.outer(np.polyval(coeffs[::-1], z), unit)
