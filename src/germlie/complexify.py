@@ -122,9 +122,14 @@ class Transition:
         lo, hi = self.overlap
         slack = 1e-9 * max(1.0, hi - lo)
         inside = (zs.real >= lo - slack) & (zs.real <= hi + slack)
-        for p in sorted(self.pieces, key=lambda q: q.radius, reverse=True):
-            mask = inside & np.isnan(out.real) & \
-                (np.abs(zs - p.anchor) < _EVAL_SAFETY * p.radius)
+        # best distance so far; 0 outside the overlap, where no piece is nearer
+        best, pick = np.where(inside, np.inf, 0.0), np.full(zs.shape, -1)
+        for i, p in enumerate(self.pieces):
+            dist = np.abs(zs - p.anchor)
+            nearer = (dist < best) & (dist < _EVAL_SAFETY * p.radius)
+            best[nearer], pick[nearer] = dist[nearer], i
+        for i, p in enumerate(self.pieces):
+            mask = pick == i
             if np.any(mask):
                 out[mask] = p.eval(zs[mask])
         return out

@@ -483,10 +483,10 @@ def batch_norm_upper(norms, tails, rho) -> np.ndarray:
 
 def _boundary_powers(space: GermSpace, rho: float, count: int) -> np.ndarray:
     """``(z - a)^k`` at the ``count`` points on |z - a| = rho that
-    ``TruncatedSeries.sample_sup`` samples, shape ``(anchors, count, N+1)``."""
+    ``TruncatedSeries.sample_sup`` samples, shape ``(N+1, anchors, count)``."""
     theta = 2 * np.pi * np.arange(count) / count
-    return np.stack([_powers((a + rho * np.exp(1j * theta)) - a, space.degree_bound)
-                     for a in space.anchors])
+    a = np.asarray(space.anchors, dtype=complex)[:, None]
+    return _powers((a + rho * np.exp(1j * theta)) - a, space.degree_bound)
 
 
 def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
@@ -555,7 +555,7 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
     coeffs = coeffs * scale.reshape((-1,) + (1,) * (coeffs.ndim - 1))
     tails = tails * scale[:, None]
     flat = coeffs.reshape(coeffs.shape[:3] + (math.prod(space.space.shape),))
-    vals = np.matmul(_boundary_powers(space, space.radius(n + 1), 96), flat)
+    vals = np.matmul(_boundary_powers(space, space.radius(n + 1), 96).transpose(1, 2, 0), flat)
     sampled = np.max(space.space.norm(vals.reshape(vals.shape[:3] + space.space.shape)),
                      axis=(1, 2)).tolist()
     for t in np.flatnonzero(kept):

@@ -433,13 +433,17 @@ def _degrees(n: int, dim: int) -> np.ndarray:
 
 
 def _powers(w, n: int) -> np.ndarray:
-    """``w^0..w^n`` on a new last axis, as running products (faster than
-    ``w[..., None] ** arange(n + 1)``, which powers each complex entry anew)."""
+    """``w^0..w^n`` on a new leading axis, shape ``(n + 1,) + w.shape``, in
+    doubling blocks: once rows 0..m hold w^0..w^m, rows m+1..2m are rows 1..m
+    times row m, one contiguous product each (about log2(n) calls in all)."""
     w = np.asarray(w, dtype=complex)
-    out = np.empty(w.shape + (n + 1,), dtype=complex)
-    out[..., 0] = 1.0
-    out[..., 1:] = w[..., None]
-    return np.multiply.accumulate(out, axis=-1, out=out)
+    out = np.empty((n + 1,) + w.shape, dtype=complex)
+    out[0], out[1:2] = 1.0, w
+    m = 1
+    while m < n:
+        np.multiply(out[1:min(m, n - m) + 1], out[m], out=out[m + 1:2 * m + 1])
+        m *= 2
+    return out
 
 
 def _multi_index(k, dim: int, n: int) -> tuple:
@@ -623,16 +627,15 @@ class TruncatedSeries:
         ``points`` is a complex array of shape (...,) for d = 1 or (..., 2)
         for d = 2; the result has the coefficient-space shape appended.
         """
-        n = self.degree_bound
+        n, pts = self.degree_bound, np.asarray(points, dtype=complex)
         if self.dim == 1:
-            vand = _powers(np.asarray(points, dtype=complex) - self.anchor, n)
-            return np.tensordot(vand, self.coeffs, axes=([-1], [0]))
-        pts = np.asarray(points, dtype=complex)
-        v0 = _powers(pts[..., 0] - self.anchor[0], n)
-        v1 = _powers(pts[..., 1] - self.anchor[1], n)
-        partial = np.tensordot(v1, self.coeffs, axes=([-1], [1]))  # (..., i) + space shape
-        weighted = v0.reshape(v0.shape + (1,) * len(self.space.shape)) * partial
-        return np.sum(weighted, axis=pts.ndim - 1)
+            vand = _powers(pts - self.anchor, n).reshape(n + 1, -1)
+            return (vand.T @ self.coeffs.reshape(n + 1, -1)).reshape(pts.shape + self.space.shape)
+        v0 = _powers(pts[..., 0] - self.anchor[0], n).reshape(n + 1, -1)
+        v1 = _powers(pts[..., 1] - self.anchor[1], n).reshape(n + 1, -1)
+        partial = v0.T @ self.coeffs.reshape(n + 1, -1)  # (points, j * space)
+        out = v1.T[:, None, :] @ partial.reshape(-1, n + 1, math.prod(self.space.shape))
+        return out.reshape(pts.shape[:-1] + self.space.shape)
 
     # -- structural operations ---------------------------------------------
 

@@ -218,6 +218,14 @@ class TestBuildTransition:
         vals = tr.eval(xs)
         assert np.max(np.abs(vals - np.tan(xs.real))) < 1e-12
 
+    def test_eval_uses_nearest_covering_piece(self):
+        # all five tan pieces share one radius; pieces 1 and 2 both cover z,
+        # and piece 2 is anchored nearer
+        tr = tan_chart_pair().between(0, 1)[0]
+        z = np.array([tr.pieces[2].anchor + 0.01 + 0.02j])
+        assert abs(z[0] - tr.pieces[1].anchor) < 0.98 * tr.pieces[1].radius
+        assert tr.eval(z) == tr.pieces[2].eval(z)
+
     def test_piece_tails_bound_true_error(self):
         # true sup error on each piece's circle against its stored tail, with
         # the rounding slack of the germ-space benchmark check

@@ -31,9 +31,17 @@ from germlie.series import (
     spectral_norms,
     vector_space,
 )
-from germlie.series import _cauchy_product, _degrees, _exp_order, _identity_stack, _log_order
+from germlie.series import (
+    _cauchy_product,
+    _degrees,
+    _exp_order,
+    _identity_stack,
+    _log_order,
+    _powers,
+)
 
 SP = scalar_space()
+VS = vector_space(3)
 MS = matrix_space(2)
 
 
@@ -523,7 +531,7 @@ class TestEvalOracle:
     """``eval`` at degree 30 against 50-digit mpmath, out to 0.98 of the radius."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
+    @pytest.mark.parametrize("space", [SP, VS, MS], ids=["scalar", "vector3", "2x2"])
     def test_degree30_matches_mpmath(self, rng, dim, space):
         n, radius = 30, 0.9
         deg = _degrees(n, dim)
@@ -540,6 +548,40 @@ class TestEvalOracle:
         want = _mp_eval(coeffs, ws, dim)
         err = float(np.max(space.norm(s.eval(s.anchor + ws) - want)))
         assert err <= 1e-14 * s.majorant_norm()
+
+
+class TestEvalKernel:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 12, 30])
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["0-d", "1-d"])
+    def test_powers_match_mpmath(self, rng, n, shape):
+        w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _powers(w, n)
+        assert got.shape == (n + 1,) + shape
+        rows = got.reshape(n + 1, -1)
+        with mpmath.workdps(50):
+            for p, x in enumerate(np.ravel(w)):
+                for k in range(n + 1):
+                    exact = mpmath.mpc(complex(x)) ** k
+                    err = abs(mpmath.mpc(complex(rows[k, p])) - exact)
+                    assert err <= 4 * max(n, 1) * np.finfo(float).eps * abs(exact)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("space", [SP, VS, MS], ids=["scalar", "vector3", "2x2"])
+    @pytest.mark.parametrize("pshape", [(0,), (), (2, 3)], ids=["empty", "0-d", "2-d"])
+    def test_eval_shape_follows_points(self, rng, dim, space, pshape):
+        n = 5
+        deg = _degrees(n, dim)
+        coeffs = rng.standard_normal(deg.shape + space.shape) + 0j
+        coeffs[deg > n] = 0.0
+        s = TruncatedSeries(0.0 if dim == 1 else (0.0, 0.0), n, coeffs, 1.0, 0.0, space, dim)
+        pts = 0.3 * rng.standard_normal(pshape + (dim, 2)) @ np.array([1.0, 1j])
+        pts = pts[..., 0] if dim == 1 else pts  # (...,) for d = 1, (..., 2) for d = 2
+        got = s.eval(pts)
+        assert got.shape == pshape + space.shape
+        flat = pts.reshape((-1,) + pts.shape[len(pshape):])
+        want = [s.eval(flat[p:p + 1])[0] for p in range(len(flat))]
+        assert_allclose(got.reshape((-1,) + space.shape), np.reshape(want, (-1,) + space.shape),
+                        rtol=1e-14, atol=1e-15)
 
 
 class TestSerialization:
