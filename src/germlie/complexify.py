@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -196,8 +196,13 @@ def build_transition(fn, i: int, j: int, overlap: tuple, n_pieces: int = 3,
 class RealAtlas:
     charts: tuple
     transitions: tuple
+    _by_pair: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        by_pair = {}
+        for tr in self.transitions:
+            by_pair.setdefault((tr.i, tr.j), []).append(tr)
+        object.__setattr__(self, "_by_pair", {p: tuple(trs) for p, trs in by_pair.items()})
         for tr in self.transitions:
             if not (0 <= tr.i < len(self.charts) and 0 <= tr.j < len(self.charts)):
                 raise StructureError(f"transition ({tr.i},{tr.j}) names a chart outside the atlas")
@@ -208,8 +213,9 @@ class RealAtlas:
                     f"transition ({tr.i},{tr.j}) lacks any inverse record ({tr.j},{tr.i})")
 
     def between(self, i: int, j: int) -> tuple:
-        """All overlap-component records of the ordered pair (i, j)."""
-        return tuple(tr for tr in self.transitions if (tr.i, tr.j) == (i, j))
+        """All overlap-component records of the ordered pair (i, j), in the
+        order of ``transitions``."""
+        return self._by_pair.get((i, j), ())
 
     def eval_change(self, i: int, j: int, zs: np.ndarray) -> np.ndarray:
         """Chart change on points of chart i; components have disjoint domains."""

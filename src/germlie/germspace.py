@@ -439,16 +439,13 @@ def family_convergence_check(family, R: float, r: float,
 # compact regularity (ball-inclusion criterion)
 # ---------------------------------------------------------------------------
 
-def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
-                         size: int = 64, include_monomials: bool = True) -> list:
-    """Random polynomials scaled to unit majorant norm at ``level``.
-
-    The monomial extreme rays ((z - a)/rho_n)^k are included by default;
-    they span the extreme rays of the unit majorant ball at fixed degree and
-    make the family sups s_k equal to the certified unit-ball values.  Each
-    random member draws, per anchor, a handful of degrees and one complex
-    Gaussian coefficient per distinct degree, in increasing degree order.
-    """
+def _unit_majorant_stack(space: GermSpace, level: int, rng: np.random.Generator,
+                         size: int, include_monomials: bool) -> tuple:
+    """The ``_stack`` of :func:`unit_majorant_family` drawn as arrays, with no
+    element built: coefficients ``(members, anchors, N+1) + shape``, zero
+    tails and radii ``rho_level``, both ``(members, anchors)``."""
+    if space.dim != 1:
+        raise StructureError("unit-majorant families are built for d = 1")
     rho, n, cs = space.radius(level), space.degree_bound, space.space
     coeffs = np.zeros((size, len(space.anchors), n + 1) + cs.shape, dtype=complex)
     for row in coeffs.reshape((-1, n + 1) + cs.shape):
@@ -462,8 +459,21 @@ def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
         for k in range(n + 1):
             mono[k, :, k] = unit / rho ** k
         coeffs = np.concatenate([mono, coeffs])
-    radius, tail = np.full(len(space.anchors), rho), np.zeros(len(space.anchors))
-    return [BHolElement(space, level, el, radius, tail) for el in coeffs]
+    return coeffs, np.zeros(coeffs.shape[:2]), np.full(coeffs.shape[:2], rho)
+
+
+def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
+                         size: int = 64, include_monomials: bool = True) -> list:
+    """Random polynomials scaled to unit majorant norm at ``level``.
+
+    The monomial extreme rays ((z - a)/rho_n)^k are included by default;
+    they span the extreme rays of the unit majorant ball at fixed degree and
+    make the family sups s_k equal to the certified unit-ball values.  Each
+    random member draws, per anchor, a handful of degrees and one complex
+    Gaussian coefficient per distinct degree, in increasing degree order.
+    """
+    coeffs, tails, radii = _unit_majorant_stack(space, level, rng, size, include_monomials)
+    return [BHolElement(space, level, c, r, t) for c, t, r in zip(coeffs, tails, radii)]
 
 
 def combine_family(family, weights) -> tuple:
@@ -517,7 +527,7 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
               "degree_bound": space.degree_bound}
     rep = Report(check="compact_regularity", params=params)
 
-    stack = _stack(unit_majorant_family(space, n, rng, family_size))
+    stack = _unit_majorant_stack(space, n, rng, family_size, True)
     rho_n = space.radius(n)
     s_k = _sups(stack, space.space, rho_n)
     tail_rem = _family_tail_remainder(stack, r)  # normalized units: q = r

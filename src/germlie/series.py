@@ -11,9 +11,14 @@ propagates the tail bound by majorant bookkeeping, so
     sampled sup  <=  true sup on the ball  <=  majorant norm
 
 holds in exact arithmetic for every value the module produces.  Rounding is
-outside every certificate: an inverse of a unit-sized matrix series misses
-the pointwise inverse by about 1e-15 even where its tail is below 1e-15.
-Values are immutable; every operation is a pure function.
+outside every certificate.  Most of it sits near 1e-15 relative: an inverse
+of a unit-sized matrix series misses the pointwise inverse by about 1e-15
+even where its tail is below 1e-15.  The one larger error is the closed
+form of :func:`spectral_norms` for 2 x 2 matrices, which overestimates by up
+to about 2e-8 relative when the two singular values nearly coincide
+(1 + 1.7e-8 on Haar-random unitaries).  That loosens majorants and never
+breaks them.  Direction J of ROADMAP.md brings rounding inside the
+certificates.  Values are immutable; every operation is a pure function.
 
 Coefficients live in a :class:`CoefficientSpace`: complex scalars, vectors,
 or m x m matrices.  The matrix norm is twice the spectral norm, which makes
@@ -135,7 +140,14 @@ def matrix_space(m: int) -> CoefficientSpace:
 
 
 def spectral_norms(values: np.ndarray) -> np.ndarray:
-    """Largest singular values over the trailing (m, m) axes; closed form for m = 2."""
+    """Largest singular values over the trailing (m, m) axes; closed form for m = 2.
+
+    The closed form sqrt((f + sqrt(f^2 - 4 |det|^2)) / 2), f the squared
+    Frobenius norm, cancels when the two singular values nearly coincide:
+    there it overestimates by up to about 2e-8 relative (1 + 1.7e-8 on
+    Haar-random unitaries), while underestimates stay near 4e-16.  An
+    overestimate only loosens the majorants built on these norms.
+    """
     m = values.shape[-1]
     if m == 1:
         return np.abs(values[..., 0, 0])
@@ -235,29 +247,33 @@ def _horner(x, x_norms, tail, tops, alpha, beta, kappa):
 
     S is held degree-reversed, R_e = S_{K-1-e}, where (x S)_{K-1-e} is
     sum_{f >= e} x_{f-e} R_f: the block Toeplitz matrix of x, gathered once,
-    times R is each term's product, and the cumulative sums of R's norms are
-    the suffix sums of S's that :func:`_product_tail` needs at unit radius."""
+    times R is each term's product.  The loop runs only these products and
+    updates, keeping the S that enters each term.  The tails follow in one
+    pass over the stacked iterates: one :func:`spectral_norms`, whose
+    cumulative sums along R are the suffix sums of S's norms that
+    :func:`_product_tail` needs at unit radius, the overflows of all terms
+    at once, and t <- |beta(j)| * tail(x S) as a loop over (B,) vectors.
+    Every float operation keeps its operands and order, so the split
+    changes no bit."""
     n_rows, k, m, _ = x.shape
     op = _block_toeplitz(x)
     one = np.zeros_like(x)
     one[:, -1] = np.eye(m)
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
-    s_tail = np.zeros(n_rows)
-    mx, mx_high = x_norms.sum(axis=1), x_norms[:, 1:]
     all_live = int(tops.min())  # every row is live while j < all_live
-    for j in range(int(tops.max()) - 1, 0, -1):
+    terms = range(int(tops.max()) - 1, 0, -1)
+    entering = []
+    for j in terms:
+        entering.append(s)
         c = np.matmul(op, s.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
-        suffix = (spectral_norms(s) / kappa).cumsum(axis=1)
-        overflow = (mx_high * suffix[:, : k - 1]).sum(axis=1)
-        t = _product_tail(mx, suffix[:, -1], tail, s_tail, overflow, kappa)
         c = alpha(j) * one + beta(j) * c
-        t = abs(beta(j)) * t
-        if j < all_live:
-            s, s_tail = c, t
-        else:
-            live = tops > j
-            s = np.where(live[:, None, None, None], c, s)
-            s_tail = np.where(live, t, s_tail)
+        s = c if j < all_live else np.where((tops > j)[:, None, None, None], c, s)
+    suffix = (spectral_norms(np.stack(entering)) / kappa).cumsum(axis=2)
+    overflow = (x_norms[:, 1:] * suffix[:, :, : k - 1]).sum(axis=2)
+    mx, s_tail = x_norms.sum(axis=1), np.zeros(n_rows)
+    for i, j in enumerate(terms):
+        t = abs(beta(j)) * _product_tail(mx, suffix[i, :, -1], tail, s_tail, overflow[i], kappa)
+        s_tail = t if j < all_live else np.where(tops > j, t, s_tail)
     return np.ascontiguousarray(s[:, ::-1]), s_tail
 
 
@@ -355,7 +371,10 @@ class SeriesStack:
         the terms above J add q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the
         tail, q = kappa * majorant.  :func:`_horner` gathers the block Toeplitz
         matrix of a once and holds S degree-reversed, so each of the J
-        products is one matmul."""
+        terms is one matmul and one update; the tails of all J terms are
+        certified after the loop, in one pass over the stacked iterates.
+        The call takes two :func:`spectral_norms`, one for a and one for
+        the iterates, whatever J is."""
         kappa = self.kappa
         # the unit-radius variable keeps badly scaled rows well conditioned
         pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]

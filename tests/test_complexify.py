@@ -110,6 +110,30 @@ class TestCocycles:
         assert "witness" in flagged and len(flagged["witness"]) == 2
 
 
+def scan_between(atlas, i, j):
+    """``RealAtlas.between`` as a scan over every record, the oracle of its pair index."""
+    return tuple(tr for tr in atlas.transitions if (tr.i, tr.j) == (i, j))
+
+
+class TestPairIndex:
+    @pytest.mark.parametrize("make, height", [(lambda: circle_atlas(4), 0.1),
+                                              (tan_chart_pair, 0.12)], ids=["circle4", "tan"])
+    def test_between_and_cocycle_reports_match_the_scan(self, monkeypatch, make, height):
+        atlas = make()
+        n = len(atlas.charts)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                got, want = atlas.between(i, j), scan_between(atlas, i, j)
+                assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+        ca = extend_transitions(atlas, height)
+        cases = (ca, perturb_transition(ca, 0, 1, 1e-6))
+        got = [certify_cocycles(c).to_dict() for c in cases]
+        monkeypatch.setattr(RealAtlas, "between", scan_between)
+        want = [certify_cocycles(c).to_dict() for c in cases]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert not got[1]["passed"]
+
+
 class TestUniqueness:
     def test_same_atlas_is_identity(self, circle3_ext):
         rep = uniqueness_biholomorphism(circle3_ext, circle3_ext)

@@ -20,6 +20,7 @@ from germlie.germspace import (
     union_glue_check,
     unit_majorant_family,
 )
+from germlie.germspace import _stack, _unit_majorant_stack
 from germlie.reports import Report
 from germlie.series import (
     TruncatedSeries,
@@ -265,6 +266,12 @@ class TestUnitMajorantFamily:
             want = reference_unit_majorant_family(sp, 1, rng_ref, 16, include_monomials)
             got = unit_majorant_family(sp, 1, rng, 16, include_monomials)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
+            # the array draw compact_regularity_check uses, without the elements
+            rng_arr = np.random.default_rng(seed)
+            arrays = _unit_majorant_stack(sp, 1, rng_arr, 16, include_monomials)
+            assert rng_arr.bit_generator.state == rng_ref.bit_generator.state
+            for a, b in zip(arrays, _stack(got), strict=True):
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert len(got) == len(want)
             for x, y in zip(got, want):
                 assert x.level == y.level == 1
@@ -311,6 +318,11 @@ class TestCompactRegularity:
             compact_regularity_check(scalar_germspace, 1, 3, -1.0, 5, rng)
         with pytest.raises(StructureError):
             compact_regularity_check(scalar_germspace, 1, 3, 0.1, -1, rng)
+
+    def test_two_variables_rejected(self, rng):
+        sp = GermSpace(anchors=((0.0, 0.0),), ratio=0.1, levels=4, dim=2)
+        with pytest.raises(StructureError):
+            compact_regularity_check(sp, 1, 3, 0.1, 5, rng)
 
 
 def reference_compact_regularity(space, n, ell, eps, trials, rng, family_size=64,

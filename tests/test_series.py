@@ -32,12 +32,14 @@ from germlie.series import (
     vector_space,
 )
 from germlie.series import (
+    _block_toeplitz,
     _cauchy_product,
     _degrees,
     _exp_order,
     _identity_stack,
     _log_order,
     _powers,
+    _product_tail,
 )
 
 SP = scalar_space()
@@ -140,6 +142,34 @@ def reference_horner(x, x_norms, tail, tops, alpha, beta, kappa):
         s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
         s_tail = np.where(live, abs(beta(j)) * t, s_tail)
     return s, s_tail
+
+
+def reference_inline_horner(x, x_norms, tail, tops, alpha, beta, kappa):
+    """The reversed-layout Horner loop with each term's tail certified inside
+    the loop, one ``spectral_norms`` per term; kept as the bitwise oracle for
+    ``_horner``, which certifies all terms in one pass after the loop."""
+    n_rows, k, m, _ = x.shape
+    op = _block_toeplitz(x)
+    one = np.zeros_like(x)
+    one[:, -1] = np.eye(m)
+    s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
+    s_tail = np.zeros(n_rows)
+    mx, mx_high = x_norms.sum(axis=1), x_norms[:, 1:]
+    all_live = int(tops.min())
+    for j in range(int(tops.max()) - 1, 0, -1):
+        c = np.matmul(op, s.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
+        suffix = (spectral_norms(s) / kappa).cumsum(axis=1)
+        overflow = (mx_high * suffix[:, : k - 1]).sum(axis=1)
+        t = _product_tail(mx, suffix[:, -1], tail, s_tail, overflow, kappa)
+        c = alpha(j) * one + beta(j) * c
+        t = abs(beta(j)) * t
+        if j < all_live:
+            s, s_tail = c, t
+        else:
+            live = tops > j
+            s = np.where(live[:, None, None, None], c, s)
+            s_tail = np.where(live, t, s_tail)
+    return np.ascontiguousarray(s[:, ::-1]), s_tail
 
 
 def reference_spectral_norms(values):
@@ -774,6 +804,36 @@ class TestSeriesStack:
                 ** np.arange(13)[:, None, None] - _identity_stack(near_unit.coeffs)
             q = kappa * (np.sum(spectral_norms(w) / kappa, axis=1) + near_unit.tail)
             assert len({_log_order(float(v), 12) for v in q}) > 1
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 2, 14, 65])
+    def test_exp_log_bitwise_equal_to_inline_certificate(self, rng, monkeypatch, b, m):
+        # the mixed live mask of these stacks is asserted in the test above
+        x, near_unit = self.exp_log_stacks(rng, b, m)
+        got = (x.exp(), near_unit.log())
+        monkeypatch.setattr(series_module, "_horner", reference_inline_horner)
+        want = (x.exp(), near_unit.log())
+        for out, ref in zip(got, want):
+            assert out.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert out.tail.tobytes() == ref.tail.tobytes()
+            assert out.radius.tobytes() == ref.radius.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_exp_log_take_two_spectral_norms_at_any_order(self, rng, monkeypatch, m):
+        calls = []
+
+        def counted(values):
+            calls.append(values.shape)
+            return spectral_norms(values)
+
+        monkeypatch.setattr(series_module, "spectral_norms", counted)
+        x, near_unit = self.exp_log_stacks(rng, 14, m)
+        # row 0 has the shortest Horner chains of the stack, row 13 the longest
+        for rows in (slice(0, 1), slice(13, 14), slice(None)):
+            for op in (x.rows(rows).exp, near_unit.rows(rows).log):
+                calls.clear()
+                op()
+                assert len(calls) == 2
 
 
 class TestSpectralNorms:
