@@ -122,6 +122,8 @@ class Transition:
         lo, hi = self.overlap
         slack = 1e-9 * max(1.0, hi - lo)
         inside = (zs.real >= lo - slack) & (zs.real <= hi + slack)
+        if not inside.any():
+            return out
         # best distance so far; 0 outside the overlap, where no piece is nearer
         best, pick = np.where(inside, np.inf, 0.0), np.full(zs.shape, -1)
         for i, p in enumerate(self.pieces):

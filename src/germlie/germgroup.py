@@ -165,7 +165,10 @@ class GermLieGroup:
         """Vectorized :func:`germ_bch` over many argument pairs.
 
         The Dynkin word table is walked once with all anchors of all pairs
-        stacked, which is what makes large property sweeps affordable.
+        stacked, which is what makes large property sweeps affordable.  At
+        order 8 the walk makes 188 brackets and 376 products whatever the
+        batch size, and gathers 189 block Toeplitz operators: the two
+        letter stacks keep theirs (see :meth:`SeriesStack.bracket`).
         """
         self._require_d1("germ BCH")
         order = self.backend.bch_order

@@ -250,6 +250,19 @@ class TestBuildTransition:
         assert abs(z[0] - tr.pieces[1].anchor) < 0.98 * tr.pieces[1].radius
         assert tr.eval(z) == tr.pieces[2].eval(z)
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_eval_without_points_in_the_overlap_is_all_nan(self, shape):
+        tr = tan_chart_pair().between(0, 1)[0]
+        lo, hi = tr.overlap
+        # just beyond either end of the overlap, inside some piece's disc
+        zs = np.where(np.arange(math.prod(shape)) % 2, hi + 1e-3, lo - 1e-3).reshape(shape) \
+            + 0.01j
+        assert any(abs(zs.flat[0] - p.anchor) < p.radius for p in tr.pieces)
+        out = tr.eval(zs)
+        assert out.shape == shape and np.all(np.isnan(out))
+        mixed = tr.eval(np.append(zs.ravel(), 0.5 * (lo + hi)))
+        assert np.all(np.isnan(mixed[:-1])) and np.isfinite(mixed[-1])
+
     def test_piece_tails_bound_true_error(self):
         # true sup error on each piece's circle against its stored tail, with
         # the rounding slack of the germ-space benchmark check

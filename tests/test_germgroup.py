@@ -105,6 +105,42 @@ class TestLocalProduct:
                 assert_allclose(s.coeffs, r.coeffs, rtol=1e-12, atol=1e-16)
                 assert s.tail_bound == pytest.approx(r.tail_bound, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("batch", [1, 3, 34])
+    def test_bch_pairs_gathers_each_letter_operator_once(self, germ_group, rng, monkeypatch,
+                                                         batch):
+        # 188 brackets of 376 products: the two letters' operators are gathered
+        # once each, and every bracket V(x) ell, V a suffix value, gathers V's
+        counts = {"gathers": 0, "muls": 0, "brackets": 0}
+        seen = {}
+        gather, mul, bracket = series._block_toeplitz, SeriesStack.mul, SeriesStack.bracket
+
+        def counted_gather(b):
+            counts["gathers"] += 1
+            return gather(b)
+
+        def counted_mul(a, b):
+            counts["muls"] += 1
+            return mul(a, b)
+
+        def counted_bracket(a, b):
+            counts["brackets"] += 1
+            out = bracket(a, b)
+            seen.update({id(s): s for s in (a, b, out)})
+            if not letters:  # the first bracket is [x, y]
+                letters.extend((a, b))
+            return out
+
+        letters = []
+        monkeypatch.setattr(series, "_block_toeplitz", counted_gather)
+        monkeypatch.setattr(SeriesStack, "mul", counted_mul)
+        monkeypatch.setattr(SeriesStack, "bracket", counted_bracket)
+        pairs = [tuple(random_algebra_element(germ_group, rng, 0.03) for _ in range(2))
+                 for _ in range(batch)]
+        germ_group.bch_pairs(pairs)
+        assert counts == {"gathers": 189, "muls": 376, "brackets": 188}
+        kept = {i for i, s in seen.items() if s._op is not None}
+        assert kept == {id(s) for s in letters}
+
     def test_bonded_arguments_align(self, germ_group, rng):
         x = random_algebra_element(germ_group, rng, 0.05, level=1)
         y = bond(random_algebra_element(germ_group, rng, 0.05, level=1), 2)

@@ -137,7 +137,8 @@ def reference_horner(x, x_norms, tail, tops, alpha, beta, kappa):
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
     s_tail = np.zeros(len(x))
     for j in range(int(tops.max()) - 1, 0, -1):
-        c, t = _cauchy_product(x, s, x_norms, spectral_norms(s) / kappa, tail, s_tail, unit, kappa)
+        c, t = _cauchy_product(x, _block_toeplitz(s), x_norms, spectral_norms(s) / kappa,
+                               tail, s_tail, unit, kappa)
         live = tops > j
         s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
         s_tail = np.where(live, abs(beta(j)) * t, s_tail)
@@ -834,6 +835,88 @@ class TestSeriesStack:
                 calls.clear()
                 op()
                 assert len(calls) == 2
+
+
+def weighted_add(a, b, alpha, beta):
+    """``SeriesStack.add`` as the weighted formula, every weight multiplied in."""
+    return SeriesStack(alpha * a.coeffs + beta * b.coeffs, np.minimum(a.radius, b.radius),
+                       abs(alpha) * a.tail + abs(beta) * b.tail, a.kappa)
+
+
+def fresh_products(a, b):
+    """``a b`` and ``b a`` on copies of the stacks that keep no operator."""
+    a, b = (SeriesStack(s.coeffs, s.radius, s.tail, s.kappa) for s in (a, b))
+    return a.mul(b), b.mul(a)
+
+
+def partwise(x, y, op):
+    """``op`` on the real and on the imaginary parts of two complex arrays."""
+    out = np.empty_like(x)
+    out.real, out.imag = op(x.real, y.real), op(x.imag, y.imag)
+    return out
+
+
+def same_bytes(x, y):
+    return all(u.tobytes() == v.tobytes()
+               for u, v in zip((x.coeffs, x.radius, x.tail), (y.coeffs, y.radius, y.tail)))
+
+
+class TestUnitWeights:
+    @staticmethod
+    def stack(rng, m, parts=None, rows=4):
+        """Rows with their own radii and tails; real and imaginary parts drawn
+        from ``parts`` if given."""
+        shape = (rows, 13, m, m)
+        if parts is None:
+            coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+                * 0.5 ** np.arange(13)[:, None, None]
+        else:
+            coeffs = np.empty(shape, dtype=complex)
+            coeffs.real, coeffs.imag = rng.choice(parts, shape), rng.choice(parts, shape)
+        return SeriesStack(coeffs, rng.uniform(0.3, 1.0, rows), rng.choice([0.0, 1e-9, 3e-7], rows),
+                           0.5 if m > 1 else 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_add_and_bracket_bitwise_equal_to_weighted_formula(self, rng, m):
+        a, b = (self.stack(rng, m) for _ in range(2))
+        assert same_bytes(a + b, weighted_add(a, b, 1.0, 1.0))
+        assert a._op is None and b._op is None
+        # no operator kept, then a's, then both
+        for left, right in ((a, b), (b, a), (a, b)):
+            ab, ba = fresh_products(left, right)
+            assert same_bytes(left.bracket(right), weighted_add(ab, ba, 1.0, -1.0))
+            assert left._op is not None
+        assert np.array_equal(a._op, _block_toeplitz(a.coeffs))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_signed_zeros_and_infinities(self, rng, m):
+        # rows 1.. hold signed zeros and finite parts, row 0 infinities too
+        a, b = (self.stack(rng, m, [0.0, -0.0, 1.5, -0.25]) for _ in range(2))
+        for s in (a, b):
+            s.coeffs[0] = self.stack(rng, m, [0.0, -0.0, np.inf, -np.inf, 1.5], 1).coeffs[0]
+        with np.errstate(invalid="ignore"):
+            ab, ba = fresh_products(a, b)
+            cases = ((a + b, a, b, np.add, 1.0),
+                     (a.bracket(b), ab, ba, np.subtract, -1.0))
+            for got, x, y, op, beta in cases:
+                ref = weighted_add(x, y, 1.0, beta)
+                assert got.coeffs.tobytes() == partwise(x.coeffs, y.coeffs, op).tobytes()
+                assert got.radius.tobytes() == ref.radius.tobytes()
+                assert got.tail.tobytes() == ref.tail.tobytes()
+                # NumPy weighs by 1 + 0j: equal values where both sides are finite
+                finite = np.isfinite(x.coeffs) & np.isfinite(y.coeffs)
+                assert np.array_equal(got.coeffs[finite], ref.coeffs[finite])
+                assert np.any(finite[1:]) and not np.all(finite[0])
+            # but some zero parts of the weighted sum change sign
+            assert (a + b).coeffs.tobytes() != weighted_add(a, b, 1.0, 1.0).coeffs.tobytes()
+
+    def test_complex_unit_weights_take_the_weighted_formula(self, rng):
+        a, b = (self.stack(rng, 2, [-0.0]) for _ in range(2))
+        got = a.add(b, 1 + 0j, 1 + 0j)
+        assert same_bytes(got, weighted_add(a, b, 1 + 0j, 1 + 0j))
+        # (1 + 0j)(-0 - 0j) = 0 + 0j, while -0 + -0 = -0
+        assert not np.any(np.signbit(got.coeffs.real))
+        assert np.all(np.signbit((a + b).coeffs.real))
 
 
 class TestSpectralNorms:
