@@ -10,12 +10,8 @@ words of the formula are tabulated once per order (exact rational
 coefficients accumulated per bracket word, identically vanishing words
 pruned) and shared read-only; the same table drives both matrix arguments
 here and series arguments in :mod:`germlie.germgroup`.  At order 8 the walk
-makes 188 brackets [l, V] of a letter l and a suffix value V, each of two
-products: 376 products of series stacks.  They gather 189 block Toeplitz
-operators: each letter keeps its own (see
-:meth:`~germlie.series.SeriesStack.bracket`), each of the 186 brackets
-whose V is no letter gathers V's, and the first bracket [x, y] gathers y's
-once more before y keeps its own.
+makes 188 brackets, 376 products of series stacks that gather 189 block
+Toeplitz operators (see :meth:`~germlie.series.SeriesStack.bracket`).
 """
 
 from __future__ import annotations

@@ -348,12 +348,9 @@ class SeriesStack:
         """``alpha * self + beta * other``, tail ``|alpha| tau_a + |beta| tau_b``.
 
         Float unit weights, the default, add without multiplying.  NumPy
-        multiplies complex coefficients by a weight as by a complex number,
-        and (1 + 0j) z can flip the sign of a zero part of z or pair an
-        infinite part with NaN, so the sum differs from the weighted formula
-        in those parts only: the values of finite coefficients are equal.
-        Complex weights always take the weighted formula.
-        """
+        weighs complex arrays by 1 + 0j, which can flip the sign of a zero
+        part, so only such parts (and infinite ones) differ from the
+        weighted formula.  Complex weights always take that formula."""
         radius = np.minimum(self.radius, other.radius)
         if type(alpha) is float and type(beta) is float and alpha == beta == 1.0:
             return SeriesStack(self.coeffs + other.coeffs, radius, self.tail + other.tail,
@@ -388,13 +385,11 @@ class SeriesStack:
     def bracket(self, other: "SeriesStack") -> "SeriesStack":
         """``self * other - other * self``, tail the sum of the products' tails.
 
-        ``self`` gathers its block Toeplitz operator once and keeps it, so
-        ``other * self`` reuses it; ``self * other`` gathers the operator of
-        ``other`` unless ``other`` keeps one.  The Dynkin words are
-        right-nested, so their brackets have one of the two letters on the
-        left and a letter's operator is gathered once per word table walk.
-        Results keep none: an operator is (K m)^2 complex entries a row,
-        about 140 MB over the 190 suffix values of 68 rows at K = 13, m = 2.
+        ``self`` gathers its block Toeplitz operator once and keeps it for
+        ``other * self``; ``self * other`` gathers the operator of ``other``
+        unless it keeps one.  Dynkin words are right-nested, so a letter is
+        always on the left and gathers once per walk.  Results keep none:
+        at 68 rows, operators on all suffix values would hold about 140 MB.
         """
         if self._op is None:
             self._op = _block_toeplitz(self.coeffs)
