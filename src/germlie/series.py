@@ -344,19 +344,10 @@ class SeriesStack:
         pw = self.radius[:, None] ** np.arange(self.coeffs.shape[1])
         return np.sum(self.norms() * pw, axis=1) + self.tail
 
-    def add(self, other: "SeriesStack", alpha=1.0, beta=1.0) -> "SeriesStack":
-        """``alpha * self + beta * other``, tail ``|alpha| tau_a + |beta| tau_b``.
-
-        Float unit weights, the default, add without multiplying.  NumPy
-        weighs complex arrays by 1 + 0j, which can flip the sign of a zero
-        part, so only such parts (and infinite ones) differ from the
-        weighted formula.  Complex weights always take that formula."""
-        radius = np.minimum(self.radius, other.radius)
-        if type(alpha) is float and type(beta) is float and alpha == beta == 1.0:
-            return SeriesStack(self.coeffs + other.coeffs, radius, self.tail + other.tail,
-                               self.kappa)
-        return SeriesStack(alpha * self.coeffs + beta * other.coeffs, radius,
-                           abs(alpha) * self.tail + abs(beta) * other.tail, self.kappa)
+    def add(self, other: "SeriesStack") -> "SeriesStack":
+        """``self + other``, tail ``tau_a + tau_b``."""
+        return SeriesStack(self.coeffs + other.coeffs, np.minimum(self.radius, other.radius),
+                           self.tail + other.tail, self.kappa)
 
     def scale(self, alpha) -> "SeriesStack":
         return SeriesStack(self.coeffs * alpha, self.radius, self.tail * abs(complex(alpha)),

@@ -838,7 +838,7 @@ class TestSeriesStack:
 
 
 def weighted_add(a, b, alpha, beta):
-    """``SeriesStack.add`` as the weighted formula, every weight multiplied in."""
+    """``alpha a + beta b``, tail ``|alpha| tau_a + |beta| tau_b``, weights multiplied in."""
     return SeriesStack(alpha * a.coeffs + beta * b.coeffs, np.minimum(a.radius, b.radius),
                        abs(alpha) * a.tail + abs(beta) * b.tail, a.kappa)
 
@@ -909,14 +909,6 @@ class TestUnitWeights:
                 assert np.any(finite[1:]) and not np.all(finite[0])
             # but some zero parts of the weighted sum change sign
             assert (a + b).coeffs.tobytes() != weighted_add(a, b, 1.0, 1.0).coeffs.tobytes()
-
-    def test_complex_unit_weights_take_the_weighted_formula(self, rng):
-        a, b = (self.stack(rng, 2, [-0.0]) for _ in range(2))
-        got = a.add(b, 1 + 0j, 1 + 0j)
-        assert same_bytes(got, weighted_add(a, b, 1 + 0j, 1 + 0j))
-        # (1 + 0j)(-0 - 0j) = 0 + 0j, while -0 + -0 = -0
-        assert not np.any(np.signbit(got.coeffs.real))
-        assert np.all(np.signbit((a + b).coeffs.real))
 
 
 class TestSpectralNorms:
