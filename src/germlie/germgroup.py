@@ -167,8 +167,9 @@ class GermLieGroup:
         The Dynkin word table is walked once with all anchors of all pairs
         stacked, which is what makes large property sweeps affordable.  At
         order 8 the walk makes 188 brackets and 376 products whatever the
-        batch size, and gathers 189 block Toeplitz operators: the two
-        letter stacks keep theirs (see :meth:`SeriesStack.bracket`).
+        batch size, each on its left factor's block Toeplitz operator, and
+        gathers 189: a letter keeps its own (see :meth:`SeriesStack.bracket`)
+        and every value * letter gathers the value's.
         """
         self._require_d1("germ BCH")
         order = self.backend.bch_order

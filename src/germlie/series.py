@@ -11,14 +11,11 @@ propagates the tail bound by majorant bookkeeping, so
     sampled sup  <=  true sup on the ball  <=  majorant norm
 
 holds in exact arithmetic for every value the module produces.  Rounding is
-outside every certificate.  Most of it sits near 1e-15 relative: an inverse
-of a unit-sized matrix series misses the pointwise inverse by about 1e-15
-even where its tail is below 1e-15.  The one larger error is the closed
-form of :func:`spectral_norms` for 2 x 2 matrices, which overestimates by up
-to about 2e-8 relative when the two singular values nearly coincide
-(1 + 1.7e-8 on Haar-random unitaries).  That loosens majorants and never
-breaks them.  Direction J of ROADMAP.md brings rounding inside the
-certificates.  Values are immutable; every operation is a pure function.
+outside every certificate.  It sits near 1e-15 relative: an inverse of a
+unit-sized matrix series misses the pointwise inverse by about 1e-15 even
+where its tail is below 1e-15.  Direction J of ROADMAP.md brings rounding
+inside the certificates.  Values are immutable; every operation is a pure
+function.
 
 Coefficients live in a :class:`CoefficientSpace`: complex scalars, vectors,
 or m x m matrices.  The matrix norm is twice the spectral norm, which makes
@@ -142,11 +139,10 @@ def matrix_space(m: int) -> CoefficientSpace:
 def spectral_norms(values: np.ndarray) -> np.ndarray:
     """Largest singular values over the trailing (m, m) axes; closed form for m = 2.
 
-    The closed form sqrt((f + sqrt(f^2 - 4 |det|^2)) / 2), f the squared
-    Frobenius norm, cancels when the two singular values nearly coincide:
-    there it overestimates by up to about 2e-8 relative (1 + 1.7e-8 on
-    Haar-random unitaries), while underestimates stay near 4e-16.  An
-    overestimate only loosens the majorants built on these norms.
+    For m = 2, sigma_1^2 is the larger eigenvalue of M^H M = [[alpha, beta],
+    [conj(beta), delta]], (alpha + delta + hypot(alpha - delta, 2 |beta|)) / 2.
+    No step cancels, also where the two singular values nearly coincide and
+    the form through f^2 - 4 |det|^2, f the squared Frobenius norm, would.
     """
     m = values.shape[-1]
     if m == 1:
@@ -154,10 +150,10 @@ def spectral_norms(values: np.ndarray) -> np.ndarray:
     if m == 2:
         sq = np.abs(values)
         np.square(sq, out=sq)
-        f = np.add.reduce(sq.reshape(sq.shape[:-2] + (4,)), axis=-1)
-        det = np.abs(values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0])
-        disc = np.sqrt(np.maximum(f * f - 4.0 * (det * det), 0.0))
-        return np.sqrt(0.5 * (f + disc))
+        alpha, delta = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+        beta = values[..., 0, 0].conj() * values[..., 0, 1] \
+            + values[..., 1, 0].conj() * values[..., 1, 1]
+        return np.sqrt(0.5 * (alpha + delta + np.hypot(alpha - delta, 2.0 * np.abs(beta))))
     sv = np.linalg.svd(values, compute_uv=False)
     return sv[..., 0]
 
@@ -172,12 +168,12 @@ _TOEPLITZ_INDEX: dict[tuple[int, int], np.ndarray] = {}
 def _toeplitz_index(k: int, m: int) -> np.ndarray:
     """(k*m, k*m) flat indices into k+1 stacked (m, m) blocks, the last one zero.
 
-    Entry (i*m + s, d*m + t) points at entry (s, t) of block d - i, or into
-    the zero block below the diagonal.
+    Entry (d*m + s, i*m + t) points at entry (s, t) of block d - i, or into
+    the zero block above the diagonal.
     """
     idx = _TOEPLITZ_INDEX.get((k, m))
     if idx is None:
-        lag = np.arange(k)[None, :] - np.arange(k)[:, None]
+        lag = np.arange(k)[:, None] - np.arange(k)[None, :]
         block = np.where(lag >= 0, lag, k)
         entry = np.arange(m * m).reshape(m, m)
         idx = (block[:, None, :, None] * m * m + entry[None, :, None, :]).reshape(k * m, k * m)
@@ -196,35 +192,33 @@ def _product_tail(ma, mb, tail_a, tail_b, overflow, kappa):
     return kappa * (ma * tail_b + mb * tail_a + tail_a * tail_b + overflow)
 
 
-def _block_toeplitz(b):
-    """(B, K*m, K*m) block upper-triangular Toeplitz matrices of a (B, K, m, m)
-    stack, block (i, d) being b_{d-i} for d >= i and zero below the diagonal."""
-    n_rows, k, m, _ = b.shape
-    padded = np.concatenate([b, np.zeros_like(b[:, :1])], axis=1)
+def _block_toeplitz(a):
+    """(B, K*m, K*m) block lower-triangular Toeplitz matrices of a (B, K, m, m)
+    stack, block (d, i) being a_{d-i} for d >= i and zero above the diagonal:
+    the operator of left multiplication by a on series truncated at K - 1."""
+    n_rows, k, m, _ = a.shape
+    padded = np.concatenate([a, np.zeros_like(a[:, :1])], axis=1)
     return np.take(padded.reshape(n_rows, -1), _toeplitz_index(k, m), axis=1)
 
 
-def _truncated_product(a, op_b):
+def _truncated_product(op_a, b):
     """Coefficients of the Cauchy products of B pairs of (B, K, m, m) stacks up
-    to degree K - 1, the right factors given by their :func:`_block_toeplitz`."""
-    n_rows, k, m, _ = a.shape
-    # one matmul per row: a as the block row [a_0 .. a_{k-1}] of shape
-    # (m, k*m) times the block Toeplitz matrix of b
-    row = a.transpose(0, 2, 1, 3).reshape(n_rows, m, k * m)
-    return np.ascontiguousarray(
-        np.matmul(row, op_b).reshape(n_rows, m, k, m).transpose(0, 2, 1, 3))
+    to degree K - 1, the left factors given by their :func:`_block_toeplitz`:
+    one matmul per row with b in its stored layout, (K*m, m) per row."""
+    n_rows, k, m, _ = b.shape
+    return np.matmul(op_a, b.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
 
 
-def _cauchy_product(a, op_b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
+def _cauchy_product(op_a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
     """Truncated Cauchy products of B pairs of series with (m, m) coefficients.
 
-    ``a`` has shape (B, K, m, m) (scalars are m = 1), ``op_b`` is the
-    :func:`_block_toeplitz` of the right factors, the norms are (B, K), the
-    tails and the common radius (B,).  Returns the product coefficients
-    (B, K, m, m) and their tails (B,).
+    ``op_a`` is the :func:`_block_toeplitz` of the left factors, ``b`` the
+    right factors, shape (B, K, m, m) (scalars are m = 1), the norms are
+    (B, K), the tails and the common radius (B,).  Returns the product
+    coefficients (B, K, m, m) and their tails (B,).
     """
-    k = a.shape[1]
-    coeffs = _truncated_product(a, op_b)
+    k = b.shape[1]
+    coeffs = _truncated_product(op_a, b)
     pw = radius[:, None] ** np.arange(k)
     am = norms_a * pw
     bm = norms_b * pw
@@ -246,36 +240,33 @@ def _horner(x, x_norms, tail, tops, alpha, beta, kappa):
     """S <- alpha(j) 1 + beta(j) x S for j = top - 1 .. 1 from S = alpha(top) 1,
     each row to its own top, so no row depends on the rest of the stack.
 
-    S is held degree-reversed, R_e = S_{K-1-e}, where (x S)_{K-1-e} is
-    sum_{f >= e} x_{f-e} R_f: the block Toeplitz matrix of x, gathered once,
-    times R is each term's product.  The loop runs only these products and
-    updates, keeping the S that enters each term.  The tails follow in one
-    pass over the stacked iterates: one :func:`spectral_norms`, whose
-    cumulative sums along R are the suffix sums of S's norms that
-    :func:`_product_tail` needs at unit radius, the overflows of all terms
-    at once, and t <- |beta(j)| * tail(x S) as a loop over (B,) vectors.
-    Every float operation keeps its operands and order, so the split
-    changes no bit."""
-    n_rows, k, m, _ = x.shape
+    The block Toeplitz operator of x is gathered once, and each term's
+    product is one matmul of it with S as stored.  The loop runs only these
+    products and updates, keeping the S that enters each term.  The tails
+    follow in one pass over the stacked iterates: one :func:`spectral_norms`,
+    whose cumulative sums read in reverse are the suffix sums of S's norms
+    that :func:`_product_tail` needs at unit radius, the overflows of all
+    terms at once, and t <- |beta(j)| * tail(x S) as a loop over (B,)
+    vectors.  Every float operation keeps its operands and order, so the
+    split changes no bit."""
+    n_rows, k = x.shape[:2]
     op = _block_toeplitz(x)
-    one = np.zeros_like(x)
-    one[:, -1] = np.eye(m)
+    one = _identity_stack(x)
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
     all_live = int(tops.min())  # every row is live while j < all_live
     terms = range(int(tops.max()) - 1, 0, -1)
     entering = []
     for j in terms:
         entering.append(s)
-        c = np.matmul(op, s.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
-        c = alpha(j) * one + beta(j) * c
+        c = alpha(j) * one + beta(j) * _truncated_product(op, s)
         s = c if j < all_live else np.where((tops > j)[:, None, None, None], c, s)
-    suffix = (spectral_norms(np.stack(entering)) / kappa).cumsum(axis=2)
+    suffix = (spectral_norms(np.stack(entering))[..., ::-1] / kappa).cumsum(axis=2)
     overflow = (x_norms[:, 1:] * suffix[:, :, : k - 1]).sum(axis=2)
     mx, s_tail = x_norms.sum(axis=1), np.zeros(n_rows)
     for i, j in enumerate(terms):
         t = abs(beta(j)) * _product_tail(mx, suffix[i, :, -1], tail, s_tail, overflow[i], kappa)
         s_tail = t if j < all_live else np.where(tops > j, t, s_tail)
-    return np.ascontiguousarray(s[:, ::-1]), s_tail
+    return s, s_tail
 
 
 def _exp_order(m: float) -> int:
@@ -303,7 +294,7 @@ class SeriesStack:
 
     A stack that has been the left argument of :meth:`bracket` keeps its
     block Toeplitz operator, which :meth:`mul` then uses whenever the stack
-    is a right factor.  Derived stacks start without one.
+    is the left factor.  Derived stacks start without one.
     """
 
     __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_op")
@@ -364,12 +355,12 @@ class SeriesStack:
         return NotImplemented
 
     def mul(self, other: "SeriesStack") -> "SeriesStack":
-        """Row-wise truncated Cauchy products ``self * other``: one matmul with
-        the block Toeplitz operator of ``other``, the one it keeps if it has
-        been the left argument of :meth:`bracket`, else a fresh gather."""
+        """Row-wise truncated Cauchy products ``self * other``: one matmul of
+        the block Toeplitz operator of ``self`` (the one it keeps after
+        :meth:`bracket`, else a fresh gather) with ``other`` as stored."""
         radius = np.minimum(self.radius, other.radius)
-        op = other._op if other._op is not None else _block_toeplitz(other.coeffs)
-        coeffs, tail = _cauchy_product(self.coeffs, op, self.norms(), other.norms(),
+        op = self._op if self._op is not None else _block_toeplitz(self.coeffs)
+        coeffs, tail = _cauchy_product(op, other.coeffs, self.norms(), other.norms(),
                                        self.tail, other.tail, radius, self.kappa)
         return SeriesStack(coeffs, radius, tail, self.kappa)
 
@@ -377,7 +368,7 @@ class SeriesStack:
         """``self * other - other * self``, tail the sum of the products' tails.
 
         ``self`` gathers its block Toeplitz operator once and keeps it for
-        ``other * self``; ``self * other`` gathers the operator of ``other``
+        ``self * other``; ``other * self`` gathers the operator of ``other``
         unless it keeps one.  Dynkin words are right-nested, so a letter is
         always on the left and gathers once per walk.  Results keep none:
         at 68 rows, operators on all suffix values would hold about 140 MB.
@@ -391,11 +382,11 @@ class SeriesStack:
         """exp by S <- 1 + a S / j, j = J .. 1.  As ``norm(a^j) <= kappa^{j-1} m^j``,
         the terms above J add q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the
         tail, q = kappa * majorant.  :func:`_horner` gathers the block Toeplitz
-        matrix of a once and holds S degree-reversed, so each of the J
-        terms is one matmul and one update; the tails of all J terms are
-        certified after the loop, in one pass over the stacked iterates.
-        The call takes two :func:`spectral_norms`, one for a and one for
-        the iterates, whatever J is."""
+        matrix of a once, so each of the J terms is one matmul and one
+        update; the tails of all J terms are certified after the loop, in
+        one pass over the stacked iterates.  The call takes two
+        :func:`spectral_norms`, one for a and one for the iterates, whatever
+        J is."""
         kappa = self.kappa
         # the unit-radius variable keeps badly scaled rows well conditioned
         pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
@@ -438,17 +429,15 @@ class SeriesStack:
             a0_inv = np.linalg.inv(coeffs[:, 0])
         except np.linalg.LinAlgError:
             raise BudgetError("constant coefficient is singular") from None
-        rows = coeffs.transpose(0, 2, 1, 3)  # block row [a_0 .. a_n] per series
-        b = np.zeros_like(coeffs)
-        b[:, 0] = a0_inv
-        for d in range(1, k):
-            acc = np.matmul(rows[:, :, 1:d + 1].reshape(n_rows, m, d * m),
-                            b[:, d - 1::-1].reshape(n_rows, d * m, m))
-            b[:, d] = -np.matmul(a0_inv, acc)
-        # a and b zero-extended to degree 2k - 2, so the residual keeps every degree
+        # a and b zero-extended to degree 2k - 2, so the residual keeps every
+        # degree; b_d takes block row d of a's operator left of the diagonal
         ext = np.zeros((2, n_rows, 2 * k - 1, m, m), dtype=coeffs.dtype)
-        ext[0, :, :k], ext[1, :, :k] = coeffs, b
-        ab = _truncated_product(ext[0], _block_toeplitz(ext[1]))
+        ext[0, :, :k], ext[1, :, 0] = coeffs, a0_inv
+        op, b = _block_toeplitz(ext[0]), ext[1]
+        for d in range(1, k):
+            acc = np.matmul(op[:, d * m:(d + 1) * m, :d * m], b[:, :d].reshape(n_rows, d * m, m))
+            b[:, d] = -np.matmul(a0_inv, acc)
+        ab, b = _truncated_product(op, b), b[:, :k].copy()
         r_norms = spectral_norms(_identity_stack(ab) - ab) / kappa
         b_norms = spectral_norms(b) / kappa
         floor = radius * 1e-6

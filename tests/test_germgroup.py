@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -45,6 +47,30 @@ def near_identity_element(space, level, rng, scale):
         coeffs[:, series._degrees(n, 2) > n] = 0.0
     radius = space.radius(level) * rng.uniform(0.5, 1.0, rows)
     return BHolElement(space, level, coeffs, radius, rng.uniform(0.0, 1e-3, rows))
+
+
+BCH_REFERENCE = Path(__file__).with_name("data") / "bch_pairs_reference.npz"
+
+
+def bch_reference_pairs(group):
+    """34 pairs of full-degree algebra germs on ``group`` (the ``germ_group``
+    fixture's), radii, tails and majorants varying by row, from a fixed seed.
+
+    ``BCH_REFERENCE`` holds ``coeffs`` and ``tail`` of ``bch_pairs`` on these
+    pairs, stacked over pairs and anchors, as the block-row product kernel
+    (before the lower block Toeplitz one) computed them."""
+    rng = np.random.default_rng(4177)
+    space = group.space
+    shape = (len(space.anchors), space.degree_bound + 1, space.space.dim, space.space.dim)
+
+    def draw():
+        coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 0.6 ** np.arange(shape[1])[:, None, None]
+        radius = space.radius(1) * rng.uniform(0.5, 1.0, shape[0])
+        el = BHolElement(space, 1, coeffs, radius, rng.choice([0.0, 1e-9, 1e-6], shape[0]))
+        return el.scale(rng.uniform(0.01, 0.3) / el.norm_upper)
+
+    return [(draw(), draw()) for _ in range(34)]
 
 
 class TestLocalProduct:
@@ -140,6 +166,33 @@ class TestLocalProduct:
         assert counts == {"gathers": 189, "muls": 376, "brackets": 188}
         kept = {i for i, s in seen.items() if s._op is not None}
         assert kept == {id(s) for s in letters}
+
+    @pytest.mark.parametrize("batch", [1, 3, 34])
+    def test_bch_pairs_match_stored_reference(self, germ_group, batch):
+        rows = batch * len(germ_group.space.anchors)
+        with np.load(BCH_REFERENCE) as ref:
+            ref_coeffs, ref_tail = ref["coeffs"][:rows], ref["tail"][:rows]
+        out = germ_group.bch_pairs(bch_reference_pairs(germ_group)[:batch])
+        for got, want in zip(np.concatenate([z.coeffs for z in out]), ref_coeffs):
+            assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
+        assert_allclose(np.concatenate([z.tail for z in out]), ref_tail, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("batch", [1, 3, 34])
+    def test_bch_pairs_of_linear_germs_match_pointwise_bch(self, germ_group, rng, batch):
+        # degree-1 letters: the order-8 Dynkin polynomial has degree 8, below
+        # the degree bound 12, so no product truncates and the pointwise BCH
+        # of the values is the same polynomial
+        def draw():
+            el = element_from_matrix_poly(germ_group.space, [
+                rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                for _ in range(2)], 1)
+            return el.scale(rng.uniform(0.01, 0.3) / el.norm_upper)
+
+        pairs = [(draw(), draw()) for _ in range(batch)]
+        pts = sample_pts(germ_group)
+        for (x, y), z in zip(pairs, germ_group.bch_pairs(pairs)):
+            want = germ_group.backend.bch(x.eval(pts), y.eval(pts))
+            assert_allclose(z.eval(pts), want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
 
     def test_bonded_arguments_align(self, germ_group, rng):
         x = random_algebra_element(germ_group, rng, 0.05, level=1)

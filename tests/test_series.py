@@ -129,15 +129,15 @@ def reference_invert(a):
 
 
 def reference_horner(x, x_norms, tail, tops, alpha, beta, kappa):
-    """The Horner loop of ``SeriesStack.exp``/``log`` with S in degree order and
-    one full ``_cauchy_product`` (Toeplitz gather of S, unit-radius majorants,
-    masked update) per term, kept as an oracle for the reversed-layout loop."""
+    """The Horner loop of ``SeriesStack.exp``/``log`` with one full
+    ``_cauchy_product`` (Toeplitz gather of x, unit-radius majorants, masked
+    update) per term, kept as an oracle for the one-gather loop."""
     one = _identity_stack(x)
     unit = np.ones(len(x))
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
     s_tail = np.zeros(len(x))
     for j in range(int(tops.max()) - 1, 0, -1):
-        c, t = _cauchy_product(x, _block_toeplitz(s), x_norms, spectral_norms(s) / kappa,
+        c, t = _cauchy_product(_block_toeplitz(x), s, x_norms, spectral_norms(s) / kappa,
                                tail, s_tail, unit, kappa)
         live = tops > j
         s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
@@ -146,20 +146,20 @@ def reference_horner(x, x_norms, tail, tops, alpha, beta, kappa):
 
 
 def reference_inline_horner(x, x_norms, tail, tops, alpha, beta, kappa):
-    """The reversed-layout Horner loop with each term's tail certified inside
-    the loop, one ``spectral_norms`` per term; kept as the bitwise oracle for
+    """The one-gather Horner loop with each term's tail certified inside the
+    loop, one ``spectral_norms`` per term; kept as the bitwise oracle for
     ``_horner``, which certifies all terms in one pass after the loop."""
     n_rows, k, m, _ = x.shape
     op = _block_toeplitz(x)
     one = np.zeros_like(x)
-    one[:, -1] = np.eye(m)
+    one[:, 0] = np.eye(m)
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
     s_tail = np.zeros(n_rows)
     mx, mx_high = x_norms.sum(axis=1), x_norms[:, 1:]
     all_live = int(tops.min())
     for j in range(int(tops.max()) - 1, 0, -1):
         c = np.matmul(op, s.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
-        suffix = (spectral_norms(s) / kappa).cumsum(axis=1)
+        suffix = (spectral_norms(s)[:, ::-1] / kappa).cumsum(axis=1)
         overflow = (mx_high * suffix[:, : k - 1]).sum(axis=1)
         t = _product_tail(mx, suffix[:, -1], tail, s_tail, overflow, kappa)
         c = alpha(j) * one + beta(j) * c
@@ -170,15 +170,7 @@ def reference_inline_horner(x, x_norms, tail, tops, alpha, beta, kappa):
             live = tops > j
             s = np.where(live[:, None, None, None], c, s)
             s_tail = np.where(live, t, s_tail)
-    return np.ascontiguousarray(s[:, ::-1]), s_tail
-
-
-def reference_spectral_norms(values):
-    """The closed-form largest singular value of 2 x 2 matrices as first written."""
-    f = np.sum(np.abs(values) ** 2, axis=(-2, -1))
-    det = values[..., 0, 0] * values[..., 1, 1] - values[..., 0, 1] * values[..., 1, 0]
-    disc = np.sqrt(np.maximum(f * f - 4.0 * np.abs(det) ** 2, 0.0))
-    return np.sqrt(np.maximum(0.5 * (f + disc), 0.0))
+    return s, s_tail
 
 
 def near_unit_series(rng, space, radius, degree, scale, tail=0.0):
@@ -911,6 +903,69 @@ class TestUnitWeights:
             assert (a + b).coeffs.tobytes() != weighted_add(a, b, 1.0, 1.0).coeffs.tobytes()
 
 
+def lag_convolution(a, b):
+    """c_d = sum_i a_{d-i} b_i of two (B, K, m, m) stacks, one einsum over the
+    lags per degree."""
+    out = np.zeros_like(a)
+    for d in range(a.shape[1]):
+        out[:, d] = np.einsum("blij,bljk->bik", a[:, d::-1], b[:, :d + 1])
+    return out
+
+
+def lag_product_tail(a, b):
+    """The product tail of two stacks from the full majorant convolution."""
+    k = a.coeffs.shape[1]
+    radius = np.minimum(a.radius, b.radius)
+    pw = radius[:, None] ** np.arange(k)
+    am, bm = a.norms() * pw, b.norms() * pw
+    full = np.stack([np.convolve(u, v) for u, v in zip(am, bm)])
+    return a.kappa * (am.sum(axis=1) * b.tail + bm.sum(axis=1) * a.tail + a.tail * b.tail
+                      + full[:, k:].sum(axis=1))
+
+
+class TestProductKernel:
+    @staticmethod
+    def stack(rng, m, rows):
+        """Rows with their own radii, tails and scales over four decades."""
+        out = TestUnitWeights.stack(rng, m, rows=rows)
+        out.coeffs *= 10.0 ** rng.uniform(-3.0, 1.0, rows)[:, None, None, None]
+        return out
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 3, 68])
+    def test_mul_matches_lag_by_lag_convolution(self, rng, b, m):
+        x, y = (self.stack(rng, m, b) for _ in range(2))
+        for left, right in ((x, y), (y, x)):
+            out = left.mul(right)
+            want = lag_convolution(left.coeffs, right.coeffs)
+            for i in range(b):
+                scale = np.max(np.abs(want[i]))
+                assert_allclose(out.coeffs[i], want[i], rtol=1e-14, atol=1e-14 * scale)
+            assert np.array_equal(out.radius, np.minimum(x.radius, y.radius))
+            assert_allclose(out.tail, lag_product_tail(left, right), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bracket_with_itself_and_its_negative_is_zero(self, rng, m):
+        # both products of a bracket run one gemm shape, so x (-x) and (-x) x
+        # round alike, whichever operators the two stacks keep
+        # [x, 0] is zero in value; its zero parts may carry either sign
+        base = self.stack(rng, m, 5)
+        others = ((lambda a: a, True), (lambda a: a.scale(-1.0), True),
+                  (lambda a: a.scale(0.0), False))
+        for keep in ("none", "left", "both"):
+            for other, bitwise in others:
+                a = SeriesStack(base.coeffs, base.radius, base.tail, base.kappa)
+                b = other(a)
+                if keep != "none":
+                    a._op = _block_toeplitz(a.coeffs)
+                if keep == "both":
+                    b._op = _block_toeplitz(b.coeffs)
+                z = a.bracket(b)
+                assert np.all(z.coeffs == 0)
+                if bitwise:
+                    assert z.coeffs.tobytes() == bytes(z.coeffs.nbytes)
+
+
 class TestSpectralNorms:
     def test_two_by_two_matches_closed_form_and_svd(self, rng):
         for i in range(400):
@@ -919,14 +974,27 @@ class TestSpectralNorms:
                 * 10.0 ** rng.uniform(-8, 2)
             if i % 4 == 0:  # singular rows
                 v[..., 1, :] = v[..., 0, :] * complex(rng.standard_normal())
-            got = spectral_norms(v)
-            assert got.tobytes() == reference_spectral_norms(v).tobytes()
             sv = np.linalg.svd(v, compute_uv=False)
-            # the closed form loses digits as sigma_2 -> sigma_1; compare where they part
-            apart = sv[..., 1] <= 0.5 * sv[..., 0]
-            assert_allclose(got[apart], sv[..., 0][apart], rtol=1e-15, atol=0.0)
+            assert_allclose(spectral_norms(v), sv[..., 0], rtol=1e-15, atol=0.0)
         strided = v[:, ::-1]
-        assert spectral_norms(strided).tobytes() == reference_spectral_norms(strided).tobytes()
+        assert spectral_norms(strided).tobytes() == \
+            spectral_norms(np.ascontiguousarray(strided)).tobytes()
+
+    def test_two_by_two_matches_svd_everywhere(self, rng):
+        # random matrices, Haar unitaries, and singular values that nearly or
+        # exactly coincide, over ten decades of scale
+        n = 4000
+        z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        q, r = np.linalg.qr(z)
+        phase = np.diagonal(r, axis1=-2, axis2=-1)
+        haar = q * (phase / np.abs(phase))[:, None, :]
+        u, _, vh = np.linalg.svd(z)
+        sigma = np.stack([np.ones(n), 1.0 - np.geomspace(1e-13, 1.0, n)], axis=-1)
+        near = (u * sigma[:, None, :]) @ vh * 10.0 ** rng.uniform(-8, 2, n)[:, None, None]
+        for v in (z, haar, near, 3.0 * haar + 1e-9 * z, np.eye(2) + 1e-6 * z):
+            want = np.linalg.svd(v, compute_uv=False)[..., 0]
+            assert_allclose(spectral_norms(v), want, rtol=2e-15, atol=0.0)
+        assert spectral_norms(haar[0]).shape == ()
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_other_sizes_match_svd(self, rng, m):
