@@ -67,6 +67,9 @@ _INVERSE_TOL = 1e-10  # mutual-inverse residual at which a strip height is kept
 _MIN_HEIGHT_FACTOR = 1e-3  # extend_transitions gives up below this share of the height
 _CIRCLE_DEGREE = 8  # degree bound of circle_atlas's translations
 _TAN_DEGREE = 30  # degree bound of tan_chart_pair's transitions
+_REAL_TOL = 1e-12  # uniqueness: the two atlases' transitions agree on real arguments
+_TRANSPORT_TOL = 1e-9  # uniqueness: transport by one atlas, back by the other
+_ANNULUS_TOL = 1e-8  # glued circle against the annulus model w = exp(i z)
 
 
 @dataclass(frozen=True)
@@ -397,8 +400,7 @@ def perturb_transition(ca: ComplexAtlas, i: int, j: int, amount: float) -> Compl
     raise StructureError(f"the atlas has no ({i},{j}) transition record")
 
 
-def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
-                              tol_real: float = 1e-12, tol: float = 1e-9) -> Report:
+def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas) -> Report:
     """Sample the identity germ between two complexifications of one real atlas.
 
     Chart by chart the identity map extends to the common strip; what needs
@@ -411,7 +413,7 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
     otherwise a skipped record makes it inconclusive.
     """
     rep = Report(check="uniqueness_biholomorphism",
-                 params={"tol_real": tol_real, "tol": tol})
+                 params={"tol_real": _REAL_TOL, "tol": _TRANSPORT_TOL})
     if len(ca1.base.charts) != len(ca2.base.charts):
         raise StructureError("atlases complexify different chart systems")
     worst = {"real_restriction": 0.0, "cross_transport": 0.0}
@@ -428,21 +430,21 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas,
         xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), _GRID_N ** 2) + 0j
         v1 = t1.eval(xs)
         v2 = ca2.base.eval_change(i, j, xs)
-        _compare(rep, worst, "real_restriction", tol_real, v1, v2,
+        _compare(rep, worst, "real_restriction", _REAL_TOL, v1, v2,
                  ~np.isnan(v1.real) & ~np.isnan(v2.real), xs, pair=[i, j])
         zs = _grid((lo, hi), h)
         back, ok = _transport(t1, ca2.base, i, zs)
-        _compare(rep, worst, "cross_transport", tol, back, zs, ok, zs, pair=[i, j])
+        _compare(rep, worst, "cross_transport", _TRANSPORT_TOL, back, zs, ok, zs, pair=[i, j])
     rep.extras.update({"worst_real_restriction": worst["real_restriction"],
                        "worst_cross_transport": worst["cross_transport"],
                        "strip_heights": final_heights})
-    rep.note_margin(tol - worst["cross_transport"])
+    rep.note_margin(_TRANSPORT_TOL - worst["cross_transport"])
     if missing and rep.status != "fail":
         rep.inconclusive(missing)
     return rep
 
 
-def annulus_consistency(ca: ComplexAtlas, tol: float = 1e-8) -> Report:
+def annulus_consistency(ca: ComplexAtlas) -> Report:
     """Compare a circle glueing against the closed-form annulus model.
 
     The annulus realization w = exp(i z) must send equivalent points
@@ -450,15 +452,15 @@ def annulus_consistency(ca: ComplexAtlas, tol: float = 1e-8) -> Report:
     over all transition records and grids is the distance between the glued
     manifold and the standard model in exponential coordinates.
     """
-    rep = Report(check="annulus_model_consistency", params={"tol": tol})
+    rep = Report(check="annulus_model_consistency", params={"tol": _ANNULUS_TOL})
     worst = {"annulus": 0.0}
     for tr in ca.base.records():
         zs = _grid(tr.overlap, ca.height(tr.i, tr.j))
         vals = tr.eval(zs)
-        _compare(rep, worst, "annulus", tol, np.exp(1j * vals), np.exp(1j * zs),
+        _compare(rep, worst, "annulus", _ANNULUS_TOL, np.exp(1j * vals), np.exp(1j * zs),
                  ~np.isnan(vals.real), zs, pair=[tr.i, tr.j])
     rep.extras = {"worst_residual": worst["annulus"]}
-    rep.note_margin(tol - worst["annulus"])
+    rep.note_margin(_ANNULUS_TOL - worst["annulus"])
     return rep
 
 

@@ -471,19 +471,11 @@ def _clear_of_breakpoints(idx: int, steps: int, breakpoints) -> int | None:
 
     Splines are continuous but generically not differentiable at the
     breakpoints, so the high-order stencil is only meaningful strictly
-    inside a segment.
+    inside a segment: the nearest clear node, the later one on a tie, or None.
     """
-    def ok(i: int) -> bool:
-        if not 2 <= i <= steps - 2:
-            return False
-        lo, hi = (i - 2) / steps, (i + 2) / steps
-        return not any(lo < b < hi for b in breakpoints[1:-1])
-
-    for shift in range(steps):
-        for cand in (idx + shift, idx - shift):
-            if ok(cand):
-                return cand
-    return None
+    clear = [i for i in range(2, steps - 1)
+             if not any((i - 2) / steps < b < (i + 2) / steps for b in breakpoints[1:-1])]
+    return min(clear, key=lambda i: (abs(i - idx), i < idx), default=None)
 
 
 def group_roundtrip_report(group: GermLieGroup, gcurve: GroupCurve) -> Report:

@@ -132,12 +132,10 @@ class GermSpace:
             raise StructureError("sample_points is d = 1 only")
         rho = self.radius(level) * interior
         per = -(-count // len(self.anchors))
-        pts = []
-        for i, a in enumerate(self.anchors):
-            theta = 2 * np.pi * (np.arange(per) + 0.13 * (i + 1)) / per
-            rr = rho * (0.35 + 0.65 * ((np.arange(per) * 0.618034 + 0.21 * i) % 1.0))
-            pts.append(a + rr * np.exp(1j * theta))
-        return np.concatenate(pts)[:count]
+        i, k = np.arange(len(self.anchors))[:, None], np.arange(per)
+        theta = 2 * np.pi * (k + 0.13 * (i + 1)) / per
+        rr = rho * (0.35 + 0.65 * ((k * 0.618034 + 0.21 * i) % 1.0))
+        return (np.asarray(self.anchors)[:, None] + rr * np.exp(1j * theta)).ravel()[:count]
 
 
 @dataclass(frozen=True, eq=False)

@@ -89,16 +89,11 @@ def dynkin_words(order: int) -> tuple:
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)
-def _suffix_plan(order: int) -> tuple:
-    """Evaluation plan sharing common suffixes between bracket words."""
-    words = dynkin_words(order)
-    suffixes = set()
-    for word, _ in words:
-        for i in range(len(word)):
-            suffixes.add(word[i:])
-    plan = tuple(sorted(suffixes, key=lambda s: (len(s), s)))
-    return plan, words
+def _bracketed(word: tuple, values: dict, bracket_fn):
+    """``values[word]``, first bracketing and storing its missing suffixes, innermost first."""
+    if word not in values:
+        values[word] = bracket_fn(values[word[:1]], _bracketed(word[1:], values, bracket_fn))
+    return values[word]
 
 
 def evaluate_bch_words(x, y, order: int, bracket_fn):
@@ -108,17 +103,10 @@ def evaluate_bch_words(x, y, order: int, bracket_fn):
     arrays and :class:`~germlie.series.SeriesStack` both qualify);
     ``bracket_fn`` is the Lie bracket of the ambient algebra.
     """
-    plan, words = _suffix_plan(order)
-    args = (x, y)
-    values: dict[tuple, object] = {}
-    for suffix in plan:
-        if len(suffix) == 1:
-            values[suffix] = args[suffix[0]]
-        else:
-            values[suffix] = bracket_fn(args[suffix[0]], values[suffix[1:]])
+    values: dict[tuple, object] = {(0,): x, (1,): y}
     total = None
-    for word, coeff in words:
-        term = coeff * values[word]
+    for word, coeff in dynkin_words(order):
+        term = coeff * _bracketed(word, values, bracket_fn)
         total = term if total is None else total + term
     return total
 

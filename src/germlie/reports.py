@@ -66,13 +66,8 @@ def dump_reports(reports: list, path) -> None:
 
 def dump_csv(rows: list[dict], path) -> None:
     """One-line-per-case CSV summary; column order fixed by first row."""
-    if not rows:
-        with open(path, "w") as fh:
-            fh.write("")
-        return
-    fieldnames = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)

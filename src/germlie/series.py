@@ -10,12 +10,12 @@ propagates the tail bound by majorant bookkeeping, so
 
     sampled sup  <=  true sup on the ball  <=  majorant norm
 
-holds in exact arithmetic for every value the module produces.  Rounding is
-outside every certificate.  It sits near 1e-15 relative: an inverse of a
-unit-sized matrix series misses the pointwise inverse by about 1e-15 even
-where its tail is below 1e-15.  Direction J of ROADMAP.md brings rounding
-inside the certificates.  Values are immutable; every operation is a pure
-function.
+holds in exact arithmetic for all of it.  The tails of :func:`cauchy_series`
+(so of ``factorize`` and ``build_transition``) are data-driven estimates that
+can miss the true error (Defect 6 of ROADMAP.md).  Rounding is outside every
+certificate, near 1e-15 relative: a unit-sized matrix inverse can miss the
+pointwise one by 1e-15 where its tail is below that.  Direction J of
+ROADMAP.md brings rounding inside.  Values are immutable; operations are pure.
 
 Coefficients live in a :class:`CoefficientSpace`: complex scalars, vectors,
 or m x m matrices.  The matrix norm is twice the spectral norm, which makes
@@ -485,11 +485,6 @@ def _multi_index(k, dim: int, n: int) -> tuple:
     return idx
 
 
-def _anchor_key(anchor) -> tuple:
-    arr = np.atleast_1d(np.asarray(anchor, dtype=complex))
-    return tuple(complex(z) for z in arr)
-
-
 # ---------------------------------------------------------------------------
 # the series type
 # ---------------------------------------------------------------------------
@@ -562,15 +557,12 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, anchor, radius, space, degree_bound=12, dim=1):
-        shape = (degree_bound + 1,) * dim + space.shape
-        return cls(anchor, degree_bound, np.zeros(shape, complex), radius, 0.0, space, dim)
+        return cls.from_coeff_list((), anchor, radius, space, degree_bound, dim)
 
     @classmethod
     def constant(cls, value, anchor, radius, space, degree_bound=12, dim=1):
-        s = cls.zero(anchor, radius, space, degree_bound, dim)
-        coeffs = s.coeffs.copy()
-        coeffs[(0,) * dim] = np.asarray(value, dtype=complex)
-        return cls(anchor, degree_bound, coeffs, radius, 0.0, space, dim)
+        return cls.from_coeff_list((((0,) * dim, value),), anchor, radius, space,
+                                   degree_bound, dim)
 
     @classmethod
     def unit(cls, anchor, radius, space, degree_bound=12, dim=1):
@@ -580,8 +572,7 @@ class TruncatedSeries:
     @classmethod
     def from_coeff_list(cls, pairs, anchor, radius, space, degree_bound=12, dim=1):
         """Build a series from ``(multi_index, value)`` pairs; d = 1 indices are ints."""
-        s = cls.zero(anchor, radius, space, degree_bound, dim)
-        coeffs = s.coeffs.copy()
+        coeffs = np.zeros((degree_bound + 1,) * dim + space.shape, complex)
         for k, value in pairs:
             coeffs[_multi_index(k, dim, degree_bound)] = np.asarray(value, dtype=complex)
         return cls(anchor, degree_bound, coeffs, radius, 0.0, space, dim)
@@ -608,11 +599,8 @@ class TruncatedSeries:
         """The scalar majorant sequence ``norm(c_k) * rho^|k|`` indexed by total degree."""
         rho = self._rho(rho)
         n = self.degree_bound
-        norms = self.coeff_norms()
-        if self.dim == 1:
-            return norms * rho ** np.arange(n + 1)
-        deg = _degrees(n, 2)  # entries above degree n vanish by invariant
-        return np.bincount(deg.ravel(), (norms * rho ** deg).ravel())[: n + 1]
+        deg = _degrees(n, self.dim)  # d = 2 entries above degree n vanish by invariant
+        return np.bincount(deg.ravel(), (self.coeff_norms() * rho ** deg).ravel())[: n + 1]
 
     def poly_majorant(self, rho: float | None = None) -> float:
         """Majorant of the stored polynomial part only."""
@@ -683,16 +671,10 @@ class TruncatedSeries:
         """Lower the degree bound; dropped coefficients feed the tail bound."""
         if new_bound >= self.degree_bound:
             return self
-        n = new_bound
-        if self.dim == 1:
-            dropped = float(np.sum(self.majorant_coeffs()[n + 1:]))
-            coeffs = self.coeffs[: n + 1]
-        else:
-            deg = _degrees(self.degree_bound, 2)
-            dropped = float(np.sum((self.coeff_norms() * self.radius ** deg)[deg > n]))
-            coeffs = self.coeffs[: n + 1, : n + 1].copy()
-            coeffs[deg[: n + 1, : n + 1] > n] = 0.0
-        return TruncatedSeries(self.anchor, n, np.array(coeffs), self.radius,
+        dropped = float(np.sum(self.majorant_coeffs()[new_bound + 1:]))
+        coeffs = self.coeffs[(slice(new_bound + 1),) * self.dim].copy()
+        coeffs[_degrees(new_bound, self.dim) > new_bound] = 0.0
+        return TruncatedSeries(self.anchor, new_bound, coeffs, self.radius,
                                self.tail_bound + dropped, self.space, self.dim)
 
     def with_tail(self, extra: float) -> "TruncatedSeries":
@@ -726,7 +708,7 @@ class TruncatedSeries:
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries):
     if a.dim != b.dim:
         raise StructureError("model dimension mismatch")
-    if _anchor_key(a.anchor) != _anchor_key(b.anchor):
+    if not np.array_equal(a.anchor, b.anchor):
         raise StructureError(f"anchor mismatch: {a.anchor} vs {b.anchor}")
     if a.space != b.space:
         raise StructureError(f"coefficient space mismatch: {a.space} vs {b.space}")

@@ -324,8 +324,8 @@ def test_criterion_10_complexification_glueing():
     ca = extend_transitions(atlas, 0.1)
     cert = certify_cocycles(ca, tol=1e-9)
     ca2 = extend_transitions(atlas, 0.05)
-    uni = uniqueness_biholomorphism(ca, ca2, tol=1e-9)
-    ann = annulus_consistency(ca, tol=1e-8)
+    uni = uniqueness_biholomorphism(ca, ca2)
+    ann = annulus_consistency(ca)
     control = certify_cocycles(perturb_transition(ca, 0, 1, 1e-6), tol=1e-9)
     elapsed = time.time() - t0
     ok = (cert.passed and cert.extras["triples_checked"] == 6

@@ -148,14 +148,14 @@ class TestUniqueness:
 
     def test_against_annulus_model(self, circle3_ext):
         # the closed-form model w = exp(iz) identifies glued points
-        rep = annulus_consistency(circle3_ext, tol=1e-8)
-        assert rep.passed
+        rep = annulus_consistency(circle3_ext)
+        assert rep.passed and rep.params == {"tol": 1e-8}
         assert rep.extras["worst_residual"] < 1e-8
 
     def test_real_restrictions_anchor_the_identity(self, circle3, circle3_ext):
         ca2 = extend_transitions(circle3, 0.07)
-        rep = uniqueness_biholomorphism(circle3_ext, ca2, tol_real=1e-12)
-        assert rep.passed
+        rep = uniqueness_biholomorphism(circle3_ext, ca2)
+        assert rep.passed and rep.params == {"tol_real": 1e-12, "tol": 1e-9}
         assert rep.extras["worst_real_restriction"] <= 1e-12
 
 

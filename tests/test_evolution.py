@@ -10,6 +10,7 @@ from germlie import evolution
 from germlie.evolution import (
     _GAUSS_OFFSET,
     EVOL_BUDGET,
+    _clear_of_breakpoints,
     GroupCurve,
     LieCurve,
     _evol_run,
@@ -29,6 +30,22 @@ from germlie.germgroup import random_algebra_element
 from germlie.reports import Report
 from germlie.germspace import BHolElement, bond, germ_distance
 from germlie.series import SeriesStack
+
+
+def reference_clear_of_breakpoints(idx, steps, breakpoints):
+    """The alternating search first written: idx, idx + 1, idx - 1, idx + 2, ...,
+    the first node whose 5-point stencil window holds no inner breakpoint."""
+    def ok(i):
+        if not 2 <= i <= steps - 2:
+            return False
+        lo, hi = (i - 2) / steps, (i + 2) / steps
+        return not any(lo < b < hi for b in breakpoints[1:-1])
+
+    for shift in range(steps):
+        for cand in (idx + shift, idx - shift):
+            if ok(cand):
+                return cand
+    return None
 
 
 def reference_fold(start, terms):
@@ -607,3 +624,28 @@ class TestSmoothness:
         curve = LieCurve.constant(germ_group, xi)
         with pytest.raises(StructureError, match="steps"):
             smoothness_report(germ_group, curve, curve, steps=2)
+
+
+class TestClearOfBreakpoints:
+    @staticmethod
+    def breakpoint_sets(steps):
+        k = steps // 2
+        return {
+            "none": (0.0, 1.0),
+            "on a node": (0.0, k / steps, 1.0),
+            "between nodes": (0.0, (k + 0.5) / steps, 1.0),
+            "two close together": (0.0, 0.3, 0.3 + 0.5 / steps, 1.0),
+            "every node": tuple(np.arange(steps + 1) / steps),
+        }
+
+    @pytest.mark.parametrize("steps", range(4, 41))
+    def test_matches_the_alternating_search(self, steps):
+        for name, bps in self.breakpoint_sets(steps).items():
+            for idx in range(steps + 1):
+                want = reference_clear_of_breakpoints(idx, steps, bps)
+                assert _clear_of_breakpoints(idx, steps, bps) == want, (name, idx)
+                assert name != "every node" or want is None
+
+    def test_ties_go_to_the_later_node(self):
+        # a breakpoint on node 10 blocks nodes 9-11; 8 and 12 are both two away
+        assert _clear_of_breakpoints(10, 20, (0.0, 0.5, 1.0)) == 12

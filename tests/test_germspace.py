@@ -58,6 +58,32 @@ class TestGermSpaceStructure:
             assert sp.radius(n + 1) == pytest.approx(sp.ratio * sp.radius(n))
 
 
+def reference_sample_points(space, level, count, interior=0.5):
+    """The per-anchor loop first written: ceil(count / anchors) points per
+    anchor, anchor by anchor, cut to ``count``."""
+    rho = space.radius(level) * interior
+    per = -(-count // len(space.anchors))
+    pts = []
+    for i, a in enumerate(space.anchors):
+        theta = 2 * np.pi * (np.arange(per) + 0.13 * (i + 1)) / per
+        rr = rho * (0.35 + 0.65 * ((np.arange(per) * 0.618034 + 0.21 * i) % 1.0))
+        pts.append(a + rr * np.exp(1j * theta))
+    return np.concatenate(pts)[:count]
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("anchors", [(0.0,), (0.0, 1.5 + 0.5j), (0.0, 0.4 + 0.1j, -0.3j)],
+                             ids=["one", "two", "three"])
+    @pytest.mark.parametrize("count", [1, 5, 6, 7, 20, 24])
+    def test_bit_equal_to_the_per_anchor_loop(self, anchors, count):
+        sp = GermSpace(anchors=anchors, ratio=0.1, levels=4)
+        for level, interior in ((0, 0.5), (2, 0.4)):
+            got = sp.sample_points(level, count, interior)
+            want = reference_sample_points(sp, level, count, interior)
+            assert got.shape == want.shape == (count,)
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBonding:
     def test_identity_bonding(self, scalar_germspace, rng):
         el = unit_majorant_family(scalar_germspace, 1, rng, 4)[-1]

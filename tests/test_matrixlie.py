@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from germlie.matrixlie import (
     bch_remainder_bound,
     bch_tail_coefficients,
     dynkin_words,
+    evaluate_bch_words,
 )
 
 B2 = MatrixLieBackend(2, 8)
@@ -42,6 +44,32 @@ def reference_bch_tail_coefficients() -> np.ndarray:
     return np.array([float(c) for c in total])
 
 
+def reference_bch_words(x, y, order, bracket_fn):
+    """Plan, then sum: every suffix of every word bracketed in (length, word)
+    order, then the weighted words added in table order -- the evaluation as
+    first written."""
+    words = dynkin_words(order)
+    plan = sorted({w[i:] for w, _ in words for i in range(len(w))}, key=lambda s: (len(s), s))
+    args, values = (x, y), {}
+    for suffix in plan:
+        values[suffix] = args[suffix[0]] if len(suffix) == 1 else \
+            bracket_fn(args[suffix[0]], values[suffix[1:]])
+    total = None
+    for word, coeff in words:
+        term = coeff * values[word]
+        total = term if total is None else total + term
+    return total
+
+
+def counting(bracket_fn):
+    calls = []
+
+    def fn(a, b):
+        calls.append(1)
+        return bracket_fn(a, b)
+    return fn, calls
+
+
 class TestWordTable:
     def test_low_order_coefficients(self):
         d = dict(dynkin_words(8))
@@ -60,6 +88,39 @@ class TestWordTable:
 
     def test_shared_read_only_table(self):
         assert dynkin_words(8) is dynkin_words(8)
+
+
+class TestEvaluateWords:
+    @pytest.mark.parametrize("order", range(1, 9))
+    @pytest.mark.parametrize("batch", [(), (1,), (5,), (3, 4)])
+    def test_bit_equal_to_plan_then_sum(self, rng, order, batch):
+        x, y = (0.05 * (rng.standard_normal(batch + (2, 2))
+                        + 1j * rng.standard_normal(batch + (2, 2))) for _ in range(2))
+        fn, calls = counting(B2.bracket)
+        ref_fn, ref_calls = counting(B2.bracket)
+        got = evaluate_bch_words(x, y, order, fn)
+        want = reference_bch_words(x, y, order, ref_fn)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(calls) == len(ref_calls)
+
+    def test_188_brackets_at_order_8(self, rng):
+        x, y = (B2.random_element(rng, 0.1) for _ in range(2))
+        fn, calls = counting(B2.bracket)
+        evaluate_bch_words(x, y, 8, fn)
+        assert len(calls) == 188
+
+    def test_leaves_no_reference_cycle(self, rng):
+        # suffix values caught in a cycle would outlive the call until the next
+        # collection: 188 stacks of every bch_pairs batch
+        x, y = (B2.random_element(rng, 0.1) for _ in range(2))
+        evaluate_bch_words(x, y, 8, B2.bracket)  # builds the cached word table
+        gc.collect()
+        gc.disable()
+        try:
+            evaluate_bch_words(x, y, 8, B2.bracket)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBch:

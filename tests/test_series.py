@@ -710,6 +710,64 @@ class TestDimensionTwo:
         assert s.radius == s2.radius and s.tail_bound == s2.tail_bound
 
 
+def reference_majorant_coeffs(s, rho):
+    """The two branches first written: elementwise for d = 1, a bincount over
+    the degree grid for d = 2."""
+    n, norms = s.degree_bound, s.coeff_norms()
+    if s.dim == 1:
+        return norms * rho ** np.arange(n + 1)
+    deg = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    return np.bincount(deg.ravel(), (norms * rho ** deg).ravel())[: n + 1]
+
+
+def reference_truncate(s, n):
+    """Coefficients and tail of ``s.truncate(n)`` as first written: the d = 2
+    dropped mass one masked sum over the degree grid."""
+    if s.dim == 1:
+        dropped = float(np.sum(reference_majorant_coeffs(s, s.radius)[n + 1:]))
+        return s.coeffs[: n + 1], s.tail_bound + dropped
+    deg = np.add.outer(np.arange(s.degree_bound + 1), np.arange(s.degree_bound + 1))
+    dropped = float(np.sum((s.coeff_norms() * s.radius ** deg)[deg > n]))
+    coeffs = s.coeffs[: n + 1, : n + 1].copy()
+    coeffs[deg[: n + 1, : n + 1] > n] = 0.0
+    return coeffs, s.tail_bound + dropped
+
+
+class TestOneMajorantPath:
+    @staticmethod
+    def _random_d1(rng, space, degree=10, radius=0.7, tail=1e-4):
+        shape = (degree + 1,) + space.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs *= (0.6 ** np.arange(degree + 1)).reshape((-1,) + (1,) * len(space.shape))
+        return TruncatedSeries(0.2 - 0.1j, degree, coeffs, radius, tail, space)
+
+    @pytest.mark.parametrize("space", [SP, VS, MS], ids=["scalar", "vector", "2x2"])
+    def test_d1_bit_equal_to_the_elementwise_branch(self, rng, space):
+        s = self._random_d1(rng, space)
+        for rho in (None, 0.0, 0.3, 0.7):
+            got = s.majorant_coeffs(rho)
+            want = reference_majorant_coeffs(s, s.radius if rho is None else rho)
+            assert got.tobytes() == want.tobytes()
+        for n in range(s.degree_bound):
+            t = s.truncate(n)
+            coeffs, tail = reference_truncate(s, n)
+            assert t.coeffs.tobytes() == np.ascontiguousarray(coeffs).tobytes()
+            assert t.tail_bound == tail
+
+    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
+    def test_d2_truncate_within_rounding_of_the_masked_sum(self, rng, space):
+        s = TestDimensionTwo._random_d2(rng, space)
+        for rho in (None, 0.0, 0.5):
+            got = s.majorant_coeffs(rho)
+            assert got.tobytes() == reference_majorant_coeffs(
+                s, s.radius if rho is None else rho).tobytes()
+        for n in range(s.degree_bound):
+            t = s.truncate(n)
+            coeffs, tail = reference_truncate(s, n)
+            assert np.array_equal(t.coeffs, coeffs)
+            assert t.tail_bound == pytest.approx(tail, rel=1e-14, abs=0)
+
+
 class TestBracket:
     def test_bracket_antisymmetric(self, rng):
         a = random_matrix_series(rng)

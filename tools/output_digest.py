@@ -1,0 +1,86 @@
+"""Print one ``sha256  name`` line per output that the package's numbers reach.
+
+Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
+
+* every file ``germlie --suite all --seed 7 --trials 200`` writes, and its stdout;
+* the stdout of each script in ``demos/``;
+* the coefficients, radii and tails of seeded ``bch_pairs`` calls at batch
+  sizes 1, 3 and 34;
+* ``MatrixLieBackend.bch`` on a seeded batch of 2 x 2 matrices.
+
+Two checkouts that print the same lines give the same bits on all of them.
+The package is imported from this checkout's ``src``, and every file the
+runs write goes to a temporary directory.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from germlie.germgroup import GermLieGroup, random_algebra_element  # noqa: E402
+from germlie.germspace import GermSpace  # noqa: E402
+from germlie.matrixlie import MatrixLieBackend  # noqa: E402
+from germlie.series import matrix_space  # noqa: E402
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_python(args, cwd) -> bytes:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          check=True)
+    return done.stdout
+
+
+def cli_lines(tmp: Path):
+    out = tmp / "reports"
+    stdout = run_python(["-m", "germlie", "--suite", "all", "--seed", "7", "--trials", "200",
+                         "--out", str(out)], tmp)
+    yield digest(stdout), "cli/stdout"
+    for path in sorted(out.iterdir()):
+        yield digest(path.read_bytes()), f"cli/{path.name}"
+
+
+def demo_lines(tmp: Path):
+    for script in sorted((ROOT / "demos").glob("*.py")):
+        yield digest(run_python([str(script)], tmp)), f"demos/{script.name}"
+
+
+def bch_lines():
+    space = GermSpace(anchors=(0.0, 1.5 + 0.5j), base_radius=1.0, ratio=0.1, levels=6,
+                      space=matrix_space(2), degree_bound=12)
+    backend = MatrixLieBackend(2, 8)
+    group = GermLieGroup(space, backend)
+    rng = np.random.default_rng(7)
+    for size in (1, 3, 34):
+        pairs = [tuple(random_algebra_element(group, rng, 0.03) for _ in range(2))
+                 for _ in range(size)]
+        out = group.bch_pairs(pairs)
+        for field in ("coeffs", "radius", "tail"):
+            data = b"".join(np.ascontiguousarray(getattr(z, field)).tobytes() for z in out)
+            yield digest(data), f"bch_pairs/{size}/{field}"
+    x, y = (0.02 * (rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2)))
+            for _ in range(2))
+    yield digest(backend.bch(x, y).tobytes()), "MatrixLieBackend.bch"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines()):
+            print("  ".join(line))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
