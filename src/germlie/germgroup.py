@@ -167,9 +167,9 @@ class GermLieGroup:
         The Dynkin word table is walked once with all anchors of all pairs
         stacked, which is what makes large property sweeps affordable.  At
         order 8 the walk makes 188 brackets and 376 products whatever the
-        batch size, each on its left factor's block Toeplitz operator, and
-        gathers 189: a letter keeps its own (see :meth:`SeriesStack.bracket`)
-        and every value * letter gathers the value's.
+        batch size, and gathers 4 block Toeplitz operators: each letter keeps
+        its own and its transpose's (see :meth:`SeriesStack.keep_operators`),
+        so letter * value runs on the first and value * letter on the second.
         """
         self._require_d1("germ BCH")
         order = self.backend.bch_order
@@ -183,7 +183,10 @@ class GermLieGroup:
                     f"local product budget violated: majorant sum {s:.6g} >= "
                     f"{self.backend.bch_radius:.6g}")
             prepped.append((xb, yb, bch_remainder_bound(s, order)))
-        xs, ys = (_rows((p[k] for p in prepped), self.space.space.submult_factor) for k in (0, 1))
+        if not prepped:
+            return []
+        xs, ys = (_rows((p[k] for p in prepped), self.space.space.submult_factor).keep_operators()
+                  for k in (0, 1))
         zs = evaluate_bch_words(xs, ys, order, SeriesStack.bracket)
         tails = zs.tail + np.repeat([rem for _, _, rem in prepped], n_anchors)
         cuts = (slice(i * n_anchors, (i + 1) * n_anchors) for i in range(len(prepped)))

@@ -10,9 +10,9 @@ words of the formula are tabulated once per order (exact rational
 coefficients accumulated per bracket word, identically vanishing words
 pruned) and shared read-only; the same table drives both matrix arguments
 here and series arguments in :mod:`germlie.germgroup`.  At order 8 the walk
-makes 188 brackets and 376 products of series stacks, each on its left
-factor's block Toeplitz operator, 189 gathers in all (see
-:meth:`~germlie.series.SeriesStack.bracket`).
+makes 188 brackets and 376 products of series stacks, on the block Toeplitz
+operators of the two letters and of their transposes, 4 gathers in all (see
+:meth:`~germlie.series.SeriesStack.mul`).
 """
 
 from __future__ import annotations

@@ -215,7 +215,8 @@ def _cauchy_product(op_a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
     ``op_a`` is the :func:`_block_toeplitz` of the left factors, ``b`` the
     right factors, shape (B, K, m, m) (scalars are m = 1), the norms are
     (B, K), the tails and the common radius (B,).  Returns the product
-    coefficients (B, K, m, m) and their tails (B,).
+    coefficients (B, K, m, m) and their tails (B,); with b^T's operator and
+    a^T as ``op_a`` and ``b`` the coefficients come transposed, the tails not.
     """
     k = b.shape[1]
     coeffs = _truncated_product(op_a, b)
@@ -292,12 +293,12 @@ class SeriesStack:
     stay with the caller.  ``kappa`` is :attr:`CoefficientSpace.submult_factor`
     of the coefficient space, and every stack derived from this one keeps it.
 
-    A stack that has been the left argument of :meth:`bracket` keeps its
-    block Toeplitz operator, which :meth:`mul` then uses whenever the stack
-    is the left factor.  Derived stacks start without one.
+    After :meth:`keep_operators` a stack keeps the block Toeplitz operators
+    of itself and of its transpose, which :meth:`mul` uses on either side of
+    a product.  Derived stacks start without them.
     """
 
-    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_op")
+    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_op", "_op_t")
 
     def __init__(self, coeffs: np.ndarray, radius: np.ndarray, tail: np.ndarray, kappa: float):
         self.coeffs = coeffs  # (B, K, m, m), scalars as 1 x 1 matrices
@@ -305,7 +306,7 @@ class SeriesStack:
         self.tail = tail      # (B,)
         self.kappa = kappa
         self._norms = None
-        self._op = None
+        self._op = self._op_t = None
 
     @classmethod
     def from_series(cls, series: list) -> "SeriesStack":
@@ -354,27 +355,34 @@ class SeriesStack:
             return self.scale(alpha)
         return NotImplemented
 
+    def keep_operators(self) -> "SeriesStack":
+        """Gather and keep the block Toeplitz operators of ``self`` and of its
+        transpose (every coefficient transposed); returns ``self``."""
+        self._op = _block_toeplitz(self.coeffs)
+        self._op_t = _block_toeplitz(self.coeffs.swapaxes(2, 3))
+        return self
+
     def mul(self, other: "SeriesStack") -> "SeriesStack":
-        """Row-wise truncated Cauchy products ``self * other``: one matmul of
-        the block Toeplitz operator of ``self`` (the one it keeps after
-        :meth:`bracket`, else a fresh gather) with ``other`` as stored."""
+        """Row-wise truncated Cauchy products ``self * other``, one matmul of a
+        block Toeplitz operator with a stored factor: ``self``'s kept operator
+        with ``other``; else ``other``'s kept transposed operator with ``self``
+        transposed, the product transposed back, as (a b)_d^T = sum_i
+        b_{d-i}^T a_i^T; else a fresh gather of ``self``'s with ``other``.
+        The tails do not depend on the path."""
         radius = np.minimum(self.radius, other.radius)
-        op = self._op if self._op is not None else _block_toeplitz(self.coeffs)
-        coeffs, tail = _cauchy_product(op, other.coeffs, self.norms(), other.norms(),
+        flip = self._op is None and other._op_t is not None
+        if flip:
+            op, right = other._op_t, self.coeffs.swapaxes(2, 3)
+        else:
+            op = self._op if self._op is not None else _block_toeplitz(self.coeffs)
+            right = other.coeffs
+        coeffs, tail = _cauchy_product(op, right, self.norms(), other.norms(),
                                        self.tail, other.tail, radius, self.kappa)
-        return SeriesStack(coeffs, radius, tail, self.kappa)
+        return SeriesStack(coeffs.swapaxes(2, 3) if flip else coeffs, radius, tail, self.kappa)
 
     def bracket(self, other: "SeriesStack") -> "SeriesStack":
         """``self * other - other * self``, tail the sum of the products' tails.
-
-        ``self`` gathers its block Toeplitz operator once and keeps it for
-        ``self * other``; ``other * self`` gathers the operator of ``other``
-        unless it keeps one.  Dynkin words are right-nested, so a letter is
-        always on the left and gathers once per walk.  Results keep none:
-        at 68 rows, operators on all suffix values would hold about 140 MB.
-        """
-        if self._op is None:
-            self._op = _block_toeplitz(self.coeffs)
+        With a ``self`` that keeps its operators, neither product gathers."""
         ab, ba = self.mul(other), other.mul(self)
         return SeriesStack(ab.coeffs - ba.coeffs, ab.radius, ab.tail + ba.tail, self.kappa)
 

@@ -85,6 +85,27 @@ class TestLocalProduct:
         out = germ_group.germ_bch(x, x.scale(-1.0))
         assert germ_distance(out, germ_group.zero(1)) == 0.0
 
+    def test_bch_pairs_of_no_pairs_is_empty(self, germ_group):
+        assert germ_group.bch_pairs([]) == []
+
+    @pytest.mark.parametrize("batch", [3, 34])
+    def test_unit_and_inverse_laws_exact_in_batches(self, germ_group, rng, batch):
+        # row i of each call is (x, 0), (0, x), (x, -x) or an ordinary pair,
+        # the kinds rotated so that every kind sits at every row offset
+        zero = germ_group.zero(1)
+        for offset in range(4):
+            xs = [random_algebra_element(germ_group, rng, 0.1 * rng.uniform(0.2, 1.0))
+                  for _ in range(batch)]
+            kinds = [(i + offset) % 4 for i in range(batch)]
+            pairs = [[(x, zero), (zero, x), (x, x.scale(-1.0)),
+                      (x, random_algebra_element(germ_group, rng, 0.05))][k]
+                     for x, k in zip(xs, kinds)]
+            for x, k, z in zip(xs, kinds, germ_group.bch_pairs(pairs)):
+                if k < 2:
+                    assert np.array_equal(z.coeffs, x.coeffs)
+                elif k == 2:
+                    assert np.all(z.coeffs == 0)
+
     def test_commuting_diagonal_germs_add(self, germ_group):
         d1 = element_from_matrix_poly(germ_group.space,
                                       [np.diag([0.05, -0.02]), np.diag([0.01, 0.02])], 1)
@@ -134,8 +155,8 @@ class TestLocalProduct:
     @pytest.mark.parametrize("batch", [1, 3, 34])
     def test_bch_pairs_gathers_each_letter_operator_once(self, germ_group, rng, monkeypatch,
                                                          batch):
-        # 188 brackets of 376 products: the two letters' operators are gathered
-        # once each, and every bracket V(x) ell, V a suffix value, gathers V's
+        # 188 brackets of 376 products: each letter gathers its operator and
+        # its transpose's once, and no bracket value gathers one
         counts = {"gathers": 0, "muls": 0, "brackets": 0}
         seen = {}
         gather, mul, bracket = series._block_toeplitz, SeriesStack.mul, SeriesStack.bracket
@@ -163,8 +184,9 @@ class TestLocalProduct:
         pairs = [tuple(random_algebra_element(germ_group, rng, 0.03) for _ in range(2))
                  for _ in range(batch)]
         germ_group.bch_pairs(pairs)
-        assert counts == {"gathers": 189, "muls": 376, "brackets": 188}
-        kept = {i for i, s in seen.items() if s._op is not None}
+        assert counts == {"gathers": 4, "muls": 376, "brackets": 188}
+        assert all(s._op is not None and s._op_t is not None for s in letters)
+        kept = {i for i, s in seen.items() if s._op is not None or s._op_t is not None}
         assert kept == {id(s) for s in letters}
 
     @pytest.mark.parametrize("batch", [1, 3, 34])

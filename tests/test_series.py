@@ -931,12 +931,9 @@ class TestUnitWeights:
         a, b = (self.stack(rng, m) for _ in range(2))
         assert same_bytes(a + b, weighted_add(a, b, 1.0, 1.0))
         assert a._op is None and b._op is None
-        # no operator kept, then a's, then both
         for left, right in ((a, b), (b, a), (a, b)):
             ab, ba = fresh_products(left, right)
             assert same_bytes(left.bracket(right), weighted_add(ab, ba, 1.0, -1.0))
-            assert left._op is not None
-        assert np.array_equal(a._op, _block_toeplitz(a.coeffs))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_signed_zeros_and_infinities(self, rng, m):
@@ -1001,6 +998,33 @@ class TestProductKernel:
                 assert_allclose(out.coeffs[i], want[i], rtol=1e-14, atol=1e-14 * scale)
             assert np.array_equal(out.radius, np.minimum(x.radius, y.radius))
             assert_allclose(out.tail, lag_product_tail(left, right), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 3, 68])
+    def test_mul_on_the_right_factors_transposed_operator(self, rng, monkeypatch, b, m):
+        # a b as (b^T's operator) a^T, transposed back, where only b keeps
+        # operators; radii differ row by row between the factors
+        x, y = (self.stack(rng, m, b) for _ in range(2))
+        gathers = []
+        gather = series_module._block_toeplitz
+        monkeypatch.setattr(series_module, "_block_toeplitz",
+                            lambda a: gathers.append(1) or gather(a))
+        for left, right in ((x, y), (y, x)):
+            want = fresh_products(left, right)[0]
+            kept = SeriesStack(right.coeffs, right.radius, right.tail, right.kappa).keep_operators()
+            del gathers[:]
+            got = left.mul(kept)
+            assert not gathers
+            for i in range(b):
+                scale = np.max(np.abs(want.coeffs[i]))
+                assert_allclose(got.coeffs[i], want.coeffs[i], rtol=0.0, atol=1e-14 * scale)
+            assert got.radius.tobytes() == want.radius.tobytes()
+            assert got.tail.tobytes() == want.tail.tobytes()
+            # a left factor with its own operator never takes the transposed
+            # path: a poisoned transposed operator would show in the product
+            own = SeriesStack(left.coeffs, left.radius, left.tail, left.kappa).keep_operators()
+            kept._op_t = np.full_like(kept._op_t, np.nan)
+            assert same_bytes(own.mul(kept), want)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bracket_with_itself_and_its_negative_is_zero(self, rng, m):
