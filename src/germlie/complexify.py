@@ -302,8 +302,11 @@ def extend_transitions(atlas: RealAtlas, height: float) -> ComplexAtlas:
     outright if any coefficient-decay estimate of the convergence radius
     falls short) and shrinks geometrically until
     ``max |psi_ji(psi_ij(z)) - z| <= 1e-10`` on the sample grid; the
-    height of a pair is the worst over its components.
+    height of a pair is the worst over its components.  A height that is not
+    finite and positive raises :class:`StructureError`.
     """
+    if not (math.isfinite(height) and height > 0):
+        raise StructureError(f"strip height must be finite and positive, got {height}")
     for tr in atlas.records():
         est = tr.convergence_radius_estimate()
         if est <= height:
@@ -344,7 +347,9 @@ def extend_transitions(atlas: RealAtlas, height: float) -> ComplexAtlas:
 
 
 def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9) -> Report:
-    """Sample psi_ii = id, mutual inverses and triple cocycles on grids."""
+    """Sample psi_ii = id, mutual inverses and triple cocycles on grids, to a finite tol > 0."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise StructureError(f"cocycle tolerance must be finite and positive, got {tol}")
     rep = Report(check="cocycle_certification", params={"tol": tol, "grid_n": _GRID_N})
     atlas = ca.base
     worst = {"identity": 0.0, "inverse": 0.0, "cocycle": 0.0}

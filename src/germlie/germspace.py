@@ -442,13 +442,18 @@ def _unit_majorant_stack(space: GermSpace, level: int, rng: np.random.Generator,
     """The ``_stack`` of :func:`unit_majorant_family` drawn as arrays, with no
     element built: coefficients ``(members, anchors, N+1) + shape``, zero
     tails and radii ``rho_level``, both ``(members, anchors)``."""
-    if space.dim != 1:
-        raise StructureError("unit-majorant families are built for d = 1")
+    if space.dim != 1 or not (isinstance(size, (int, np.integer)) and size >= 0):
+        raise StructureError(f"unit-majorant draws need d = 1 and integer size >= 0, got {size!r}")
     rho, n, cs = space.radius(level), space.degree_bound, space.space
-    coeffs = np.zeros((size, len(space.anchors), n + 1) + cs.shape, dtype=complex)
-    for row in coeffs.reshape((-1, n + 1) + cs.shape):
-        for k in sorted(set(rng.integers(0, n + 1, size=rng.integers(1, 5)).tolist())):
-            row[k] = (rng.standard_normal(cs.shape) + 1j * rng.standard_normal(cs.shape)) / rho**k
+    rows, ones = (size, len(space.anchors)), (1,) * len(cs.shape)
+    counts = rng.integers(1, 5, size=rows)
+    cand = rng.integers(0, n + 1, size=rows + (4,))
+    raw = rng.standard_normal((2,) + rows + (n + 1,) + cs.shape)
+    drawn = ((cand[..., None] == np.arange(n + 1))
+             & (np.arange(4)[:, None] < counts[..., None, None])).any(axis=-2)
+    # Python's float pow, as for the monomials: np.power rounds some rho**k differently
+    pw = np.array([rho ** k for k in range(n + 1)]).reshape((-1,) + ones)
+    coeffs = np.where(drawn.reshape(drawn.shape + ones), (raw[0] + 1j * raw[1]) / pw, 0)
     m = batch_norm_upper(cs.norm(coeffs), np.zeros(coeffs.shape[:2]), rho)
     coeffs = coeffs[m > 0] * (1.0 / m[m > 0]).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     if include_monomials:
@@ -467,8 +472,10 @@ def unit_majorant_family(space: GermSpace, level: int, rng: np.random.Generator,
     The monomial extreme rays ((z - a)/rho_n)^k are included by default;
     they span the extreme rays of the unit majorant ball at fixed degree and
     make the family sups s_k equal to the certified unit-ball values.  Each
-    random member draws, per anchor, a handful of degrees and one complex
-    Gaussian coefficient per distinct degree, in increasing degree order.
+    random member has, per anchor, the distinct degrees among its first 1-4
+    uniform candidates, each with a complex Gaussian coefficient over rho^k.
+    ``rng`` is drawn three times: the counts ``(size, anchors)``, the candidates
+    ``(size, anchors, 4)``, then the normals ``(2, size, anchors, N+1) + shape``.
     """
     coeffs, tails, radii = _unit_majorant_stack(space, level, rng, size, include_monomials)
     return [BHolElement(space, level, c, r, t) for c, t, r in zip(coeffs, tails, radii)]
@@ -516,8 +523,8 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
     """
     if not (0 <= n < ell < space.levels):
         raise StructureError(f"need 0 <= n < ell < levels, got n={n}, ell={ell}")
-    if eps <= 0:
-        raise StructureError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise StructureError(f"eps must be finite and positive, got {eps}")
     if trials < 0:
         raise StructureError("trials must be nonnegative")
     r = space.ratio

@@ -72,6 +72,12 @@ class TestExtension:
         with pytest.raises(ExtensionError, match="convergence-radius"):
             extend_transitions(atlas, 5.0)
 
+    @pytest.mark.parametrize("height", [math.nan, math.inf, 0.0, -0.1])
+    def test_height_must_be_finite_and_positive(self, circle3, height):
+        # NaN used to shrink the height forever; 0 and -0.1 failed late on the margin table
+        with pytest.raises(StructureError, match="strip height"):
+            extend_transitions(circle3, height)
+
     def test_tan_pair_mutual_inverse(self):
         atlas = tan_chart_pair()
         ca = extend_transitions(atlas, 0.12)
@@ -81,6 +87,12 @@ class TestExtension:
 
 
 class TestCocycles:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    def test_tolerance_must_be_finite_and_positive(self, circle3_ext, tol):
+        # a NaN tolerance used to pass: no residual compares greater than NaN
+        with pytest.raises(StructureError, match="tolerance"):
+            certify_cocycles(circle3_ext, tol=tol)
+
     def test_two_chart_atlas_has_vacuous_triples(self):
         atlas = circle_atlas(2, overlap_frac=0.3)
         rep = certify_cocycles(extend_transitions(atlas, 0.1))

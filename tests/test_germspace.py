@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from germlie import germspace
 from germlie.errors import BudgetError, EvaluationError, StructureError
 from germlie.germspace import (
     BHolElement,
@@ -254,7 +255,8 @@ class TestFamilyConvergence:
 
 def reference_unit_majorant_family(space, level, rng, size=64, include_monomials=True):
     """unit_majorant_family one member at a time, through ``from_coeff_list``,
-    ``norm_upper`` and ``scale``."""
+    ``norm_upper`` and ``scale``, from the documented draws: the counts, the
+    degree candidates, then the normals, each as one array over all rows."""
     rho = space.radius(level)
     n = space.degree_bound
     family = []
@@ -264,20 +266,22 @@ def reference_unit_majorant_family(space, level, rng, size=64, include_monomials
                 np.eye(space.space.dim, dtype=complex)[0]
             per_anchor = [[(k, coeff / rho ** k)] for _ in space.anchors]
             family.append(space.element_from_coeff_lists(per_anchor, level))
-    for _ in range(size):
+    rows = (size, len(space.anchors))
+    counts = rng.integers(1, 5, size=rows)
+    cands = rng.integers(0, n + 1, size=rows + (4,))
+    normals = rng.standard_normal((2,) + rows + (n + 1,) + space.space.shape)
+    for m in range(size):
         per_anchor = []
-        for _a in space.anchors:
-            ks = rng.integers(0, n + 1, size=rng.integers(1, 5))
+        for a in range(len(space.anchors)):
             pairs = []
-            for k in sorted(set(int(k) for k in ks)):
-                raw = rng.standard_normal(space.space.shape or ()) + \
-                    1j * rng.standard_normal(space.space.shape or ())
+            for k in sorted(set(int(k) for k in cands[m, a, :counts[m, a]])):
+                raw = normals[0, m, a, k] + 1j * normals[1, m, a, k]
                 pairs.append((k, raw / rho ** k))
             per_anchor.append(pairs)
         el = space.element_from_coeff_lists(per_anchor, level)
-        m = el.norm_upper
-        if m > 0:
-            family.append(el.scale(1.0 / m))
+        norm = el.norm_upper
+        if norm > 0:
+            family.append(el.scale(1.0 / norm))
     return family
 
 
@@ -304,6 +308,45 @@ class TestUnitMajorantFamily:
                 for a, b in zip(x.reps, y.reps):
                     assert a.coeffs.tobytes() == b.coeffs.tobytes()
                     assert (a.anchor, a.radius, a.tail_bound) == (b.anchor, b.radius, b.tail_bound)
+
+    @pytest.mark.parametrize("size", [-1, 2.5])
+    def test_size_must_be_a_nonnegative_integer(self, scalar_germspace, size):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(StructureError, match="integer size"):
+            unit_majorant_family(scalar_germspace, 0, rng, size=size)
+        assert rng.bit_generator.state == state
+        monomials = unit_majorant_family(scalar_germspace, 0, rng, size=0)
+        assert len(monomials) == scalar_germspace.degree_bound + 1
+
+    @pytest.mark.parametrize("space", [scalar_space(), matrix_space(2), vector_space(3)],
+                             ids=["scalar", "matrix2", "vector3"])
+    def test_member_distribution(self, space, monkeypatch):
+        # 2,000 members x 2 anchors = 4,000 rows; N = 12, so 13 candidate degrees
+        sp = GermSpace(anchors=(0.0, 0.4 + 0.1j), ratio=0.1, levels=6, space=space)
+        rho, n, size = sp.radius(1), sp.degree_bound, 2000
+        scales, real = [], germspace.batch_norm_upper
+
+        def spy(norms, tails, r):
+            scales.append(real(norms, tails, r))
+            return scales[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(germspace, "batch_norm_upper", spy)
+            family = unit_majorant_family(sp, 1, np.random.default_rng(2024), size, False)
+        assert len(family) == size and len(scales) == 1
+        assert all(abs(el.norm_upper - 1.0) <= 1e-15 for el in family)
+        coeffs = _stack(family)[0]
+        drawn = np.any(coeffs.reshape(coeffs.shape[:3] + (-1,)) != 0, axis=-1)
+        assert set(np.sum(drawn, axis=-1).ravel().tolist()) <= {1, 2, 3, 4}
+        # degree k is among c uniform candidates with probability 1 - (12/13)^c, c = 1..4
+        p = np.mean([1 - (n / (n + 1)) ** c for c in range(1, 5)])
+        assert np.all(np.abs(np.mean(drawn, axis=(0, 1)) - p) < 0.03)
+        # undo 1/rho^k and the unit-majorant scaling: standard complex Gaussians
+        pw = (rho ** np.arange(n + 1)).reshape((1, 1, -1) + (1,) * len(space.shape))
+        raw = (coeffs * pw * scales[0].reshape((-1,) + (1,) * (coeffs.ndim - 1)))[drawn]
+        assert abs(np.mean(raw.real)) < 0.05 and abs(np.mean(raw.imag)) < 0.05
+        assert abs(np.mean(np.abs(raw) ** 2) - 2.0) < 0.1
 
 
 class TestCompactRegularity:
@@ -336,6 +379,12 @@ class TestCompactRegularity:
             scalar_germspace, 1, 3, 1e-14, 5, rng,
             family_size=4)
         assert rep.status in ("inconclusive", "pass")
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_eps_must_be_finite(self, scalar_germspace, rng, eps):
+        # a NaN eps used to slip past ``eps <= 0`` and report "inconclusive"
+        with pytest.raises(StructureError, match="eps"):
+            compact_regularity_check(scalar_germspace, 1, 3, eps, 5, rng)
 
     def test_level_preconditions(self, scalar_germspace, rng):
         with pytest.raises(StructureError):

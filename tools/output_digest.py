@@ -6,7 +6,10 @@ Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
 * the stdout of each script in ``demos/``;
 * the coefficients, radii and tails of seeded ``bch_pairs`` calls at batch
   sizes 1, 3 and 34;
-* ``MatrixLieBackend.bch`` on a seeded batch of 2 x 2 matrices.
+* ``MatrixLieBackend.bch`` on a seeded batch of 2 x 2 matrices;
+* the ``input_digest`` of each benchmark workload's seed-1 input pool
+  (``perfbench/workloads.py``, imported without writing bytecode), so a
+  library change that moves the benchmark's inputs shows up here.
 
 Two checkouts that print the same lines give the same bits on all of them.
 The package is imported from this checkout's ``src``, and every file the
@@ -23,12 +26,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True
 
 from germlie.germgroup import GermLieGroup, random_algebra_element  # noqa: E402
 from germlie.germspace import GermSpace  # noqa: E402
 from germlie.matrixlie import MatrixLieBackend  # noqa: E402
 from germlie.series import matrix_space  # noqa: E402
+import workloads  # noqa: E402
 
 
 def digest(data: bytes) -> str:
@@ -74,10 +79,15 @@ def bch_lines():
     yield digest(backend.bch(x, y).tobytes()), "MatrixLieBackend.bch"
 
 
+def pool_lines():
+    for name, wl in workloads.WORKLOADS.items():
+        yield workloads.input_digest(wl.make_inputs(wl.setup(), 1)), f"pool/{name}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines()):
+        for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines()):
             print("  ".join(line))
     return 0
 
