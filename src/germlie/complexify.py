@@ -13,10 +13,11 @@ identity ``psi_ji(psi_ij(z)) = z`` holds on a sample grid; ``certify_cocycles``
 then samples psi_ii = id, mutual inverses, and the triple cocycle identity
 ``psi_ij = psi_kj o psi_ik`` wherever triple overlaps exist.  These grid
 checks are sampled, not proofs: every comparison is the largest residual over
-a finite grid.  Glueing the rectangles along the sampled transitions produces
-the complexified manifold; Hausdorffness is certified through the
-positive-margin sufficient condition recorded in the margin table, never by
-point-separation search.
+a finite grid.  Each check evaluates all of its grids as one stack, with one
+evaluation per transition record per stage.  Glueing the rectangles along the
+sampled transitions produces the complexified manifold; Hausdorffness is
+certified through the positive-margin sufficient condition recorded in the
+margin table, never by point-separation search.
 
 ``uniqueness_biholomorphism`` compares two extensions of the same real
 atlas: per chart the identity extends, and transporting across one atlas's
@@ -108,6 +109,11 @@ class Transition:
         lo, hi = self.overlap
         if not lo < hi:
             raise StructureError("empty overlap interval")
+        if not self.pieces:
+            raise StructureError(f"transition ({self.i},{self.j}) has no series pieces")
+        # tuples, so that the stacked checks can group rows by record
+        object.__setattr__(self, "overlap", (lo, hi))
+        object.__setattr__(self, "pieces", tuple(self.pieces))
         for p in self.pieces:
             if abs(np.imag(p.anchor)) > 1e-14:
                 raise StructureError("transition anchors must be real")
@@ -183,10 +189,11 @@ def build_transition(fn, i: int, j: int, overlap: tuple, n_pieces: int = 3,
     returns one value per point (a scalar return is a constant), as
     :func:`~germlie.series.cauchy_series` requires.
     """
+    if not (isinstance(n_pieces, (int, np.integer)) and n_pieces >= 1):
+        raise StructureError(f"n_pieces must be an integer >= 1, got {n_pieces!r}")
     lo, hi = overlap
-    anchors = np.linspace(lo, hi, n_pieces + 2)[1:-1] if n_pieces > 1 else \
-        np.array([0.5 * (lo + hi)])
-    width = (hi - lo) / max(n_pieces, 1)
+    anchors = np.linspace(lo, hi, n_pieces + 2)[1:-1]
+    width = (hi - lo) / n_pieces
     radius = piece_radius if piece_radius is not None else 1.2 * width
     pieces = []
     for a in anchors:
@@ -250,49 +257,46 @@ class ComplexAtlas:
         return self.heights[(i, j)]
 
 
-def _grid(overlap: tuple, height: float) -> np.ndarray:
-    lo, hi = overlap
+def _grids(overlaps: list, heights: list) -> np.ndarray:
+    """One row of _GRID_N x _GRID_N points per overlap (lo, hi) and strip
+    half-height h: the middle 80 % of the overlap times (-h, h)."""
+    lo, hi = np.asarray(overlaps, dtype=float).reshape(-1, 2).T
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo) * 0.8
-    xs = np.linspace(mid - half, mid + half, _GRID_N)
-    ys = np.linspace(-height, height, _GRID_N)
-    return (xs[:, None] + 1j * ys[None, :]).ravel()
+    xs = np.linspace(mid - half, mid + half, _GRID_N, axis=-1)
+    ys = np.linspace(-np.asarray(heights, dtype=float), heights, _GRID_N, axis=-1)
+    return (xs[:, :, None] + 1j * ys[:, None, :]).reshape(len(lo), _GRID_N ** 2)
 
 
-def _transport(tr: Transition, atlas: RealAtlas, target: int, zs: np.ndarray,
-               defined: np.ndarray | None = None) -> tuple:
-    """Apply ``tr`` at ``zs``, then the chart change to ``target``.
-
-    Returns the image and the mask where both maps (and ``defined``) hold.
-    """
-    mid = tr.eval(zs)
-    ok = ~np.isnan(mid.real) if defined is None else defined & ~np.isnan(mid.real)
-    back = np.full(zs.shape, np.nan + 0j)
-    if np.any(ok):
-        back[ok] = atlas.eval_change(tr.j, target, mid[ok])
-    ok &= ~np.isnan(back.real)
-    return back, ok
+def _apply_rows(fn, keys, zs: np.ndarray, src=None) -> np.ndarray:
+    """Row t of the result is ``fn(*keys[t], points)`` on row ``src[t]`` of
+    ``zs`` (row t if None): one call per distinct key, over all of its rows.
+    Both maps used here send NaN points to NaN."""
+    src = np.arange(len(keys)) if src is None else src
+    out, rows = np.empty((len(keys), zs.shape[1]), complex), {}
+    for t, key in enumerate(keys):
+        rows.setdefault(key, []).append(t)
+    for key, ts in rows.items():
+        out[ts] = fn(*key, zs[src[ts]])
+    return out
 
 
-def _max_residual(got: np.ndarray, want: np.ndarray, ok: np.ndarray, zs: np.ndarray) -> tuple:
-    """Largest ``|got - want|`` where ``ok`` holds, and the point of ``zs`` it sits at."""
-    res = np.abs(got[ok] - want[ok])
-    at = int(np.argmax(res))
-    return float(res[at]), zs[ok][at]
-
-
-def _compare(rep: Report, worst: dict, kind: str, tol: float, got: np.ndarray,
-             want: np.ndarray, ok: np.ndarray, zs: np.ndarray, **where) -> bool:
-    """One sampled comparison on the grid ``zs``: a trial, the worst residual
-    of ``kind``, and above ``tol`` a failure ``{"kind", **where, "residual",
-    "witness"}``.  Returns False, recording nothing, where ``ok`` holds nowhere."""
-    if not np.any(ok):
-        return False
-    res, w = _max_residual(got, want, ok, zs)
-    worst[kind] = max(worst[kind], res)
-    rep.trials += 1
-    if res > tol:
-        rep.fail({"kind": kind, **where, "residual": res, "witness": [w.real, w.imag]})
-    return True
+def _record(rep: Report, worst: dict, tols: dict, tags, diff: np.ndarray,
+            zs: np.ndarray) -> np.ndarray:
+    """One trial per ``(r, kind, where)`` of ``tags``, in order, where row r of
+    ``diff = got - want`` is defined anywhere: its largest modulus there is the
+    worst of ``kind`` and, above ``tols[kind]``, a failure ``{"kind", **where,
+    "residual", "witness"}``.  Returns the rows that recorded a trial."""
+    ok = ~np.isnan(diff.real)
+    res = np.where(ok, np.abs(diff), -1.0)
+    at, live = np.argmax(res, axis=1), ok.any(axis=1)
+    for r, kind, where in tags:
+        if live[r]:
+            v, w = float(res[r, at[r]]), zs[r, at[r]]
+            worst[kind] = max(worst[kind], v)
+            rep.trials += 1
+            if v > tols[kind]:
+                rep.fail({"kind": kind, **where, "residual": v, "witness": [w.real, w.imag]})
+    return live
 
 
 def extend_transitions(atlas: RealAtlas, height: float) -> ComplexAtlas:
@@ -300,35 +304,38 @@ def extend_transitions(atlas: RealAtlas, height: float) -> ComplexAtlas:
 
     Per overlap record the strip half-height starts at ``height`` (rejected
     outright if any coefficient-decay estimate of the convergence radius
-    falls short) and shrinks geometrically until
-    ``max |psi_ji(psi_ij(z)) - z| <= 1e-10`` on the sample grid; the
-    height of a pair is the worst over its components.  A height that is not
-    finite and positive raises :class:`StructureError`.
+    falls short) and shrinks by 0.7 until
+    ``max |psi_ji(psi_ij(z)) - z| <= 1e-10`` on the sample grid; the height of
+    a pair is the worst over its components.  Each round checks the grids of
+    all pending records as one stack, one evaluation per record per stage.  A
+    height that is not finite and positive raises :class:`StructureError`.
     """
     if not (math.isfinite(height) and height > 0):
         raise StructureError(f"strip height must be finite and positive, got {height}")
-    for tr in atlas.records():
+    records = atlas.records()
+    for tr in records:
         est = tr.convergence_radius_estimate()
         if est <= height:
             raise ExtensionError(
                 f"transition ({tr.i},{tr.j}): convergence-radius estimate {est:.4g} "
                 f"does not clear the requested height {height:.4g}")
+    held_at, pending, h = {}, records, height  # the pending records share h
+    while pending:
+        zs = _grids([tr.overlap for tr in pending], [h] * len(pending))
+        mid = _apply_rows(Transition.eval, [(tr,) for tr in pending], zs)
+        diff = _apply_rows(atlas.eval_change, [(tr.j, tr.i) for tr in pending], mid) - zs
+        ok = ~np.isnan(diff.real)
+        held = (ok.sum(axis=1) >= 0.5 * zs.shape[1]) & \
+            (np.where(ok, np.abs(diff), -1.0).max(axis=1) <= _INVERSE_TOL)
+        held_at.update((tr, h) for tr, good in zip(pending, held) if good)
+        pending = [tr for tr, good in zip(pending, held) if not good]
+        h *= 0.7
+        if pending and h < height * _MIN_HEIGHT_FACTOR:
+            raise ExtensionError(f"transition ({pending[0].i},{pending[0].j}): mutual-inverse "
+                                 f"check fails at every height down to {h / 0.7:.3g}")
     heights: dict = {}
-    for tr in atlas.records():
-        i, j = tr.i, tr.j
-        h = height
-        while True:
-            zs = _grid(tr.overlap, h)
-            back, ok = _transport(tr, atlas, i, zs)
-            if np.count_nonzero(ok) >= 0.5 * zs.size and \
-                    _max_residual(back, zs, ok, zs)[0] <= _INVERSE_TOL:
-                break
-            h *= 0.7
-            if h < height * _MIN_HEIGHT_FACTOR:
-                raise ExtensionError(
-                    f"transition ({i},{j}): mutual-inverse check fails at every "
-                    f"height down to {h / 0.7:.3g}")
-        heights[(i, j)] = min(h, heights.get((i, j), math.inf))
+    for tr in records:
+        heights[(tr.i, tr.j)] = min(held_at[tr], heights.get((tr.i, tr.j), math.inf))
     # symmetrize: a pair holds at the worst of its two directions
     for (i, j) in list(heights):
         h = min(heights[(i, j)], heights.get((j, i), math.inf))
@@ -347,42 +354,46 @@ def extend_transitions(atlas: RealAtlas, height: float) -> ComplexAtlas:
 
 
 def certify_cocycles(ca: ComplexAtlas, tol: float = 1e-9) -> Report:
-    """Sample psi_ii = id, mutual inverses and triple cocycles on grids, to a finite tol > 0."""
+    """Sample psi_ii = id, mutual inverses and triple cocycles on grids, to a finite tol > 0.
+
+    All grids of the call form one stack, evaluated in two stages: one
+    :meth:`Transition.eval` per record over every row that uses it (the
+    identity values, the first maps and the direct maps psi_ij of the
+    cocycles), then one :meth:`RealAtlas.eval_change` per chart pair.
+    """
     if not (math.isfinite(tol) and tol > 0):
         raise StructureError(f"cocycle tolerance must be finite and positive, got {tol}")
     rep = Report(check="cocycle_certification", params={"tol": tol, "grid_n": _GRID_N})
     atlas = ca.base
     worst = {"identity": 0.0, "inverse": 0.0, "cocycle": 0.0}
-
-    for i in range(len(atlas.charts)):
-        for tr in atlas.between(i, i):
-            zs = _grid(tr.overlap, ca.height(i, i) * 0.5)
-            vals = tr.eval(zs)
-            _compare(rep, worst, "identity", tol, vals, zs, ~np.isnan(vals.real), zs, chart=i)
-
-    for tr in atlas.records():
-        i, j = tr.i, tr.j
-        zs = _grid(tr.overlap, ca.height(i, j))
-        back, ok = _transport(tr, atlas, i, zs)
-        _compare(rep, worst, "inverse", tol, back, zs, ok, zs, pair=[i, j])
-
-    triples_checked = 0
+    # one row per grid: overlap, half-height, first map, chart change, (kind, where)
+    rows = [(tr.overlap, ca.height(i, i) * 0.5, (tr,), None, ("identity", {"chart": i}))
+            for i in range(len(atlas.charts)) for tr in atlas.between(i, i)]
+    n_id = len(rows)
+    rows += [(tr.overlap, ca.height(tr.i, tr.j), (tr,), (tr.j, tr.i),
+              ("inverse", {"pair": [tr.i, tr.j]})) for tr in atlas.records()]
+    n_inv, directs = len(rows), []  # the cocycle rows' psi_ij
     for i, j, k in itertools.permutations(range(len(atlas.charts)), 3):
-        checked = False
         for t_ij in atlas.between(i, j):
             for t_ik in atlas.between(i, k):
                 lo = max(t_ij.overlap[0], t_ik.overlap[0])
                 hi = min(t_ij.overlap[1], t_ik.overlap[1])
-                if lo >= hi:
-                    continue
-                h = min(ca.height(i, j), ca.height(i, k), ca.height(k, j))
-                zs = _grid((lo, hi), h)
-                direct = t_ij.eval(zs)
-                step2, ok = _transport(t_ik, atlas, j, zs, ~np.isnan(direct.real))
-                checked |= _compare(rep, worst, "cocycle", tol, step2, direct, ok, zs,
-                                    triple=[i, j, k])
-        triples_checked += checked
-    rep.extras = {"worst_residuals": worst, "triples_checked": triples_checked}
+                if lo < hi:
+                    h = min(ca.height(i, j), ca.height(i, k), ca.height(k, j))
+                    rows.append(((lo, hi), h, (t_ik,), (k, j), ("cocycle", {"triple": [i, j, k]})))
+                    directs.append((t_ij,))
+    overlaps, heights, firsts, pairs, tags = zip(*rows) if rows else [()] * 5
+    zs, n = _grids(overlaps, heights), len(rows)
+    vals = _apply_rows(Transition.eval, firsts + tuple(directs), zs, np.r_[:n, n_inv:n])
+    got, direct = vals[:n], vals[n:]
+    got[n_inv:][np.isnan(direct.real)] = np.nan  # psi_ij defines each cocycle's target
+    got[n_id:] = _apply_rows(atlas.eval_change, pairs[n_id:], got[n_id:])
+    got[:n_inv] -= zs[:n_inv]
+    got[n_inv:] -= direct
+    live = _record(rep, worst, dict.fromkeys(worst, tol),
+                   [(r, *tag) for r, tag in enumerate(tags)], got, zs)
+    checked = {tuple(w["triple"]) for (_, w), r in zip(tags[n_inv:], live[n_inv:]) if r}
+    rep.extras = {"worst_residuals": worst, "triples_checked": len(checked)}
     if rep.trials:
         rep.note_margin(tol - max(worst.values()))
     return rep
@@ -424,22 +435,28 @@ def uniqueness_biholomorphism(ca1: ComplexAtlas, ca2: ComplexAtlas) -> Report:
     worst = {"real_restriction": 0.0, "cross_transport": 0.0}
     final_heights = {}
     missing = None
+    records, hs = [], []
     for t1 in ca1.base.records():
         i, j = t1.i, t1.j
         h = min(ca1.height(i, j), ca2.heights.get((i, j), 0.0))
-        lo, hi = t1.overlap
         if h <= 0:
             missing = missing or f"no common strip for pair ({i},{j})"
             continue
         final_heights[f"{i},{j}"] = min(h, final_heights.get(f"{i},{j}", math.inf))
-        xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), _GRID_N ** 2) + 0j
-        v1 = t1.eval(xs)
-        v2 = ca2.base.eval_change(i, j, xs)
-        _compare(rep, worst, "real_restriction", _REAL_TOL, v1, v2,
-                 ~np.isnan(v1.real) & ~np.isnan(v2.real), xs, pair=[i, j])
-        zs = _grid((lo, hi), h)
-        back, ok = _transport(t1, ca2.base, i, zs)
-        _compare(rep, worst, "cross_transport", _TRANSPORT_TOL, back, zs, ok, zs, pair=[i, j])
+        records.append(t1)
+        hs.append(h)
+    lo, hi = np.asarray([t.overlap for t in records], dtype=float).reshape(-1, 2).T
+    xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), _GRID_N ** 2, axis=-1) + 0j
+    v1 = _apply_rows(Transition.eval, [(t,) for t in records], xs)
+    v2 = _apply_rows(ca2.base.eval_change, [(t.i, t.j) for t in records], xs)
+    zs = _grids([t.overlap for t in records], hs)
+    mid = _apply_rows(Transition.eval, [(t,) for t in records], zs)
+    back = _apply_rows(ca2.base.eval_change, [(t.j, t.i) for t in records], mid)
+    # the real restriction, then the cross transport, of each record
+    _record(rep, worst, {"real_restriction": _REAL_TOL, "cross_transport": _TRANSPORT_TOL},
+            [(r + s * len(records), kind, {"pair": [t.i, t.j]}) for r, t in enumerate(records)
+             for s, kind in enumerate(worst)],
+            np.concatenate([v1 - v2, back - zs]), np.concatenate([xs, zs]))
     rep.extras.update({"worst_real_restriction": worst["real_restriction"],
                        "worst_cross_transport": worst["cross_transport"],
                        "strip_heights": final_heights})
@@ -459,11 +476,12 @@ def annulus_consistency(ca: ComplexAtlas) -> Report:
     """
     rep = Report(check="annulus_model_consistency", params={"tol": _ANNULUS_TOL})
     worst = {"annulus": 0.0}
-    for tr in ca.base.records():
-        zs = _grid(tr.overlap, ca.height(tr.i, tr.j))
-        vals = tr.eval(zs)
-        _compare(rep, worst, "annulus", _ANNULUS_TOL, np.exp(1j * vals), np.exp(1j * zs),
-                 ~np.isnan(vals.real), zs, pair=[tr.i, tr.j])
+    records = ca.base.records()
+    zs = _grids([tr.overlap for tr in records], [ca.height(tr.i, tr.j) for tr in records])
+    vals = _apply_rows(Transition.eval, [(tr,) for tr in records], zs)
+    _record(rep, worst, {"annulus": _ANNULUS_TOL},
+            [(r, "annulus", {"pair": [tr.i, tr.j]}) for r, tr in enumerate(records)],
+            np.exp(1j * vals) - np.exp(1j * zs), zs)
     rep.extras = {"worst_residual": worst["annulus"]}
     rep.note_margin(_ANNULUS_TOL - worst["annulus"])
     return rep
@@ -484,6 +502,8 @@ def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55) -> RealAtlas:
     """
     if n_charts < 2:
         raise StructureError("need at least two charts")
+    if not (math.isfinite(overlap_frac) and overlap_frac > 0):
+        raise StructureError(f"overlap_frac must be finite and positive, got {overlap_frac}")
     two_pi = 2.0 * math.pi
     width = two_pi / n_charts
     half = (0.5 + overlap_frac) * width

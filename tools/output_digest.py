@@ -9,7 +9,9 @@ Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
 * ``MatrixLieBackend.bch`` on a seeded batch of 2 x 2 matrices;
 * the ``input_digest`` of each benchmark workload's seed-1 input pool
   (``perfbench/workloads.py``, imported without writing bytecode), so a
-  library change that moves the benchmark's inputs shows up here.
+  library change that moves the benchmark's inputs shows up here;
+* per case of ``GLUE_CASES`` in ``tests/test_complexify.py``, the heights and
+  margin table (or the extension error) and the four glueing reports, as JSON.
 
 Two checkouts that print the same lines give the same bits on all of them.
 The package is imported from this checkout's ``src``, and every file the
@@ -17,6 +19,7 @@ runs write goes to a temporary directory.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -26,13 +29,14 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 sys.dont_write_bytecode = True
 
 from germlie.germgroup import GermLieGroup, random_algebra_element  # noqa: E402
 from germlie.germspace import GermSpace  # noqa: E402
 from germlie.matrixlie import MatrixLieBackend  # noqa: E402
 from germlie.series import matrix_space  # noqa: E402
+import test_complexify  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -84,10 +88,17 @@ def pool_lines():
         yield workloads.input_digest(wl.make_inputs(wl.setup(), 1)), f"pool/{name}"
 
 
+def complexify_lines():
+    for name in test_complexify.GLUE_CASES:
+        data = json.dumps(test_complexify.glue_outputs(name), sort_keys=True).encode()
+        yield digest(data), f"complexify/{name}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
-        for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines()):
+        for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines(),
+                     *complexify_lines()):
             print("  ".join(line))
     return 0
 
