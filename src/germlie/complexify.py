@@ -498,7 +498,10 @@ def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55) -> RealAtlas:
     centered at ``2 pi i / n``.  Every nonempty intersection of chart i with
     a deck translate of chart j becomes one overlap record whose transition
     is the corresponding translation; ``overlap_frac > 1/2`` creates triple
-    overlaps, making the cocycle checks nonvacuous.
+    overlaps, making the cocycle checks nonvacuous.  Intersections shorter
+    than 1e-9 get no record, and :class:`StructureError` is raised when two
+    neighbouring charts are left without one (the charts would not cover
+    the circle).
     """
     if n_charts < 2:
         raise StructureError("need at least two charts")
@@ -532,6 +535,11 @@ def circle_atlas(n_charts: int = 3, overlap_frac: float = 0.55) -> RealAtlas:
                 radius = 2.0 * (hi - lo) + 1.0
                 shift = _translation(mid, -deck * two_pi, radius, _CIRCLE_DEGREE)
                 transitions.append(Transition(i, j, (lo, hi), (shift,)))
+    linked = {(tr.i, tr.j) for tr in transitions}
+    for i in range(n_charts):
+        if (i, (i + 1) % n_charts) not in linked:
+            raise StructureError(f"charts {i} and {(i + 1) % n_charts} get no overlap record: "
+                                 f"overlap_frac {overlap_frac:.3g} leaves less than 1e-9")
     for i in range(n_charts):
         ch = charts[i]
         transitions.append(identity_transition(i, (ch.t_lo, ch.t_hi),

@@ -18,6 +18,8 @@ evolution output is not certified.  Curves of one group can evolve in
 lockstep: each step then exponentiates every curve's step generator in one
 stack and advances every chain with one product, and each endpoint equals
 its own run to the bit; ``smoothness_report`` evolves its seven curves so.
+Work that does not depend on eta is batched: per block of steps the step
+generators and their exponentials' norms, per run the node certificates.
 
 ``log_derivative`` inverts the direction: for a differentiable group-valued
 curve it computes gamma(t)^{-1} . gamma'(t) segmentwise by series inversion
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetError, StructureError
-from .germgroup import GermGroupElement, GermLieGroup, _rows, random_algebra_element
+from .germgroup import GermGroupElement, GermLieGroup, _certified, _rows, random_algebra_element
 from .germspace import BHolElement, _align, _fold, _stack, bond, germ_distance
 from .reports import Report
 from .series import SeriesStack, multiply as series_multiply
@@ -67,8 +69,10 @@ _GAUSS_OFFSET = math.sqrt(3.0) / 6.0
 # and bracket (Toeplitz) temporaries per curve, so a block caps them near
 # 0.6 MiB for any step count; one stack over the 128 steps of a doubled 64-step
 # run holds 4.4 MiB, past the 5 % peak_rss_mb bound of the evolution benchmark.
-# A block keeps the Omega rows of all C lockstep curves (0.8 KiB a row, twice
-# while reordered step by step): 0.4 MiB for smoothness_report's C = 7
+# A block keeps the Omega rows of all C lockstep curves (0.8 KiB a row) twice
+# while reordered step by step, then once with the block's exponentials, which
+# are held twice while gathered for one norms call: 0.5 MiB at most for
+# smoothness_report's C = 7
 _STEP_BLOCK = 16
 _SPLINE_AMP = 0.15  # majorant scale of random_spline_curve's start values
 _SMOOTHNESS_SCALES = (0.1, 0.05, 0.025)  # difference steps s of smoothness_report
@@ -227,18 +231,19 @@ def evol(curve: LieCurve, steps: int = 64, error_estimate: bool = True,
     ``_evol_run`` on this one curve: the Gauss-node values, the budget check
     and the step generators Omega_i are batched over blocks of 16 steps;
     each step's exponential and the product chain eta <- eta . exp(Omega_i)
-    run step by step.  The error estimate is the coefficientwise endpoint
-    drift against the run with doubled steps.  The endpoint tails leave out
-    the step error, so they do not bound the distance to the exact
-    evolution.  A value whose majorant leaves the curve budget
-    mid-integration raises :class:`BudgetError` naming the offending t.
+    run step by step.  The trajectory nodes are certified in one batch.
+    The error estimate is the coefficientwise endpoint drift against the
+    run with doubled steps.  The endpoint tails leave out the step error,
+    so they do not bound the distance to the exact evolution.  A value
+    whose majorant leaves the curve budget mid-integration raises
+    :class:`BudgetError` naming the offending t.
     """
     (endpoint,), times, snaps = _evol_run((curve,), steps, keep_trajectory)
     est = None
     if error_estimate:
         (endpoint2,), _, _ = _evol_run((curve,), 2 * steps, False)
         est = germ_distance(endpoint.element, endpoint2.element)
-    traj = tuple(GermGroupElement(curve._element(s)) for s in snaps) if keep_trajectory else ()
+    traj = _certified([curve._element(s) for s in snaps]) if keep_trajectory else ()
     return EvolutionResult(endpoint, times, traj, steps, est)
 
 
@@ -246,16 +251,14 @@ def _evol_run(curves: tuple, steps: int, keep: bool):
     """The product integrals of ``curves`` (of one group) in lockstep, in
     blocks of ``_STEP_BLOCK`` steps.
 
-    Per block and curve, the Gauss-node values (``_values``), the budget
-    check and the step generators Omega_i are each one stack operation over
-    the block's steps, as none depends on eta.  Each step then takes one
-    ``SeriesStack.exp`` of that step's rows of every curve and one product
-    in the chain eta <- eta . exp(Omega_i), on a (curves * anchors)-row stack.
-    The kernels are row-independent and every row keeps its own radius and
-    exp order, so each endpoint equals its single-curve run, and each step
-    its unbatched evaluation, to the bit.  A budget violation names the first
-    offending t of any curve.  Returns the endpoints in curve order, the
-    times and, with ``keep``, eta (all curves' rows) at every node.
+    Each block's exponentials come from :func:`_block_exponentials`, as none
+    depends on eta; the chain eta <- eta . exp(Omega_i) then takes one
+    product per step on a (curves * anchors)-row stack.  The kernels are
+    row-independent and every row keeps its own radius and exp order, so
+    each endpoint equals its single-curve run, and each step its unbatched
+    evaluation, to the bit.  Returns the endpoints in curve order (certified
+    in one batch), the times and, with ``keep``, eta (all curves' rows) at
+    every node.
     """
     if steps < 4:
         raise StructureError("steps must be at least 4")
@@ -266,32 +269,50 @@ def _evol_run(curves: tuple, steps: int, keep: bool):
     dt = 1.0 / steps
     for start in range(0, steps, _STEP_BLOCK):
         tm = [i * dt + 0.5 * dt for i in range(start, min(start + _STEP_BLOCK, steps))]
-        omegas, over = [], []
-        for curve in curves:
-            g1, g2 = (curve._values([t + k * _GAUSS_OFFSET * dt for t in tm])
-                      for k in (-1.0, 1.0))
-            worst = np.max(np.maximum(g1.majorant(), g2.majorant()).reshape(len(tm), anchors),
-                           axis=1)
-            bad = np.flatnonzero(worst > curve.budget * (1 + 1e-9))
-            if bad.size:
-                over.append((bad[0], worst[bad[0]], curve.budget))
-            omegas.append(g1.add(g2).scale(0.5 * dt).add(
-                g1.bracket(g2).scale(math.sqrt(3.0) / 12.0 * dt * dt)))
-        if over:
-            i, worst, budget = min(over, key=lambda o: o[0])  # the first curve on a tie
-            raise BudgetError(f"evolution budget violated at t = {tm[i]:.6g}: "
-                              f"majorant {worst:.4g} > {budget:.4g}")
-        # row (c T + j) anchors + a of the curve-major block is curve c, step j, anchor a
-        omega = _rows(omegas, kappa)
-        step0 = (np.arange(len(curves))[:, None] * len(tm) * anchors + np.arange(anchors)).ravel()
+        exps = _block_exponentials(curves, tm, dt, anchors, kappa)
+        width = len(exps.tail) // len(tm)
         for j in range(len(tm)):
-            eta = eta.mul(omega.rows(step0 + j * anchors).exp())
+            eta = eta.mul(exps.rows(slice(j * width, (j + 1) * width)))
             if keep:
                 snaps.append(eta)
     times = tuple(i * dt for i in range(steps + 1))
-    ends = tuple(GermGroupElement(c._element(eta.rows(slice(k * anchors, (k + 1) * anchors))))
-                 for k, c in enumerate(curves))
+    ends = _certified([c._element(eta.rows(slice(k * anchors, (k + 1) * anchors)))
+                       for k, c in enumerate(curves)])
     return ends, times, snaps
+
+
+def _block_exponentials(curves: tuple, tm: list, dt: float, anchors: int,
+                        kappa: float) -> SeriesStack:
+    """exp(Omega_i) of every curve at the steps with midpoints ``tm``, their
+    norms kept (one ``norms`` call), step-major: rows j C anchors ..
+    (j + 1) C anchors are step j of the C curves in order.  The Gauss-node
+    values (``_values``), the budget check and the Omega_i are each one
+    stack operation per curve over the block; the Omega stack is prepared
+    for exp once (``SeriesStack.prepare_exp``), and each step's rows make
+    one ``exp`` call.  A budget violation names the first offending t of
+    any curve."""
+    omegas, over = [], []
+    for curve in curves:
+        g1, g2 = (curve._values([t + k * _GAUSS_OFFSET * dt for t in tm])
+                  for k in (-1.0, 1.0))
+        worst = np.max(np.maximum(g1.majorant(), g2.majorant()).reshape(len(tm), anchors),
+                       axis=1)
+        bad = np.flatnonzero(worst > curve.budget * (1 + 1e-9))
+        if bad.size:
+            over.append((bad[0], worst[bad[0]], curve.budget))
+        omegas.append(g1.add(g2).scale(0.5 * dt).add(
+            g1.bracket(g2).scale(math.sqrt(3.0) / 12.0 * dt * dt)))
+    if over:
+        i, worst, budget = min(over, key=lambda o: o[0])  # the first curve on a tie
+        raise BudgetError(f"evolution budget violated at t = {tm[i]:.6g}: "
+                          f"majorant {worst:.4g} > {budget:.4g}")
+    # row (c T + j) anchors + a of the curve-major block is curve c, step j, anchor a
+    omega = _rows(omegas, kappa).prepare_exp()
+    del omegas  # the per-curve copies, before the exponentials take their room
+    step0 = (np.arange(len(curves))[:, None] * len(tm) * anchors + np.arange(anchors)).ravel()
+    exps = _rows([omega.rows(step0 + j * anchors).exp() for j in range(len(tm))], kappa)
+    exps.norms()
+    return exps
 
 
 # ---------------------------------------------------------------------------

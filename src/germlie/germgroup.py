@@ -19,7 +19,7 @@ every value on the validity balls invertible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -52,13 +52,20 @@ def _rows(parts, kappa: float) -> SeriesStack:
 
 @dataclass(frozen=True)
 class GermGroupElement:
-    """An invertible-matrix-valued germ with its invertibility certificate."""
+    """An invertible-matrix-valued germ with its invertibility certificate.
+
+    The Neumann margin ``cert_margin`` is computed on construction unless
+    given, as :func:`_certified` gives the margins of a batch; a margin
+    ``<= 0`` raises :class:`BudgetError`.
+    """
 
     element: BHolElement
-    cert_margin: float = field(init=False)
+    cert_margin: float | None = None
 
     def __post_init__(self):
-        margin = _invertibility_margin(self.element)
+        margin = self.cert_margin
+        if margin is None:
+            margin = float(_invertibility_margins([self.element])[0])
         if margin <= 0:
             raise BudgetError(
                 f"invertibility certificate failed: Neumann margin {margin:.3g} <= 0")
@@ -84,23 +91,36 @@ class GermGroupElement:
         }
 
 
-def _invertibility_margin(el: BHolElement) -> float:
-    """``1 - kappa norm(c0^{-1}) (majorant - norm(c0))`` at the worst anchor,
-    all anchors in one batch; -inf if a constant coefficient is singular."""
-    space, dim = el.parent.space, el.parent.dim
+def _invertibility_margins(elements) -> np.ndarray:
+    """``1 - kappa norm(c0^{-1}) (majorant - norm(c0))`` at the worst anchor of
+    each element (of one germ space), all anchors of all elements in one
+    batch; -inf for an element with a singular constant coefficient."""
+    space, dim = elements[0].parent.space, elements[0].parent.dim
     if space.kind != "matrix":  # a vector stack (anchors, m) is no batch of matrices
-        return -math.inf
+        return np.full(len(elements), -math.inf)
+    coeffs, radius, tail = (np.concatenate([getattr(el, f) for el in elements])
+                            for f in ("coeffs", "radius", "tail"))
+    try:
+        c0_inv = np.linalg.inv(coeffs[(slice(None),) + (0,) * dim])
+    except np.linalg.LinAlgError:
+        if len(elements) == 1:
+            return np.array([-math.inf])
+        return np.concatenate([_invertibility_margins([el]) for el in elements])
     if dim == 1:
-        pw = el.radius[:, None] ** np.arange(el.coeffs.shape[1])
-        centered = np.sum((space.norm(el.coeffs) * pw)[:, 1:], axis=1) + el.tail
+        pw = radius[:, None] ** np.arange(coeffs.shape[1])
+        centered = np.sum((space.norm(coeffs) * pw)[:, 1:], axis=1) + tail
     else:
         centered = np.array([float(np.sum(s.majorant_coeffs()[1:])) + s.tail_bound
-                             for s in el.reps])
-    try:
-        c0_inv = np.linalg.inv(el.coeffs[(slice(None),) + (0,) * dim])
-    except np.linalg.LinAlgError:
-        return -math.inf
-    return float(np.min(1.0 - space.submult_factor * space.norm(c0_inv) * centered))
+                             for el in elements for s in el.reps])
+    q = 1.0 - space.submult_factor * space.norm(c0_inv) * centered
+    return q.reshape(len(elements), -1).min(axis=1)
+
+
+def _certified(elements) -> tuple:
+    """``GermGroupElement`` of every element, certified in one batch; the
+    :class:`BudgetError` of the first element that fails."""
+    margins = _invertibility_margins(elements)
+    return tuple(GermGroupElement(el, float(m)) for el, m in zip(elements, margins))
 
 
 @dataclass(frozen=True)

@@ -295,17 +295,20 @@ class SeriesStack:
 
     After :meth:`keep_operators` a stack keeps the block Toeplitz operators
     of itself and of its transpose, which :meth:`mul` uses on either side of
-    a product.  Derived stacks start without them.
+    a product, and after :meth:`prepare_exp` (or :meth:`exp`) the row-wise
+    half of :meth:`exp`.  :meth:`rows` keeps those rows of the exp terms and
+    of the :meth:`norms` computed so far; every other derived stack starts
+    without any of them.
     """
 
-    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_op", "_op_t")
+    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_exp_terms", "_op", "_op_t")
 
     def __init__(self, coeffs: np.ndarray, radius: np.ndarray, tail: np.ndarray, kappa: float):
         self.coeffs = coeffs  # (B, K, m, m), scalars as 1 x 1 matrices
         self.radius = radius  # (B,)
         self.tail = tail      # (B,)
         self.kappa = kappa
-        self._norms = None
+        self._norms = self._exp_terms = None
         self._op = self._op_t = None
 
     @classmethod
@@ -322,8 +325,14 @@ class SeriesStack:
                 for i, a in enumerate(anchors)]
 
     def rows(self, index) -> "SeriesStack":
-        """The stack of the rows ``index`` selects (a slice or an index array)."""
-        return SeriesStack(self.coeffs[index], self.radius[index], self.tail[index], self.kappa)
+        """The stack of the rows ``index`` selects (a slice or an index array),
+        with those rows of the kept norms and exp terms."""
+        out = SeriesStack(self.coeffs[index], self.radius[index], self.tail[index], self.kappa)
+        if self._norms is not None:
+            out._norms = self._norms[index]
+        if self._exp_terms is not None:
+            out._exp_terms = tuple(a[index] for a in self._exp_terms)
+        return out
 
     def norms(self) -> np.ndarray:
         """Coefficient norms sigma_max / kappa, shape (B, K): twice the spectral
@@ -386,27 +395,37 @@ class SeriesStack:
         ab, ba = self.mul(other), other.mul(self)
         return SeriesStack(ab.coeffs - ba.coeffs, ab.radius, ab.tail + ba.tail, self.kappa)
 
+    def prepare_exp(self) -> "SeriesStack":
+        """Compute, once, and keep the row-wise half of :meth:`exp`, which
+        depends on no other row: the unit-radius scaling, the norms of the
+        scaled coefficients, the order and the remainder term of every row.
+        Returns ``self``."""
+        if self._exp_terms is None:
+            kappa = self.kappa
+            # the unit-radius variable keeps badly scaled rows well conditioned
+            pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
+            x_norms = spectral_norms(self.coeffs * pw) / kappa
+            q = kappa * (np.sum(x_norms, axis=1) + self.tail)
+            orders = np.array([_exp_order(float(v)) for v in q])
+            fact = np.array([math.factorial(j + 1) for j in orders], dtype=float)
+            rem = q ** (orders + 1) / fact / (kappa * np.maximum(1.0 - q / (orders + 2), 1e-9))
+            self._exp_terms = (pw, x_norms, orders, rem)
+        return self
+
     def exp(self) -> "SeriesStack":
         """exp by S <- 1 + a S / j, j = J .. 1.  As ``norm(a^j) <= kappa^{j-1} m^j``,
         the terms above J add q^{J+1} / ((J+1)! kappa (1 - q/(J+2))) to the
         tail, q = kappa * majorant.  :func:`_horner` gathers the block Toeplitz
         matrix of a once, so each of the J terms is one matmul and one
         update; the tails of all J terms are certified after the loop, in
-        one pass over the stacked iterates.  The call takes two
-        :func:`spectral_norms`, one for a and one for the iterates, whatever
-        J is."""
-        kappa = self.kappa
-        # the unit-radius variable keeps badly scaled rows well conditioned
-        pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
-        x = self.coeffs * pw
-        x_norms = spectral_norms(x) / kappa
-        q = kappa * (np.sum(x_norms, axis=1) + self.tail)
-        orders = np.array([_exp_order(float(v)) for v in q])
-        s, s_tail = _horner(x, x_norms, self.tail, orders + 1, lambda j: 1.0, lambda j: 1.0 / j,
-                            kappa)
-        fact = np.array([math.factorial(j + 1) for j in orders], dtype=float)
-        rem = q ** (orders + 1) / fact / (kappa * np.maximum(1.0 - q / (orders + 2), 1e-9))
-        return SeriesStack(s / pw, self.radius, s_tail + rem, kappa)
+        one pass over the stacked iterates.  The row-wise half (the scaling,
+        the norms, J and the remainder term) comes from :meth:`prepare_exp`,
+        so the call takes one :func:`spectral_norms` for the iterates, plus
+        one for a unless prepared, whatever J is."""
+        pw, x_norms, orders, rem = self.prepare_exp()._exp_terms
+        s, s_tail = _horner(self.coeffs * pw, x_norms, self.tail, orders + 1, lambda j: 1.0,
+                            lambda j: 1.0 / j, self.kappa)
+        return SeriesStack(s / pw, self.radius, s_tail + rem, self.kappa)
 
     def log(self) -> "SeriesStack":
         """Principal log by log(1 + w) = w (1 - w (1/2 - w (1/3 - ...))) to order J,

@@ -282,6 +282,17 @@ class TestStructure:
         with pytest.raises(StructureError, match="overlap_frac"):
             circle_atlas(3, overlap_frac=frac)
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_circle_neighbours_must_get_an_overlap_record(self, n):
+        # overlaps below 1e-9 are skipped: 1e-11 built no record at all, and the
+        # atlas certified its cocycles on the identity trials alone
+        with pytest.raises(StructureError, match="no overlap record"):
+            circle_atlas(n, overlap_frac=1e-11)
+        atlas = circle_atlas(n, overlap_frac=1e-6)
+        linked = {(tr.i, tr.j) for tr in atlas.transitions if tr.i != tr.j}
+        assert all((i, (i + 1) % n) in linked and ((i + 1) % n, i) in linked
+                   for i in range(n))
+
 
 class TestExtension:
     def test_identity_transitions_extend_at_any_height(self):

@@ -362,10 +362,44 @@ class TestGroupOps:
                         GermGroupElement(el)
 
     def test_certificate_of_trajectory_nodes_matches(self, germ_group):
-        curve = random_spline_curve(germ_group, np.random.default_rng(3))
-        result = evol(curve, 16, error_estimate=False)
-        for node in result.trajectory:
-            assert node.cert_margin == reference_margin(node.element)
+        # the nodes are certified in one batch over all 97 of them
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            result = evol(random_spline_curve(germ_group, rng), 96, error_estimate=False)
+            assert len(result.trajectory) == 97
+            for node in result.trajectory:
+                assert node.cert_margin == reference_margin(node.element)
+
+    def test_batched_certificate_fails_like_one_element(self, germ_group, rng):
+        space = germ_group.space
+        good = [near_identity_element(space, 1, rng, 1e-3) for _ in range(3)]
+        coeffs = np.array(good[0].coeffs)
+        coeffs[1, 0] = np.diag([1.0, 0.0])
+        sing = BHolElement(space, 1, coeffs, good[0].radius, good[0].tail)
+        coeffs = np.array(good[1].coeffs)
+        coeffs[:, 1] += 10.0 * np.eye(2) / good[1].radius[:, None, None]
+        short = BHolElement(space, 1, coeffs, good[1].radius, good[1].tail)
+        assert reference_margin(sing) == -np.inf and reference_margin(short) <= 0
+        messages = {}
+        for bad in (sing, short):
+            with pytest.raises(BudgetError, match="certificate") as one:
+                GermGroupElement(bad)
+            messages[id(bad)] = str(one.value)
+            with pytest.raises(BudgetError) as batch:
+                germgroup._certified([good[0], bad, good[1]])
+            assert str(batch.value) == messages[id(bad)]
+        # the singular node makes the stacked inverse raise LinAlgError
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.concatenate([good[0].coeffs, sing.coeffs])[:, 0])
+        margins = germgroup._invertibility_margins([good[0], sing, short, good[2]])
+        want = [reference_margin(el) for el in (good[0], sing, short, good[2])]
+        assert margins.tolist() == want
+        for first, second in ((sing, short), (short, sing)):
+            with pytest.raises(BudgetError) as batch:
+                germgroup._certified([good[2], first, second])
+            assert str(batch.value) == messages[id(first)]
+        nodes = germgroup._certified(good)
+        assert [g.cert_margin for g in nodes] == [reference_margin(el) for el in good]
 
     def test_certificate_rejects_one_singular_anchor(self, germ_group, rng):
         el = near_identity_element(germ_group.space, 1, rng, 1e-3)

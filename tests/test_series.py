@@ -886,6 +886,40 @@ class TestSeriesStack:
                 op()
                 assert len(calls) == 2
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("b", [2, 14, 40])
+    def test_rows_keep_prepared_exp_terms_and_norms(self, rng, monkeypatch, b, m):
+        k, kappa = 13, 0.5 if m > 1 else 1.0
+        shape = (b, k, m, m)
+        raw = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 0.6 ** np.arange(k)[:, None, None]
+        # q = kappa * unit-radius majorant runs from 1e-3 to 1 over the rows
+        q = rng.permutation(np.geomspace(1e-3, 1.0, b))
+        raw *= (q / kappa / np.sum(spectral_norms(raw) / kappa, axis=1))[:, None, None, None]
+        radius = rng.uniform(0.3, 1.0, b)
+        tail = rng.choice([0.0, 1e-9], b)
+        stack = SeriesStack(raw / radius[:, None, None, None] ** np.arange(k)[:, None, None],
+                            radius, tail, kappa)
+        stack.prepare_exp().norms()
+        assert len(set(stack._exp_terms[2].tolist())) > 1  # mixed exp orders
+        calls = []
+
+        def counted(values):
+            calls.append(values.shape)
+            return spectral_norms(values)
+
+        monkeypatch.setattr(series_module, "spectral_norms", counted)
+        for idx in (slice(None), slice(1, None, 2), rng.permutation(b)[: b // 2 + 1],
+                    np.array([b - 1, 0])):
+            kept = stack.rows(idx)
+            fresh = SeriesStack(stack.coeffs[idx], stack.radius[idx], stack.tail[idx], kappa)
+            assert kept.norms().tobytes() == fresh.norms().tobytes()
+            calls.clear()
+            got = kept.exp()
+            assert len(calls) == 1  # the iterates only: a's norms were kept
+            want = fresh.exp()
+            assert same_bytes(got, want)
+
 
 def weighted_add(a, b, alpha, beta):
     """``alpha a + beta b``, tail ``|alpha| tau_a + |beta| tau_b``, weights multiplied in."""

@@ -11,7 +11,11 @@ Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
   (``perfbench/workloads.py``, imported without writing bytecode), so a
   library change that moves the benchmark's inputs shows up here;
 * per case of ``GLUE_CASES`` in ``tests/test_complexify.py``, the heights and
-  margin table (or the extension error) and the four glueing reports, as JSON.
+  margin table (or the extension error) and the four glueing reports, as JSON;
+* for three seeded ``random_spline_curve``s, ``evol(curve, 64)``'s endpoint
+  coefficients and tails, every trajectory node's coefficients, tails and
+  ``cert_margin``, and its error estimate, and the extras of
+  ``smoothness_report`` against a second seeded spline.
 
 Two checkouts that print the same lines give the same bits on all of them.
 The package is imported from this checkout's ``src``, and every file the
@@ -32,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 sys.dont_write_bytecode = True
 
+from germlie.evolution import evol, random_spline_curve, smoothness_report  # noqa: E402
 from germlie.germgroup import GermLieGroup, random_algebra_element  # noqa: E402
 from germlie.germspace import GermSpace  # noqa: E402
 from germlie.matrixlie import MatrixLieBackend  # noqa: E402
@@ -65,11 +70,15 @@ def demo_lines(tmp: Path):
         yield digest(run_python([str(script)], tmp)), f"demos/{script.name}"
 
 
-def bch_lines():
+def matrix_group() -> GermLieGroup:
     space = GermSpace(anchors=(0.0, 1.5 + 0.5j), base_radius=1.0, ratio=0.1, levels=6,
                       space=matrix_space(2), degree_bound=12)
-    backend = MatrixLieBackend(2, 8)
-    group = GermLieGroup(space, backend)
+    return GermLieGroup(space, MatrixLieBackend(2, 8))
+
+
+def bch_lines():
+    group = matrix_group()
+    backend = group.backend
     rng = np.random.default_rng(7)
     for size in (1, 3, 34):
         pairs = [tuple(random_algebra_element(group, rng, 0.03) for _ in range(2))
@@ -81,6 +90,23 @@ def bch_lines():
     x, y = (0.02 * (rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2)))
             for _ in range(2))
     yield digest(backend.bch(x, y).tobytes()), "MatrixLieBackend.bch"
+
+
+def evol_lines():
+    group = matrix_group()
+    for seed in (3, 11, 29):
+        rng = np.random.default_rng(seed)
+        curve, direction = (random_spline_curve(group, rng) for _ in range(2))
+        res = evol(curve, 64)
+        end = res.endpoint.element
+        yield digest(end.coeffs.tobytes() + end.tail.tobytes()), f"evol/{seed}/endpoint"
+        nodes = [g.element.coeffs.tobytes() + g.element.tail.tobytes() for g in res.trajectory]
+        yield digest(b"".join(nodes)), f"evol/{seed}/trajectory"
+        margins = np.array([g.cert_margin for g in res.trajectory])
+        yield digest(margins.tobytes()), f"evol/{seed}/cert_margin"
+        yield digest(np.float64(res.error_estimate).tobytes()), f"evol/{seed}/error_estimate"
+        extras = smoothness_report(group, curve, direction).extras
+        yield digest(json.dumps(extras, sort_keys=True).encode()), f"smoothness/{seed}/extras"
 
 
 def pool_lines():
@@ -98,7 +124,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines(),
-                     *complexify_lines()):
+                     *complexify_lines(), *evol_lines()):
             print("  ".join(line))
     return 0
 
