@@ -275,6 +275,7 @@ def _evol_run(curves: tuple, steps: int, keep: bool):
             eta = eta.mul(exps.rows(slice(j * width, (j + 1) * width)))
             if keep:
                 snaps.append(eta)
+        del exps  # freed before the next block's exponentials are built
     times = tuple(i * dt for i in range(steps + 1))
     ends = _certified([c._element(eta.rows(slice(k * anchors, (k + 1) * anchors)))
                        for k, c in enumerate(curves)])

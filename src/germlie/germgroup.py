@@ -95,23 +95,19 @@ def _invertibility_margins(elements) -> np.ndarray:
     """``1 - kappa norm(c0^{-1}) (majorant - norm(c0))`` at the worst anchor of
     each element (of one germ space), all anchors of all elements in one
     batch; -inf for an element with a singular constant coefficient."""
-    space, dim = elements[0].parent.space, elements[0].parent.dim
+    space = elements[0].parent.space
     if space.kind != "matrix":  # a vector stack (anchors, m) is no batch of matrices
         return np.full(len(elements), -math.inf)
     coeffs, radius, tail = (np.concatenate([getattr(el, f) for el in elements])
                             for f in ("coeffs", "radius", "tail"))
     try:
-        c0_inv = np.linalg.inv(coeffs[(slice(None),) + (0,) * dim])
+        c0_inv = np.linalg.inv(coeffs[:, 0])
     except np.linalg.LinAlgError:
         if len(elements) == 1:
             return np.array([-math.inf])
         return np.concatenate([_invertibility_margins([el]) for el in elements])
-    if dim == 1:
-        pw = radius[:, None] ** np.arange(coeffs.shape[1])
-        centered = np.sum((space.norm(coeffs) * pw)[:, 1:], axis=1) + tail
-    else:
-        centered = np.array([float(np.sum(s.majorant_coeffs()[1:])) + s.tail_bound
-                             for el in elements for s in el.reps])
+    pw = radius[:, None] ** np.arange(coeffs.shape[1])
+    centered = np.sum((space.norm(coeffs) * pw)[:, 1:], axis=1) + tail
     q = 1.0 - space.submult_factor * space.norm(c0_inv) * centered
     return q.reshape(len(elements), -1).min(axis=1)
 
@@ -177,7 +173,7 @@ class GermLieGroup:
 
         Arguments are bonded to the deeper common level first; the
         convergence budget ``majorant(x) + majorant(y) < bch_radius`` is the
-        membership condition for the local product domain.  d = 1 only.
+        membership condition for the local product domain.
         """
         return self.bch_pairs([(x, y)])[0]
 
@@ -191,7 +187,6 @@ class GermLieGroup:
         its own and its transpose's (see :meth:`SeriesStack.keep_operators`),
         so letter * value runs on the first and value * letter on the second.
         """
-        self._require_d1("germ BCH")
         order = self.backend.bch_order
         n_anchors = len(self.space.anchors)
         prepped = []
@@ -230,13 +225,8 @@ class GermLieGroup:
                 last = exc
         raise last
 
-    def _require_d1(self, what: str) -> None:
-        if self.space.dim != 1:
-            raise StructureError(f"{what} is d = 1 only")
-
     def _on_stack(self, el: BHolElement, op) -> BHolElement:
         """Apply a :class:`SeriesStack` method to every anchor's series at once."""
-        self._require_d1("exp, log and inverse of germs")
         out = op(SeriesStack(el.coeffs, el.radius, el.tail, self.space.space.submult_factor))
         return BHolElement(self.space, el.level, out.coeffs, out.radius, out.tail)
 
@@ -306,8 +296,6 @@ def element_from_matrix_poly(space: GermSpace, matrix_coeffs, level: int) -> BHo
     guarantees the per-anchor series cohere: they represent one entire
     function restricted to U_level.
     """
-    if space.dim != 1:
-        raise StructureError("matrix-poly generator is d = 1 only")
     coeffs = [np.asarray(c, dtype=complex) for c in matrix_coeffs]
     deg = len(coeffs) - 1
     if deg > space.degree_bound:

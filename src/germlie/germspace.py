@@ -1,9 +1,9 @@
 """Graded neighborhood bases and the (LB)-space of germs around a compact set.
 
-A :class:`GermSpace` fixes a finite anchor set K in C^d, a base radius rho_0
+A :class:`GermSpace` fixes a finite anchor set K in C, a base radius rho_0
 and a ratio r strictly below 1/(2e), and grades the neighborhoods
 
-    U_n  =  union of the open balls of radius rho_n = rho_0 * r^n around K,
+    U_n  =  union of the open discs of radius rho_n = rho_0 * r^n around K,
 
 so the seminorms p_n(x) = |x| / rho_n satisfy p_n = r * p_{n+1}.  A bounded
 holomorphic function on U_n (:class:`BHolElement`) is one truncated series
@@ -85,20 +85,23 @@ class GermSpace:
     levels: int = 6
     space: CoefficientSpace = field(default_factory=scalar_space)
     degree_bound: int = 12
-    dim: int = 1
 
     def __post_init__(self):
-        anchors = tuple(complex(a) for a in np.atleast_1d(np.asarray(self.anchors, complex))) \
-            if self.dim == 1 else tuple(tuple(map(complex, a)) for a in self.anchors)
-        if not anchors:
-            raise StructureError("anchor set must be nonempty")
-        object.__setattr__(self, "anchors", anchors)
+        try:
+            anchors = np.atleast_1d(np.asarray(self.anchors, complex))
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"anchors must be complex numbers: {exc}") from None
+        if anchors.ndim != 1 or not anchors.size or not np.all(np.isfinite(anchors)):
+            raise StructureError("anchors must be a nonempty 1-d sequence of finite complex "
+                                 f"numbers, got {self.anchors!r}")
+        object.__setattr__(self, "anchors", tuple(complex(a) for a in anchors))
         if not 0.0 < self.ratio < RATIO_CEILING:
             raise BudgetError(
                 f"ratio must lie strictly inside (0, 1/(2e)) = (0, {RATIO_CEILING:.6g}); "
                 f"got {self.ratio}")
-        if self.base_radius <= 0:
-            raise StructureError("base radius must be positive")
+        if not (self.base_radius > 0 and math.isfinite(self.base_radius)):
+            raise StructureError(
+                f"base radius must be positive and finite, got {self.base_radius}")
         if self.levels < 2 or self.degree_bound < 0:
             raise StructureError("need at least two levels and a nonnegative degree bound, got "
                                  f"{self.levels} and {self.degree_bound}")
@@ -116,20 +119,18 @@ class GermSpace:
 
     def constant_element(self, value, level: int) -> "BHolElement":
         rows = (len(self.anchors),)
-        coeffs = np.zeros(rows + (self.degree_bound + 1,) * self.dim + self.space.shape, complex)
-        coeffs[(slice(None),) + (0,) * self.dim] = value
+        coeffs = np.zeros(rows + (self.degree_bound + 1,) + self.space.shape, complex)
+        coeffs[:, 0] = value
         return BHolElement(self, level, coeffs, np.full(rows, self.radius(level)), np.zeros(rows))
 
     def element_from_coeff_lists(self, per_anchor_pairs, level: int) -> "BHolElement":
         return BHolElement.of(self, level, (
             TruncatedSeries.from_coeff_list(pairs, a, self.radius(level), self.space,
-                                            self.degree_bound, self.dim)
+                                            self.degree_bound)
             for a, pairs in zip(self.anchors, per_anchor_pairs)))
 
     def sample_points(self, level: int, count: int, interior: float = 0.5) -> np.ndarray:
-        """Deterministic points inside U_level (d = 1), spread over all anchors."""
-        if self.dim != 1:
-            raise StructureError("sample_points is d = 1 only")
+        """Deterministic points inside U_level, spread over all anchors."""
         rho = self.radius(level) * interior
         per = -(-count // len(self.anchors))
         i, k = np.arange(len(self.anchors))[:, None], np.arange(per)
@@ -143,13 +144,13 @@ class BHolElement:
     """A bounded holomorphic function on U_n, one truncated series per anchor.
 
     The series are one stack: read-only ``coeffs`` ``(anchors, N+1) +
-    space.shape`` (``(anchors, N+1, N+1) + space.shape`` for d = 2), ``radius``
-    and ``tail`` ``(anchors,)``, row i at the parent's i-th anchor.  ``reps``
-    views them as :class:`TruncatedSeries` (built on first use), and ``of``
-    builds an element from series.  Bonding, ``+``, ``-`` and ``scale`` act on
-    the stack with the arithmetic of ``restrict``, ``linear_combination`` and
-    ``TruncatedSeries.scale``.  On overlapping anchor balls the series must
-    agree at shared sample points -- they represent one function.
+    space.shape``, ``radius`` and ``tail`` ``(anchors,)``, row i at the
+    parent's i-th anchor.  ``reps`` views them as :class:`TruncatedSeries`
+    (built on first use), and ``of`` builds an element from series.  Bonding,
+    ``+``, ``-`` and ``scale`` act on the stack with the arithmetic of
+    ``restrict``, ``linear_combination`` and ``TruncatedSeries.scale``.  On
+    overlapping anchor discs the series must agree at shared sample points --
+    they represent one function.
     """
 
     parent: GermSpace
@@ -162,7 +163,7 @@ class BHolElement:
     def __post_init__(self):
         sp, coeffs = self.parent, np.asarray(self.coeffs, dtype=complex)
         radius, tail = np.asarray(self.radius, dtype=float), np.asarray(self.tail, dtype=float)
-        want = (len(sp.anchors),) + (coeffs.shape[1:2] or (0,)) * sp.dim + sp.space.shape
+        want = (len(sp.anchors),) + (coeffs.shape[1:2] or (0,)) + sp.space.shape
         if coeffs.shape != want or not radius.shape == tail.shape == want[:1]:
             raise StructureError(f"one series per anchor required, over {sp.space}; got a "
                                  f"coefficient stack of shape {coeffs.shape}")
@@ -180,7 +181,7 @@ class BHolElement:
         """The element of the series ``reps``, the i-th at the parent's i-th anchor."""
         reps = tuple(reps)
         for s, a in zip(reps, parent.anchors):
-            if (s.anchor if s.dim == 1 else tuple(s.anchor)) != a:
+            if s.anchor != a:
                 raise StructureError(f"series anchored at {s.anchor}, not at its anchor {a}")
         if len({s.degree_bound for s in reps}) != 1:
             raise StructureError("one series per anchor required, all of one degree bound")
@@ -194,15 +195,13 @@ class BHolElement:
         if self._reps is None:
             sp, n = self.parent, self.coeffs.shape[1] - 1
             object.__setattr__(self, "_reps", tuple(
-                TruncatedSeries(a, n, c, r, t, sp.space, sp.dim) for a, c, r, t in
+                TruncatedSeries(a, n, c, r, t, sp.space) for a, c, r, t in
                 zip(sp.anchors, self.coeffs, self.radius.tolist(), self.tail.tolist())))
         return self._reps
 
     @property
     def norm_upper(self) -> float:
-        """The largest ``majorant_norm`` over the anchors, on the stack for d = 1."""
-        if self.parent.dim != 1:
-            return max(s.majorant_norm() for s in self.reps)
+        """The largest ``majorant_norm`` over the anchors, on the stack."""
         norms = self.parent.space.norm(self.coeffs)
         return float(batch_norm_upper(norms, self.tail, self.radius[:, None]))
 
@@ -210,13 +209,10 @@ class BHolElement:
         return max(s.sample_sup(s.radius, n) for s in self.reps)
 
     def eval(self, points) -> np.ndarray:
-        """Evaluate using, per point, the series of the nearest anchor in C^d
-        (points of shape (...,) for d = 1 and (..., 2) for d = 2)."""
+        """Evaluate using, per point, the series of the nearest anchor."""
         pts = np.asarray(points, dtype=complex)
         anchors = np.asarray(self.parent.anchors)
-        dist = np.abs(pts[..., None] - anchors) if self.parent.dim == 1 else \
-            np.linalg.norm(pts[..., None, :] - anchors, axis=-1)
-        pick = np.argmin(dist, axis=-1)
+        pick = np.argmin(np.abs(pts[..., None] - anchors), axis=-1)
         out = np.zeros(pick.shape + self.parent.space.shape, dtype=complex)
         for i in range(len(anchors)):
             mask = pick == i
@@ -225,9 +221,7 @@ class BHolElement:
         return out
 
     def coherence_defect(self) -> float:
-        """Largest disagreement of per-anchor series at shared interior points (d = 1)."""
-        if self.parent.dim != 1:
-            raise StructureError("coherence_defect is d = 1 only")
+        """Largest disagreement of per-anchor series at shared interior points."""
         theta = 2 * np.pi * np.arange(_COHERENCE_POINTS) / _COHERENCE_POINTS
         worst, anchors, rad = 0.0, self.parent.anchors, self.radius.tolist()
         for i, j in itertools.combinations(range(len(anchors)), 2):
@@ -324,8 +318,6 @@ def factorize(space: GermSpace, f, level: int) -> BHolElement:
     space.space.shape``; a scalar return is a constant.  Each anchor costs
     three calls of f.
     """
-    if space.dim != 1:
-        raise StructureError("factorize is implemented for d = 1")
     rho = space.radius(level)
     return BHolElement.of(space, level, (cauchy_series(f, a, rho, space.degree_bound, space.space)
                                          for a in space.anchors))
@@ -337,13 +329,12 @@ def factorize(space: GermSpace, f, level: int) -> BHolElement:
 
 def _stack(family) -> tuple:
     """Coefficients ``(members, anchors, N+1) + shape``, tails and radii
-    ``(members, anchors)`` of d = 1 elements over one coefficient space and
-    degree bound N; :class:`StructureError` otherwise, as cutting members to
-    the lowest bound would drop their higher coefficients from every bound."""
+    ``(members, anchors)`` of elements over one coefficient space and degree
+    bound N; :class:`StructureError` otherwise, as cutting members to the
+    lowest bound would drop their higher coefficients from every bound."""
     family = list(family)
-    if not family or family[0].parent.dim != 1 or \
-            len({(el.coeffs.shape, el.parent.space) for el in family}) > 1:
-        raise StructureError("family must be nonempty and d = 1, its members sharing one "
+    if not family or len({(el.coeffs.shape, el.parent.space) for el in family}) > 1:
+        raise StructureError("family must be nonempty, its members sharing one "
                              "degree bound, coefficient space and anchor count")
     return tuple(np.stack([getattr(el, name) for el in family])
                  for name in ("coeffs", "tail", "radius"))
@@ -368,7 +359,7 @@ def _sups(stack, space: CoefficientSpace, rho: float = 1.0) -> np.ndarray:
 
 
 def derivative_sups(family, normalized_radius: float = 1.0) -> np.ndarray:
-    """s_k = sup over the family and anchors of norm(c_k) (exact for d = 1).
+    """s_k = sup over the family and anchors of norm(c_k).
 
     With ``normalized_radius`` = rho the coefficients are rescaled to
     ``norm(c_k) * rho^k``, i.e. read in the unit-ball coordinates of the
@@ -442,8 +433,8 @@ def _unit_majorant_stack(space: GermSpace, level: int, rng: np.random.Generator,
     """The ``_stack`` of :func:`unit_majorant_family` drawn as arrays, with no
     element built: coefficients ``(members, anchors, N+1) + shape``, zero
     tails and radii ``rho_level``, both ``(members, anchors)``."""
-    if space.dim != 1 or not (isinstance(size, (int, np.integer)) and size >= 0):
-        raise StructureError(f"unit-majorant draws need d = 1 and integer size >= 0, got {size!r}")
+    if not (isinstance(size, (int, np.integer)) and size >= 0):
+        raise StructureError(f"unit-majorant draws need an integer size >= 0, got {size!r}")
     rho, n, cs = space.radius(level), space.degree_bound, space.space
     rows, ones = (size, len(space.anchors)), (1,) * len(cs.shape)
     counts = rng.integers(1, 5, size=rows)
@@ -611,19 +602,19 @@ def union_glue_check(space_a: GermSpace, space_b: GermSpace, level: int,
     the generating polynomial on both pieces.  With ``incompatible`` the
     pieces get *different* polynomials: on overlapping covers the glue must
     flag the disagreement (an invalid input, not a library bug); disjoint
-    covers glue to the product structure and always succeed.  Spaces over
-    C^2 and negative ``trials`` raise :class:`StructureError`.
+    covers glue to the product structure and always succeed.  Pieces over
+    different coefficient spaces and negative ``trials`` raise
+    :class:`StructureError`.
     """
-    if space_a.space != space_b.space or space_a.dim != space_b.dim:
+    if space_a.space != space_b.space:
         raise StructureError("pieces must share the coefficient space")
-    if space_a.dim != 1 or trials < 0:
-        raise StructureError("union_glue_check needs d = 1 spaces and trials >= 0")
+    if trials < 0:
+        raise StructureError(f"union_glue_check needs trials >= 0, got {trials}")
     params = {"level": level, "trials": trials, "incompatible": incompatible}
     rep = Report(check="union_glue", params=params, trials=trials)
     union_anchors = tuple(dict.fromkeys(space_a.anchors + space_b.anchors))
     union_space = GermSpace(union_anchors, space_a.base_radius, space_a.ratio,
-                            space_a.levels, space_a.space, space_a.degree_bound,
-                            space_a.dim)
+                            space_a.levels, space_a.space, space_a.degree_bound)
     rho = union_space.radius(level)
     disjoint = all(abs(a - b) >= 2 * rho for a in space_a.anchors for b in space_b.anchors
                    if a != b) and not set(space_a.anchors) & set(space_b.anchors)

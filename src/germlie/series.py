@@ -1,12 +1,12 @@
 """Degree-bounded power series with certified tail bounds.
 
 A :class:`TruncatedSeries` is the computational stand-in for a bounded
-holomorphic map on a ball: it stores the Taylor coefficients up to a degree
-bound around an anchor point of C^d (d = 1 or 2), a validity radius, and a
-certified upper bound ``tail_bound`` for the sup of everything that was
-dropped.  All arithmetic (linear combinations, Cauchy products,
-residual-certified inversion, entire-function composition with exp and log)
-propagates the tail bound by majorant bookkeeping, so
+holomorphic map on a disc: it stores the Taylor coefficients up to a degree
+bound around a complex anchor point, a validity radius, and a certified
+upper bound ``tail_bound`` for the sup of everything that was dropped.  All
+arithmetic (linear combinations, Cauchy products, residual-certified
+inversion, entire-function composition with exp and log) propagates the tail
+bound by majorant bookkeeping, so
 
     sampled sup  <=  true sup on the ball  <=  majorant norm
 
@@ -22,7 +22,7 @@ or m x m matrices.  The matrix norm is twice the spectral norm, which makes
 ``norm([x, y]) <= norm(x) * norm(y)`` hold exactly; this is the norm the Lie
 machinery in the rest of the package relies on.
 
-The d = 1 ring arithmetic (product, exp, log, inverse) lives once, on the
+The ring arithmetic (product, exp, log, inverse) lives once, on the
 row-independent batch type :class:`SeriesStack`; the Lie-group hot paths run
 it over many series at once and the single-series functions on a one-row
 stack, so every row of a stack equals the single-series result bit for bit.
@@ -159,7 +159,7 @@ def spectral_norms(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the d = 1 stack type: product, exp, log and inverse of (B, K, m, m) stacks
+# the stack type: product, exp, log and inverse of (B, K, m, m) stacks
 # ---------------------------------------------------------------------------
 
 _TOEPLITZ_INDEX: dict[tuple[int, int], np.ndarray] = {}
@@ -289,7 +289,7 @@ def _log_order(q: float, n: int) -> int:
 
 
 class SeriesStack:
-    """A batch of B d = 1 series sharing one degree bound; anchors and levels
+    """A batch of B series sharing one degree bound; anchors and levels
     stay with the caller.  ``kappa`` is :attr:`CoefficientSpace.submult_factor`
     of the coefficient space, and every stack derived from this one keeps it.
 
@@ -483,13 +483,6 @@ class SeriesStack:
                     f"got {q[i]:.3g} at radius {radius[i] / 0.75:.3g} (minimum {floor[i]:.3g})")
 
 
-def _degrees(n: int, dim: int) -> np.ndarray:
-    """Total degree of every coefficient slot of a degree-n series in ``dim``
-    variables: ``arange(n + 1)`` for d = 1, the grid ``i + j`` for d = 2."""
-    k = np.arange(n + 1)
-    return k if dim == 1 else np.add.outer(k, k)
-
-
 def _powers(w, n: int) -> np.ndarray:
     """``w^0..w^n`` on a new leading axis, shape ``(n + 1,) + w.shape``, in
     doubling blocks: once rows 0..m hold w^0..w^m, rows m+1..2m are rows 1..m
@@ -504,12 +497,11 @@ def _powers(w, n: int) -> np.ndarray:
     return out
 
 
-def _multi_index(k, dim: int, n: int) -> tuple:
-    """The slot of multi-index ``k``: ``dim`` nonnegative ints of total degree <= n."""
-    idx = (int(k),) if np.isscalar(k) else tuple(int(q) for q in k)
-    if len(idx) != dim or min(idx) < 0 or sum(idx) > n:
-        raise StructureError(f"multi-index {idx} does not fit dimension {dim}, degree bound {n}")
-    return idx
+def _index(k, n: int) -> int:
+    """The slot of degree ``k``: an int in 0..n, else :class:`StructureError`."""
+    if not isinstance(k, (int, np.integer)) or not 0 <= k <= n:
+        raise StructureError(f"degree index {k!r} does not fit degree bound {n}")
+    return int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -518,29 +510,24 @@ def _multi_index(k, dim: int, n: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Power series around ``anchor`` truncated at total degree ``degree_bound``.
+    """Power series around ``anchor`` truncated at degree ``degree_bound``.
 
     Parameters
     ----------
     anchor:
-        Point of C^d; a complex scalar for d = 1, a length-2 complex array
-        for d = 2.
+        A complex scalar.
     degree_bound:
-        Largest retained total degree N.
+        Largest retained degree N.
     coeffs:
-        Array of coefficients.  Shape ``(N+1,) + space.shape`` for d = 1 and
-        ``(N+1, N+1) + space.shape`` for d = 2 (entries with i + j > N are
-        zero by invariant).
+        Array of coefficients, shape ``(N+1,) + space.shape``.
     radius:
-        Validity radius rho > 0 of the anchor-centered ball.
+        Validity radius rho > 0 of the anchor-centered disc.
     tail_bound:
-        Certified upper bound for the sup norm, on the radius-rho ball, of
+        Certified upper bound for the sup norm, on the radius-rho disc, of
         the difference between the represented function and the stored
         polynomial.  Monotone under radius shrinkage by construction.
     space:
         The coefficient space Z.
-    dim:
-        Model dimension d, 1 (default) or 2.
     """
 
     anchor: object
@@ -549,11 +536,8 @@ class TruncatedSeries:
     radius: float
     tail_bound: float
     space: CoefficientSpace
-    dim: int = 1
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise StructureError("only model dimensions 1 and 2 are supported")
         n = self.degree_bound
         if n < 0:
             raise StructureError("degree_bound must be nonnegative")
@@ -561,48 +545,40 @@ class TruncatedSeries:
             raise StructureError("radius must be positive and finite")
         if not (self.tail_bound >= 0 and math.isfinite(self.tail_bound)):
             raise StructureError("tail_bound must be finite and nonnegative")
-        want = (n + 1,) * self.dim + self.space.shape
+        want = (n + 1,) + self.space.shape
         coeffs = np.asarray(self.coeffs, dtype=complex)
         if coeffs.shape != want:
             raise StructureError(f"coefficient array has shape {coeffs.shape}, expected {want}")
-        if self.dim == 2 and np.any(self.space.norm(coeffs[_degrees(n, 2) > n]) > 0):
-            raise StructureError("coefficients beyond total degree bound must vanish")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_norm_cache", None)
         anchor = np.asarray(self.anchor, dtype=complex)
-        if anchor.shape not in ((), (self.dim,)):
-            raise StructureError("anchor does not match model dimension")
-        if self.dim == 1:
-            object.__setattr__(self, "anchor", complex(anchor))
-        else:
-            anchor = anchor.reshape(self.dim).copy()
-            anchor.setflags(write=False)
-            object.__setattr__(self, "anchor", anchor)
+        if anchor.shape != ():
+            raise StructureError(f"anchor must be a complex scalar, got shape {anchor.shape}")
+        object.__setattr__(self, "anchor", complex(anchor))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, anchor, radius, space, degree_bound=12, dim=1):
-        return cls.from_coeff_list((), anchor, radius, space, degree_bound, dim)
+    def zero(cls, anchor, radius, space, degree_bound=12):
+        return cls.from_coeff_list((), anchor, radius, space, degree_bound)
 
     @classmethod
-    def constant(cls, value, anchor, radius, space, degree_bound=12, dim=1):
-        return cls.from_coeff_list((((0,) * dim, value),), anchor, radius, space,
-                                   degree_bound, dim)
+    def constant(cls, value, anchor, radius, space, degree_bound=12):
+        return cls.from_coeff_list(((0, value),), anchor, radius, space, degree_bound)
 
     @classmethod
-    def unit(cls, anchor, radius, space, degree_bound=12, dim=1):
+    def unit(cls, anchor, radius, space, degree_bound=12):
         """The constant series with value 1 (resp. the identity matrix)."""
-        return cls.constant(space.one(), anchor, radius, space, degree_bound, dim)
+        return cls.constant(space.one(), anchor, radius, space, degree_bound)
 
     @classmethod
-    def from_coeff_list(cls, pairs, anchor, radius, space, degree_bound=12, dim=1):
-        """Build a series from ``(multi_index, value)`` pairs; d = 1 indices are ints."""
-        coeffs = np.zeros((degree_bound + 1,) * dim + space.shape, complex)
+    def from_coeff_list(cls, pairs, anchor, radius, space, degree_bound=12):
+        """Build a series from ``(degree, value)`` pairs."""
+        coeffs = np.zeros((degree_bound + 1,) + space.shape, complex)
         for k, value in pairs:
-            coeffs[_multi_index(k, dim, degree_bound)] = np.asarray(value, dtype=complex)
-        return cls(anchor, degree_bound, coeffs, radius, 0.0, space, dim)
+            coeffs[_index(k, degree_bound)] = np.asarray(value, dtype=complex)
+        return cls(anchor, degree_bound, coeffs, radius, 0.0, space)
 
     # -- norms --------------------------------------------------------------
 
@@ -623,46 +599,30 @@ class TruncatedSeries:
         return rho
 
     def majorant_coeffs(self, rho: float | None = None) -> np.ndarray:
-        """The scalar majorant sequence ``norm(c_k) * rho^|k|`` indexed by total degree."""
-        rho = self._rho(rho)
-        n = self.degree_bound
-        deg = _degrees(n, self.dim)  # d = 2 entries above degree n vanish by invariant
-        return np.bincount(deg.ravel(), (self.coeff_norms() * rho ** deg).ravel())[: n + 1]
+        """The scalar majorant sequence ``norm(c_k) * rho^k``."""
+        return self.coeff_norms() * self._rho(rho) ** np.arange(self.degree_bound + 1)
 
     def poly_majorant(self, rho: float | None = None) -> float:
         """Majorant of the stored polynomial part only."""
         return float(np.sum(self.majorant_coeffs(rho)))
 
     def majorant_norm(self, rho: float | None = None) -> float:
-        """Certified upper bound for the sup norm on the radius-rho ball."""
+        """Certified upper bound for the sup norm on the radius-rho disc."""
         return self.poly_majorant(rho) + self.tail_bound
 
     def sample_sup(self, rho: float | None = None, n: int = 256) -> float:
         """Lower bound for the sup norm: max of the polynomial part over boundary samples.
 
-        For d = 1 the maximum principle puts the sup of the represented
-        polynomial on the circle |z - a| = rho, so evenly spaced boundary
-        angles give a deterministic, rapidly tight lower bound;
-        :class:`StructureError` unless ``n >= 1``.
+        The maximum principle puts the sup of the represented polynomial on
+        the circle |z - a| = rho, so evenly spaced boundary angles give a
+        deterministic, rapidly tight lower bound; :class:`StructureError`
+        unless ``n >= 1``.
         """
         rho = self._rho(rho)
         if n < 1:
             raise StructureError(f"sample_sup needs n >= 1 boundary samples, got {n}")
         theta = 2 * np.pi * np.arange(n) / n
-        if self.dim == 1:
-            pts = self.anchor + rho * np.exp(1j * theta)
-        else:
-            phi = np.pi * (np.sqrt(5) - 1) * np.arange(n)  # incommensurate second angle
-            u = np.cos(theta / 4.0)
-            v = np.sin(theta / 4.0)
-            pts = np.stack(
-                [
-                    self.anchor[0] + rho * u * np.exp(1j * theta),
-                    self.anchor[1] + rho * v * np.exp(1j * phi),
-                ],
-                axis=-1,
-            )
-        vals = self.eval(pts)
+        vals = self.eval(self.anchor + rho * np.exp(1j * theta))
         return float(np.max(self.space.norm(vals)))
 
     # -- evaluation ---------------------------------------------------------
@@ -670,18 +630,12 @@ class TruncatedSeries:
     def eval(self, points) -> np.ndarray:
         """Evaluate the stored polynomial part at ``points``.
 
-        ``points`` is a complex array of shape (...,) for d = 1 or (..., 2)
-        for d = 2; the result has the coefficient-space shape appended.
+        ``points`` is a complex array of any shape; the result has the
+        coefficient-space shape appended.
         """
         n, pts = self.degree_bound, np.asarray(points, dtype=complex)
-        if self.dim == 1:
-            vand = _powers(pts - self.anchor, n).reshape(n + 1, -1)
-            return (vand.T @ self.coeffs.reshape(n + 1, -1)).reshape(pts.shape + self.space.shape)
-        v0 = _powers(pts[..., 0] - self.anchor[0], n).reshape(n + 1, -1)
-        v1 = _powers(pts[..., 1] - self.anchor[1], n).reshape(n + 1, -1)
-        partial = v0.T @ self.coeffs.reshape(n + 1, -1)  # (points, j * space)
-        out = v1.T[:, None, :] @ partial.reshape(-1, n + 1, math.prod(self.space.shape))
-        return out.reshape(pts.shape[:-1] + self.space.shape)
+        vand = _powers(pts - self.anchor, n).reshape(n + 1, -1)
+        return (vand.T @ self.coeffs.reshape(n + 1, -1)).reshape(pts.shape + self.space.shape)
 
     # -- structural operations ---------------------------------------------
 
@@ -691,7 +645,7 @@ class TruncatedSeries:
             raise StructureError("restrict() cannot grow the radius")
         return TruncatedSeries(
             self.anchor, self.degree_bound, self.coeffs,
-            float(min(new_radius, self.radius)), self.tail_bound, self.space, self.dim,
+            float(min(new_radius, self.radius)), self.tail_bound, self.space,
         )
 
     def truncate(self, new_bound: int) -> "TruncatedSeries":
@@ -699,16 +653,14 @@ class TruncatedSeries:
         if new_bound >= self.degree_bound:
             return self
         dropped = float(np.sum(self.majorant_coeffs()[new_bound + 1:]))
-        coeffs = self.coeffs[(slice(new_bound + 1),) * self.dim].copy()
-        coeffs[_degrees(new_bound, self.dim) > new_bound] = 0.0
-        return TruncatedSeries(self.anchor, new_bound, coeffs, self.radius,
-                               self.tail_bound + dropped, self.space, self.dim)
+        return TruncatedSeries(self.anchor, new_bound, self.coeffs[: new_bound + 1].copy(),
+                               self.radius, self.tail_bound + dropped, self.space)
 
     def with_tail(self, extra: float) -> "TruncatedSeries":
         if extra < 0:
             raise StructureError("tail increments must be nonnegative")
         return TruncatedSeries(self.anchor, self.degree_bound, self.coeffs,
-                               self.radius, self.tail_bound + extra, self.space, self.dim)
+                               self.radius, self.tail_bound + extra, self.space)
 
     # -- operators ----------------------------------------------------------
 
@@ -725,7 +677,7 @@ class TruncatedSeries:
     def scale(self, alpha) -> "TruncatedSeries":
         return TruncatedSeries(self.anchor, self.degree_bound, self.coeffs * complex(alpha),
                                self.radius, abs(complex(alpha)) * self.tail_bound,
-                               self.space, self.dim)
+                               self.space)
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +685,7 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 def _check_compatible(a: TruncatedSeries, b: TruncatedSeries):
-    if a.dim != b.dim:
-        raise StructureError("model dimension mismatch")
-    if not np.array_equal(a.anchor, b.anchor):
+    if a.anchor != b.anchor:
         raise StructureError(f"anchor mismatch: {a.anchor} vs {b.anchor}")
     if a.space != b.space:
         raise StructureError(f"coefficient space mismatch: {a.space} vs {b.space}")
@@ -751,7 +701,7 @@ def linear_combination(a: TruncatedSeries, b: TruncatedSeries,
     b = b.truncate(n)
     coeffs = complex(alpha) * a.coeffs + complex(beta) * b.coeffs
     tail = abs(complex(alpha)) * a.tail_bound + abs(complex(beta)) * b.tail_bound
-    return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space, a.dim)
+    return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space)
 
 
 def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -765,26 +715,8 @@ def multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         raise StructureError("vector coefficients admit no ring product")
     if a.space.kind == "matrix" and a.space.dim != b.space.dim:
         raise StructureError("matrix dimension mismatch")
-    radius = min(a.radius, b.radius)
     n = min(a.degree_bound, b.degree_bound)
-    a = a.truncate(n)
-    b = b.truncate(n)
-    if a.dim == 1:
-        return _row(a).mul(_row(b)).to_series([a.anchor], a.space)[0]
-    # d = 2 is not performance critical: each nonzero a_ij adds a_ij * b
-    # into the window of the full product shifted by (i, j)
-    k = n + 1
-    deg = _degrees(2 * n, 2)
-    full = np.zeros(deg.shape + a.space.shape, dtype=complex)
-    prod = np.matmul if a.space.kind == "matrix" else np.multiply
-    for i, j in np.argwhere(a.coeffs.reshape(k, k, -1).any(axis=-1)):
-        full[i:i + k, j:j + k] += prod(a.coeffs[i, j], b.coeffs)
-    coeffs = full[:k, :k].copy()
-    coeffs[deg[:k, :k] > n] = 0.0
-    overflow = float(np.sum((a.space.norm(full) * radius ** deg)[deg > n]))
-    ma, mb = a.poly_majorant(radius), b.poly_majorant(radius)
-    tail = _product_tail(ma, mb, a.tail_bound, b.tail_bound, overflow, a.space.submult_factor)
-    return TruncatedSeries(a.anchor, n, coeffs, radius, tail, a.space, a.dim)
+    return _row(a.truncate(n)).mul(_row(b.truncate(n))).to_series([a.anchor], a.space)[0]
 
 
 def bracket(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -793,7 +725,7 @@ def bracket(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def _row(a: TruncatedSeries) -> SeriesStack:
-    """The d = 1 ring-valued series ``a`` as a one-row stack, scalars as 1 x 1
+    """The ring-valued series ``a`` as a one-row stack, scalars as 1 x 1
     matrices, its norms taken from ``a.coeff_norms()``."""
     k, m = a.degree_bound + 1, a.space.dim
     row = SeriesStack(a.coeffs.reshape(1, k, m, m), np.array([a.radius]),
@@ -806,13 +738,11 @@ def _unary(a: TruncatedSeries, what: str, method) -> TruncatedSeries:
     """``method`` of :class:`SeriesStack` on ``a`` as a one-row stack."""
     if a.space.kind == "vector":
         raise StructureError(f"{what} needs a ring of coefficients")
-    if a.dim != 1:
-        raise StructureError(f"{what} is implemented for d = 1 only")
     return method(_row(a)).to_series([a.anchor], a.space)[0]
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Pointwise inverse (d = 1), certified by one residual product.
+    """Pointwise inverse, certified by one residual product.
 
     The truncated inverse b solves ``b_0 = a_0^{-1}``,
     ``b_k = -a_0^{-1} sum_{j=1..k} a_j b_{k-j}``.  The residual r = 1 - a b
@@ -826,7 +756,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
-    """exp(a) with the factorial remainder folded into the tail bound (d = 1)."""
+    """exp(a) with the factorial remainder folded into the tail bound."""
     return _unary(a, "exp", SeriesStack.exp)
 
 
@@ -834,7 +764,7 @@ def series_log(a: TruncatedSeries) -> TruncatedSeries:
     """Principal log of a series near the unit; alternating Mercator series.
 
     The branch budget ``majorant(a - 1) < 1`` must hold on the series radius;
-    callers with germ structure can bond deeper and retry.  d = 1 only.
+    callers with germ structure can bond deeper and retry.
     """
     return _unary(a, "log", SeriesStack.log)
 
@@ -906,7 +836,7 @@ def cauchy_coefficients(f, anchor, radius, k_max, n_points=256):
 
 def cauchy_series(f, anchor, radius: float, degree_bound: int,
                   space: CoefficientSpace) -> TruncatedSeries:
-    """The d = 1 Taylor series of ``f`` at ``anchor``, valid on 0.64 * radius.
+    """The Taylor series of ``f`` at ``anchor``, valid on 0.64 * radius.
 
     Coefficients come from circle quadrature at 0.8 * radius.  Three guards
     reject maps that are not boundedly holomorphic on the claimed ball with
@@ -991,38 +921,39 @@ def series_to_json(s: TruncatedSeries) -> dict:
 
     Every complex number is an [re, im] pair; Python's repr-based float
     serialization makes the round trip exact at full double precision.
+    Coefficient k is the entry ``[[k], value...]``, and ``"dim"`` is the model
+    dimension, always 1.
     """
-    n = s.degree_bound
-    entries = [[idx] + [_c2p(z) for z in s.coeffs[tuple(idx)].reshape(-1)]
-               for idx in np.argwhere(_degrees(n, s.dim) <= n).tolist()]
+    entries = [[[k]] + [_c2p(z) for z in s.coeffs[k].reshape(-1)]
+               for k in range(s.degree_bound + 1)]
     return {
-        "anchor": _c2p(s.anchor) if s.dim == 1 else [_c2p(z) for z in s.anchor],
+        "anchor": _c2p(s.anchor),
         "degree_bound": s.degree_bound,
         "coeffs": entries,
         "radius": float(s.radius),
         "tail_bound": float(s.tail_bound),
         "space": {"kind": s.space.kind, "dim": s.space.dim},
-        "dim": s.dim,
+        "dim": 1,
     }
 
 
 def series_from_json(doc: dict) -> TruncatedSeries:
     """The series of a :func:`series_to_json` document; :class:`StructureError`
-    if the document is malformed."""
+    if the document is malformed or its ``"dim"`` is present and not 1."""
     try:
+        if "dim" in doc and doc["dim"] != 1:
+            raise StructureError(f"model dimension {doc['dim']!r}, not 1")
         space = CoefficientSpace(doc["space"]["kind"], doc["space"]["dim"])
-        dim = int(doc.get("dim", 1))
-        if dim == 1:
-            anchor = complex(doc["anchor"][0], doc["anchor"][1])
-        else:
-            anchor = np.array([complex(p[0], p[1]) for p in doc["anchor"]])
+        x, y = doc["anchor"]
+        anchor = complex(x, y)
         n = int(doc["degree_bound"])
-        coeffs = np.zeros((n + 1,) * dim + space.shape, dtype=complex)
+        coeffs = np.zeros((n + 1,) + space.shape, dtype=complex)
         for entry in doc["coeffs"]:
+            (k,) = entry[0]
             flat = np.array([complex(p[0], p[1]) for p in entry[1:]])
-            coeffs[_multi_index(entry[0], dim, n)] = flat.reshape(space.shape)
+            coeffs[_index(k, n)] = flat.reshape(space.shape)
         return TruncatedSeries(anchor, n, coeffs, float(doc["radius"]),
-                               float(doc["tail_bound"]), space, dim)
+                               float(doc["tail_bound"]), space)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise StructureError(f"malformed series document: {exc!r}") from exc
 

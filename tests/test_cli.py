@@ -95,6 +95,15 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "configuration error" in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_base_radius_is_config_error(self, tmp_path, value):
+        # rejected when the germ space is built, before any array sees it
+        res = run_cli("--suite", "germ-space", "--rho0", value, "--trials", "8",
+                      "--out", str(tmp_path / "r"))
+        assert res.returncode == 2
+        assert "base radius must be positive and finite" in res.stderr
+        assert "RuntimeWarning" not in res.stderr and "Traceback" not in res.stderr
+
     def test_config_echoes_every_option_but_out(self):
         parser = build_parser()
         config = _config_dict(parser.parse_args(["--suite", "germ-space", "--out", "x"]))

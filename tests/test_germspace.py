@@ -25,7 +25,6 @@ from germlie.germspace import _stack, _unit_majorant_stack
 from germlie.reports import Report
 from germlie.series import (
     TruncatedSeries,
-    _degrees,
     linear_combination,
     matrix_space,
     scalar_space,
@@ -41,6 +40,18 @@ class TestGermSpaceStructure:
             GermSpace(anchors=(0.0,), ratio=0.2)
         with pytest.raises(BudgetError):
             GermSpace(anchors=(0.0,), ratio=RATIO_CEILING)
+
+    @pytest.mark.parametrize("rho0", [math.inf, math.nan, 0.0, -1.0])
+    def test_base_radius_must_be_positive_and_finite(self, rho0):
+        with pytest.raises(StructureError, match="base radius"):
+            GermSpace(anchors=(0.0,), base_radius=rho0)
+
+    @pytest.mark.parametrize("anchors", [((0.0, 0.0),), (), ("a",), ((0.0, 0.0), 1.0),
+                                         (0.0, math.nan), (math.inf,)],
+                             ids=["pairs", "empty", "not-numbers", "ragged", "nan", "inf"])
+    def test_anchors_must_be_finite_complex_numbers(self, anchors):
+        with pytest.raises(StructureError, match="anchors"):
+            GermSpace(anchors=anchors)
 
     def test_negative_degree_bound_rejected(self):
         with pytest.raises(StructureError, match="degree bound"):
@@ -394,11 +405,6 @@ class TestCompactRegularity:
         with pytest.raises(StructureError):
             compact_regularity_check(scalar_germspace, 1, 3, 0.1, -1, rng)
 
-    def test_two_variables_rejected(self, rng):
-        sp = GermSpace(anchors=((0.0, 0.0),), ratio=0.1, levels=4, dim=2)
-        with pytest.raises(StructureError):
-            compact_regularity_check(sp, 1, 3, 0.1, 5, rng)
-
 
 def reference_compact_regularity(space, n, ell, eps, trials, rng, family_size=64,
                                  slack=1e-9):
@@ -504,13 +510,14 @@ class TestUnionGlue:
         rep = union_glue_check(a, b, 1, rng, trials=10, tol=1e-10)
         assert rep.passed
 
-    @pytest.mark.parametrize("dim, trials", [(2, 5), (1, -3)])
-    def test_invalid_input_rejected_before_drawing(self, rng, dim, trials):
-        anchors = ((0.0, 0.0),) if dim == 2 else (0.0,)
-        sp = GermSpace(anchors=anchors, ratio=0.1, levels=4, degree_bound=4, dim=dim)
+    @pytest.mark.parametrize("other, trials", [(scalar_space(), -3), (vector_space(2), 5)],
+                             ids=["negative-trials", "mixed-spaces"])
+    def test_invalid_input_rejected_before_drawing(self, rng, other, trials):
+        sp = GermSpace(anchors=(0.0,), ratio=0.1, levels=4, degree_bound=4)
+        sp_b = GermSpace(anchors=(0.5,), ratio=0.1, levels=4, degree_bound=4, space=other)
         state = rng.bit_generator.state
         with pytest.raises(StructureError):
-            union_glue_check(sp, sp, 1, rng, trials=trials)
+            union_glue_check(sp, sp_b, 1, rng, trials=trials)
         assert rng.bit_generator.state == state
 
     def test_incompatible_inputs_flagged(self, rng):
@@ -532,8 +539,6 @@ ELEMENT_SPACES = {
     "scalar": GermSpace(anchors=(0.0, 0.4 + 0.1j), ratio=0.1, levels=4, degree_bound=6),
     "matrix2": GermSpace(anchors=(0.0, 1.5 + 0.5j), ratio=0.1, levels=4, degree_bound=6,
                          space=matrix_space(2)),
-    "d2": GermSpace(anchors=((0.0, 0.0), (0.5, 0.1j)), ratio=0.1, levels=4, degree_bound=4,
-                    dim=2),
 }
 
 
@@ -541,15 +546,14 @@ def signed_zero_element(sp, level, rng):
     """Random per-anchor series built by ``BHolElement.of``, with about a third of
     the real and imaginary parts +0.0 or -0.0; radii and tails vary per anchor."""
     n = sp.degree_bound
-    parts = rng.standard_normal((len(sp.anchors),) + (n + 1,) * sp.dim + sp.space.shape + (2,))
+    parts = rng.standard_normal((len(sp.anchors), n + 1) + sp.space.shape + (2,))
     parts[rng.random(parts.shape) < 0.35] = 0.0
     parts[rng.random(parts.shape) < 0.5] *= -1.0  # signs on the zeros too
     coeffs = np.ascontiguousarray(parts).view(complex)[..., 0]
-    coeffs[:, _degrees(n, sp.dim) > n] = 0.0
     radius = sp.radius(level) * rng.uniform(0.5, 1.0, len(sp.anchors))
     tail = rng.uniform(0.0, 1e-3, len(sp.anchors))
     return BHolElement.of(sp, level, (
-        TruncatedSeries(a, n, c, r, t, sp.space, sp.dim)
+        TruncatedSeries(a, n, c, r, t, sp.space)
         for a, c, r, t in zip(sp.anchors, coeffs, radius.tolist(), tail.tolist())))
 
 
@@ -564,8 +568,6 @@ def assert_same_bits(got, want):
 NORM_SPACES = dict(ELEMENT_SPACES, **{
     "vector3": GermSpace(anchors=(0.0, 0.4 + 0.1j, -0.3j), ratio=0.1, levels=4,
                          degree_bound=6, space=vector_space(3)),
-    "d2matrix3": GermSpace(anchors=((0.0, 0.0), (0.5, 0.1j)), ratio=0.1, levels=4,
-                           degree_bound=4, space=matrix_space(3), dim=2),
 })
 
 
@@ -608,8 +610,7 @@ class TestElementStack:
         assert len(el.reps) == len(sp.anchors) and el.reps is el.reps
         for s, a, c, r, t in zip(el.reps, sp.anchors, el.coeffs, el.radius, el.tail):
             assert s.coeffs.tobytes() == c.tobytes()
-            assert (s.radius, s.tail_bound, s.space, s.dim) == (r, t, sp.space, sp.dim)
-            assert (s.anchor if sp.dim == 1 else tuple(s.anchor)) == a
+            assert (s.radius, s.tail_bound, s.space, s.anchor) == (r, t, sp.space, a)
 
     def test_arrays_are_read_only(self, scalar_germspace, rng):
         x = signed_zero_element(scalar_germspace, 1, rng)
@@ -659,67 +660,16 @@ class TestCoherence:
         el = BHolElement.of(sp, 0, reps)
         assert el.coherence_defect() > 0.5
 
-    def test_two_variable_coherence_rejected(self):
-        sp = GermSpace(anchors=((0.0, 0.0), (0.5, 0.0)), ratio=0.1, degree_bound=4, dim=2)
-        with pytest.raises(StructureError, match="d = 1 only"):
-            sp.zero_element(0).coherence_defect()
-
 
 class TestElementAnchors:
-    @pytest.mark.parametrize("anchors, wrong, dim", [
-        ((0.0, 0.5), (0.0, 7.0), 1),
-        (((0.0, 0.0),), ((0.0, 1.0),), 2),
-    ])
-    def test_series_at_another_anchor_rejected(self, anchors, wrong, dim):
-        sp = GermSpace(anchors=anchors, ratio=0.1, degree_bound=4, dim=dim)
-        reps = tuple(TruncatedSeries.constant(1.0, a, 1.0, scalar_space(), 4, dim)
-                     for a in wrong)
+    def test_series_at_another_anchor_rejected(self):
+        sp = GermSpace(anchors=(0.0, 0.5), ratio=0.1, degree_bound=4)
+        reps = tuple(TruncatedSeries.constant(1.0, a, 1.0, scalar_space(), 4) for a in (0.0, 7.0))
         with pytest.raises(StructureError, match="anchor"):
             BHolElement.of(sp, 0, reps)
 
-    @staticmethod
-    def _two_variable_element(anchors):
-        sp = GermSpace(anchors=anchors, ratio=0.1, degree_bound=4, dim=2)
-        per_anchor = [[((0, 0), float(i + 1)), ((1, 0), 2.0), ((0, 1), -1.0j)]
-                      for i in range(len(anchors))]
-        return sp.element_from_coeff_lists(per_anchor, 0)
-
-    def test_two_variable_eval_one_anchor(self):
-        el = self._two_variable_element(((0.0, 0.0),))
-        pts = np.array([[0.1, 0.2j], [-0.1, 0.0], [0.05j, 0.3]])
-        vals = el.eval(pts)
-        assert vals.shape == (3,)
-        assert_allclose(vals, el.reps[0].eval(pts), rtol=0, atol=0)
-
-    def test_two_variable_eval_nearest_anchor_in_c2(self):
-        anchors = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5j))
-        el = self._two_variable_element(anchors)
-        # nearest by distance in C^2: anchor 2, then anchor 1
-        pts = np.array([[0.05, 0.4j], [0.45, 0.1]])
-        vals = el.eval(pts)
-        assert vals.shape == (2,)
-        assert vals[0] == el.reps[2].eval(pts[0])
-        assert vals[1] == el.reps[1].eval(pts[1])
-
 
 class TestGermDistance:
-    @staticmethod
-    def _two_variable_element(pairs, level=1):
-        sp = GermSpace(anchors=((0.0, 0.0), (0.3, 0.1j)), ratio=0.1, degree_bound=4, dim=2)
-        return sp.element_from_coeff_lists([pairs] * len(sp.anchors), level)
-
-    def test_two_variable_bonded_copy(self):
-        el = self._two_variable_element([((0, 0), 1.0), ((1, 2), 2.0 - 1.0j), ((0, 3), 0.5)])
-        assert germ_distance(el, bond(el, 3)) == 0.0
-        assert germ_distance(bond(el, 3), el) == 0.0
-
-    @pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 2), (2, 1), (1, 3)])
-    def test_two_variable_monomial_offset(self, i, j):
-        c = 0.3 - 0.4j
-        x = self._two_variable_element([((0, 0), 1.0), ((1, 1), 2.0)])
-        y = x + self._two_variable_element([((i, j), c)])
-        assert germ_distance(x, y) == pytest.approx(abs(c) * 0.1 ** (i + j), rel=1e-12)
-
     def test_different_anchor_sets_rejected(self):
         a = GermSpace(anchors=(0.0, 0.4 + 0.1j))
         b = GermSpace(anchors=(0.0, 0.5))

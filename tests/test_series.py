@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -34,7 +35,6 @@ from germlie.series import (
 from germlie.series import (
     _block_toeplitz,
     _cauchy_product,
-    _degrees,
     _exp_order,
     _identity_stack,
     _log_order,
@@ -407,12 +407,6 @@ class TestInvertOracle:
             want = np.array([scipy.linalg.logm(v) for v in g.eval(pts)])
             assert np.max(MS.norm(lg.eval(pts) - want)) <= lg.tail_bound + 1e-12
 
-    def test_two_variable_series_rejected(self):
-        s = TruncatedSeries.unit((0.0, 0.0), 1.0, SP, 4, dim=2)
-        for fn in (invert, series_exp, series_log):
-            with pytest.raises(StructureError, match="d = 1"):
-                fn(s)
-
 
 class TestNorms:
     def test_constant_series_norms(self):
@@ -528,47 +522,38 @@ class TestArrayEvaluators:
 
 
 def _mp_horner(c, w):
-    """Nested Horner in mpmath: axis 0 of ``c`` runs over powers of w[0], the
-    next axis (d = 2) over powers of w[1]."""
+    """Horner in mpmath of the coefficients ``c`` at the mpmath point w."""
     acc = mpmath.mpc(0)
-    for row in c[::-1]:
-        term = _mp_horner(row, w[1:]) if c.ndim > 1 else mpmath.mpc(complex(row))
-        acc = acc * w[0] + term
+    for x in c[::-1]:
+        acc = acc * w + mpmath.mpc(complex(x))
     return acc
 
 
-def _mp_eval(coeffs, ws, dim):
-    """50-digit values of the polynomial ``coeffs`` (``dim`` degree axes, then
-    the space shape) at each offset in ``ws``."""
-    flat = coeffs.reshape(coeffs.shape[:dim] + (-1,))
+def _mp_eval(coeffs, ws):
+    """50-digit values of the polynomial ``coeffs`` (the degree axis, then the
+    space shape) at each offset in ``ws``."""
+    flat = coeffs.reshape(coeffs.shape[0], -1)
     out = np.empty((len(ws), flat.shape[-1]), complex)
     with mpmath.workdps(50):
         for p, w in enumerate(ws):
-            w_mp = [mpmath.mpc(complex(x)) for x in np.atleast_1d(w)]
             for e in range(flat.shape[-1]):
-                out[p, e] = complex(_mp_horner(flat[..., e], w_mp))
-    return out.reshape((len(ws),) + coeffs.shape[dim:])
+                out[p, e] = complex(_mp_horner(flat[:, e], mpmath.mpc(complex(w))))
+    return out.reshape((len(ws),) + coeffs.shape[1:])
 
 
 class TestEvalOracle:
     """``eval`` at degree 30 against 50-digit mpmath, out to 0.98 of the radius."""
 
-    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("space", [SP, VS, MS], ids=["scalar", "vector3", "2x2"])
-    def test_degree30_matches_mpmath(self, rng, dim, space):
+    def test_degree30_matches_mpmath(self, rng, space):
         n, radius = 30, 0.9
-        deg = _degrees(n, dim)
-        coeffs = (rng.standard_normal(deg.shape + space.shape)
-                  + 1j * rng.standard_normal(deg.shape + space.shape))
-        coeffs *= (radius ** -deg.astype(float)).reshape(deg.shape + (1,) * len(space.shape))
-        coeffs[deg > n] = 0.0
-        anchor = 0.2 - 0.1j if dim == 1 else (0.2 - 0.1j, -0.3j)
-        s = TruncatedSeries(anchor, n, coeffs, radius, 0.0, space, dim)
-        count = 24 if dim == 1 else 12
-        w = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-        w *= 0.98 * radius / np.linalg.norm(w, axis=1, keepdims=True)
-        ws = w[:, 0] if dim == 1 else w
-        want = _mp_eval(coeffs, ws, dim)
+        shape = (n + 1,) + space.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs *= (radius ** -np.arange(n + 1.0)).reshape((-1,) + (1,) * len(space.shape))
+        s = TruncatedSeries(0.2 - 0.1j, n, coeffs, radius, 0.0, space)
+        w = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        ws = 0.98 * radius * w / np.abs(w)
+        want = _mp_eval(coeffs, ws)
         err = float(np.max(space.norm(s.eval(s.anchor + ws) - want)))
         assert err <= 1e-14 * s.majorant_norm()
 
@@ -588,23 +573,31 @@ class TestEvalKernel:
                     err = abs(mpmath.mpc(complex(rows[k, p])) - exact)
                     assert err <= 4 * max(n, 1) * np.finfo(float).eps * abs(exact)
 
-    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("space", [SP, VS, MS], ids=["scalar", "vector3", "2x2"])
     @pytest.mark.parametrize("pshape", [(0,), (), (2, 3)], ids=["empty", "0-d", "2-d"])
-    def test_eval_shape_follows_points(self, rng, dim, space, pshape):
+    def test_eval_shape_follows_points(self, rng, space, pshape):
         n = 5
-        deg = _degrees(n, dim)
-        coeffs = rng.standard_normal(deg.shape + space.shape) + 0j
-        coeffs[deg > n] = 0.0
-        s = TruncatedSeries(0.0 if dim == 1 else (0.0, 0.0), n, coeffs, 1.0, 0.0, space, dim)
-        pts = 0.3 * rng.standard_normal(pshape + (dim, 2)) @ np.array([1.0, 1j])
-        pts = pts[..., 0] if dim == 1 else pts  # (...,) for d = 1, (..., 2) for d = 2
+        coeffs = rng.standard_normal((n + 1,) + space.shape) + 0j
+        s = TruncatedSeries(0.0, n, coeffs, 1.0, 0.0, space)
+        pts = 0.3 * rng.standard_normal(pshape + (2,)) @ np.array([1.0, 1j])
         got = s.eval(pts)
         assert got.shape == pshape + space.shape
-        flat = pts.reshape((-1,) + pts.shape[len(pshape):])
+        flat = pts.reshape(-1)
         want = [s.eval(flat[p:p + 1])[0] for p in range(len(flat))]
         assert_allclose(got.reshape((-1,) + space.shape), np.reshape(want, (-1,) + space.shape),
                         rtol=1e-14, atol=1e-15)
+
+
+SERIES_DOCUMENTS = Path(__file__).with_name("data") / "series_documents.jsonl"
+
+
+def documented_series():
+    """The series of ``SERIES_DOCUMENTS``, one ``series_json_dumps`` line each,
+    written before the series type dropped its model-dimension field."""
+    rng = np.random.default_rng(2027)
+    s, m = random_scalar_series(rng, degree=4), random_matrix_series(rng, degree=3)
+    return [TruncatedSeries(0.3 - 0.2j, 4, s.coeffs, 0.9, 1 / 3, SP),
+            TruncatedSeries(-0.1j, 3, m.coeffs, 0.5, 2e-17, MS)]
 
 
 class TestSerialization:
@@ -630,107 +623,53 @@ class TestSerialization:
         lambda doc: doc["coeffs"].append([[7], [5.0, 0.0]]),
         lambda doc: doc["coeffs"][1].append([5.0, 0.0]),
         lambda doc: doc.pop("radius"),
-    ], ids=["negative-degree", "beyond-degree-bound", "extra-value", "missing-key"])
+        lambda doc: doc.update(dim=2),
+        lambda doc: doc.update(anchor=[[0.0, 0.0], [0.0, 0.0]]),
+        lambda doc: doc["coeffs"][1].__setitem__(0, [1, 0]),
+        lambda doc: doc["coeffs"][1].__setitem__(0, 1),
+    ], ids=["negative-degree", "beyond-degree-bound", "extra-value", "missing-key", "dim-2",
+            "two-entry-anchor", "two-entry-index", "bare-index"])
     def test_malformed_document_is_structural(self, edit):
         doc = series_to_json(TruncatedSeries.from_coeff_list([(1, 2.0)], 0.0, 1.0, SP, 3))
         edit(doc)
         with pytest.raises(StructureError):
             series_from_json(doc)
 
-    @pytest.mark.parametrize("index", [-1, 4])
+    @pytest.mark.parametrize("drop_dim", [False, True], ids=["dim-1", "no-dim"])
+    def test_stored_documents_load_bit_exact(self, drop_dim):
+        lines = SERIES_DOCUMENTS.read_text().splitlines()
+        for text, want in zip(lines, documented_series(), strict=True):
+            doc = json.loads(text)
+            assert doc["dim"] == 1 and all(len(e[0]) == 1 for e in doc["coeffs"])
+            if drop_dim:
+                del doc["dim"]
+            got = series_from_json(doc)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert str(got.anchor) == str(want.anchor)  # the sign of a zero part too
+            assert (got.degree_bound, got.radius, got.tail_bound, got.space) == \
+                (want.degree_bound, want.radius, want.tail_bound, want.space)
+            assert series_json_dumps(got) == text
+
+    @pytest.mark.parametrize("index", [-1, 4, (1,), 1.5])
     def test_coeff_list_outside_degrees_rejected(self, index):
         with pytest.raises(StructureError):
             TruncatedSeries.from_coeff_list([(index, 5.0)], 0.0, 1.0, SP, 3)
 
-
-class TestDimensionTwo:
-    def test_eval_and_multiply(self, rng):
-        sp = scalar_space()
-        a = TruncatedSeries.from_coeff_list([((0, 0), 1.0), ((1, 0), 2.0), ((0, 1), -1.0)],
-                                            (0.0, 0.0), 1.0, sp, 4, dim=2)
-        b = TruncatedSeries.from_coeff_list([((1, 1), 1.0)], (0.0, 0.0), 1.0, sp, 4, dim=2)
-        pts = 0.3 * (rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2)))
-        va = 1.0 + 2.0 * pts[:, 0] - pts[:, 1]
-        vb = pts[:, 0] * pts[:, 1]
-        assert_allclose(a.eval(pts), va, rtol=0, atol=1e-13)
-        out = multiply(a, b)
-        assert_allclose(out.eval(pts), va * vb, rtol=0, atol=1e-12)
-
-    def test_majorant_sound_d2(self, rng):
-        sp = scalar_space()
-        a = TruncatedSeries.from_coeff_list([((0, 0), 0.5), ((2, 1), 1.0)],
-                                            (0.0, 0.0), 1.0, sp, 4, dim=2)
-        pts = 0.5 * (rng.standard_normal((40, 2)) + 1j * rng.standard_normal((40, 2)))
-        pts /= np.maximum(np.linalg.norm(pts, axis=1, keepdims=True) / 0.5, 1.0)
-        assert np.max(np.abs(a.eval(pts))) <= a.majorant_norm(0.5) + 1e-12
-
-    def test_degree_bound_enforced_d2(self):
-        sp = scalar_space()
-        with pytest.raises(StructureError):
-            TruncatedSeries.from_coeff_list([((3, 2), 1.0)], (0.0, 0.0), 1.0, sp, 4, dim=2)
-
-    @staticmethod
-    def _random_d2(rng, space, degree=6, radius=0.8, tail=1e-3):
-        shape = (degree + 1, degree + 1) + space.shape
-        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        deg = np.add.outer(np.arange(degree + 1), np.arange(degree + 1))
-        coeffs[deg > degree] = 0.0
-        coeffs *= (0.7 ** deg).reshape(deg.shape + (1,) * len(space.shape))
-        return TruncatedSeries((0.1, -0.2j), degree, coeffs, radius, tail, space, dim=2)
-
-    def test_sample_sup_of_linear_form_on_unit_ball(self):
-        # the sup of |z1 + z2| on the unit ball of C^2 is sqrt(2); the majorant is 2
-        s = TruncatedSeries.from_coeff_list([((1, 0), 1.0), ((0, 1), 1.0)],
-                                            (0.0, 0.0), 1.0, scalar_space(), 3, dim=2)
-        sampled = s.sample_sup()
-        assert abs(sampled - math.sqrt(2.0)) < 1e-3
-        assert sampled <= s.majorant_norm()
-
-    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
-    def test_truncate_d2(self, rng, space):
-        s = self._random_d2(rng, space)
-        t = s.truncate(3)
-        deg = np.add.outer(np.arange(4), np.arange(4))
-        assert t.coeffs.shape == (4, 4) + space.shape
-        assert not np.any(t.coeffs[deg > 3])
-        assert np.array_equal(t.coeffs[deg <= 3], s.coeffs[:4, :4][deg <= 3])
-        # boundary points of the radius-0.8 ball around the anchor
-        w = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
-        pts = s.anchor + 0.8 * w / np.linalg.norm(w, axis=1, keepdims=True)
-        err = np.max(space.norm(s.eval(pts) - t.eval(pts)))
-        assert 0 < err <= t.tail_bound - s.tail_bound + 1e-14
-
-    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
-    def test_exact_json_roundtrip_d2(self, rng, space):
-        s = self._random_d2(rng, space).with_tail(1 / 3)
-        s2 = series_json_loads(series_json_dumps(s))
-        assert np.array_equal(s.coeffs, s2.coeffs)
-        assert np.array_equal(s.anchor, s2.anchor)
-        assert (s2.dim, s2.space, s2.degree_bound) == (2, space, s.degree_bound)
-        assert s.radius == s2.radius and s.tail_bound == s2.tail_bound
+    @pytest.mark.parametrize("anchor", [(0.0, 0.0), [0.5j]], ids=["pair", "list"])
+    def test_anchor_must_be_a_complex_scalar(self, anchor):
+        with pytest.raises(StructureError, match="anchor must be a complex scalar"):
+            TruncatedSeries.unit(anchor, 1.0, SP, 3)
 
 
 def reference_majorant_coeffs(s, rho):
-    """The two branches first written: elementwise for d = 1, a bincount over
-    the degree grid for d = 2."""
-    n, norms = s.degree_bound, s.coeff_norms()
-    if s.dim == 1:
-        return norms * rho ** np.arange(n + 1)
-    deg = np.add.outer(np.arange(n + 1), np.arange(n + 1))
-    return np.bincount(deg.ravel(), (norms * rho ** deg).ravel())[: n + 1]
+    """The majorant sequence as first written, elementwise."""
+    return s.coeff_norms() * rho ** np.arange(s.degree_bound + 1)
 
 
 def reference_truncate(s, n):
-    """Coefficients and tail of ``s.truncate(n)`` as first written: the d = 2
-    dropped mass one masked sum over the degree grid."""
-    if s.dim == 1:
-        dropped = float(np.sum(reference_majorant_coeffs(s, s.radius)[n + 1:]))
-        return s.coeffs[: n + 1], s.tail_bound + dropped
-    deg = np.add.outer(np.arange(s.degree_bound + 1), np.arange(s.degree_bound + 1))
-    dropped = float(np.sum((s.coeff_norms() * s.radius ** deg)[deg > n]))
-    coeffs = s.coeffs[: n + 1, : n + 1].copy()
-    coeffs[deg[: n + 1, : n + 1] > n] = 0.0
-    return coeffs, s.tail_bound + dropped
+    """Coefficients and tail of ``s.truncate(n)`` as first written."""
+    dropped = float(np.sum(reference_majorant_coeffs(s, s.radius)[n + 1:]))
+    return s.coeffs[: n + 1], s.tail_bound + dropped
 
 
 class TestOneMajorantPath:
@@ -753,19 +692,6 @@ class TestOneMajorantPath:
             coeffs, tail = reference_truncate(s, n)
             assert t.coeffs.tobytes() == np.ascontiguousarray(coeffs).tobytes()
             assert t.tail_bound == tail
-
-    @pytest.mark.parametrize("space", [SP, MS], ids=["scalar", "2x2"])
-    def test_d2_truncate_within_rounding_of_the_masked_sum(self, rng, space):
-        s = TestDimensionTwo._random_d2(rng, space)
-        for rho in (None, 0.0, 0.5):
-            got = s.majorant_coeffs(rho)
-            assert got.tobytes() == reference_majorant_coeffs(
-                s, s.radius if rho is None else rho).tobytes()
-        for n in range(s.degree_bound):
-            t = s.truncate(n)
-            coeffs, tail = reference_truncate(s, n)
-            assert np.array_equal(t.coeffs, coeffs)
-            assert t.tail_bound == pytest.approx(tail, rel=1e-14, abs=0)
 
 
 class TestBracket:

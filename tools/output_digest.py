@@ -15,7 +15,10 @@ Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
 * for three seeded ``random_spline_curve``s, ``evol(curve, 64)``'s endpoint
   coefficients and tails, every trajectory node's coefficients, tails and
   ``cert_margin``, and its error estimate, and the extras of
-  ``smoothness_report`` against a second seeded spline.
+  ``smoothness_report`` against a second seeded spline;
+* the JSON documents of a seeded scalar and a seeded 2 x 2 series
+  (``series_json_dumps``), of ``circle_atlas(3)`` and ``tan_chart_pair()``
+  (``atlas_to_json``) and of a seeded ``GermGroupElement``.
 
 Two checkouts that print the same lines give the same bits on all of them.
 The package is imported from this checkout's ``src``, and every file the
@@ -36,11 +39,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 sys.dont_write_bytecode = True
 
+from germlie.complexify import atlas_to_json, circle_atlas, tan_chart_pair  # noqa: E402
 from germlie.evolution import evol, random_spline_curve, smoothness_report  # noqa: E402
-from germlie.germgroup import GermLieGroup, random_algebra_element  # noqa: E402
+from germlie.germgroup import (  # noqa: E402
+    GermLieGroup,
+    random_algebra_element,
+    random_group_element,
+)
 from germlie.germspace import GermSpace  # noqa: E402
 from germlie.matrixlie import MatrixLieBackend  # noqa: E402
-from germlie.series import matrix_space  # noqa: E402
+from germlie.series import (  # noqa: E402
+    TruncatedSeries,
+    matrix_space,
+    scalar_space,
+    series_json_dumps,
+)
 import test_complexify  # noqa: E402
 import workloads  # noqa: E402
 
@@ -120,11 +133,26 @@ def complexify_lines():
         yield digest(data), f"complexify/{name}"
 
 
+def json_lines():
+    rng = np.random.default_rng(17)
+    for name, space in (("scalar", scalar_space()), ("matrix2", matrix_space(2))):
+        shape = (13,) + space.shape
+        coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * (0.6 ** np.arange(13)).reshape((-1,) + (1,) * len(space.shape))
+        series = TruncatedSeries(0.3 - 0.2j, 12, coeffs, 0.8, 1e-13, space)
+        yield digest(series_json_dumps(series).encode()), f"json/series/{name}"
+    for name, atlas in (("circle3", circle_atlas(3)), ("tan", tan_chart_pair())):
+        data = json.dumps(atlas_to_json(atlas), sort_keys=True).encode()
+        yield digest(data), f"json/atlas/{name}"
+    element = random_group_element(matrix_group(), rng)
+    yield digest(json.dumps(element.to_json(), sort_keys=True).encode()), "json/group_element"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines(),
-                     *complexify_lines(), *evol_lines()):
+                     *complexify_lines(), *evol_lines(), *json_lines()):
             print("  ".join(line))
     return 0
 
