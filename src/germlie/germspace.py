@@ -25,6 +25,11 @@ executable checks:
 * ``union_glue_check`` -- gluing compatible extensions across a union of two
   anchor sets, the finite-union strategy for compact sets in charts.
 
+Every sampled sup here (``BHolElement.sample_sup`` and the sampled sides of
+the first two checks) comes from the one boundary sampler of
+``TruncatedSeries.sample_sup``, ``series._boundary_sups``, run on coefficient
+stacks; it rejects a sample count that is not an integer >= 1.
+
 All checks are pure functions of their inputs plus an explicit seeded
 random generator, and emit :class:`germlie.reports.Report` values.
 """
@@ -42,7 +47,7 @@ from .reports import Report
 from .series import (
     CoefficientSpace,
     TruncatedSeries,
-    _powers,
+    _boundary_sups,
     cauchy_series,
     linear_combination,
     scalar_space,
@@ -206,7 +211,8 @@ class BHolElement:
         return float(batch_norm_upper(norms, self.tail, self.radius[:, None]))
 
     def sample_sup(self, n: int = 128) -> float:
-        return max(s.sample_sup(s.radius, n) for s in self.reps)
+        sp = self.parent
+        return float(np.max(_boundary_sups(self.coeffs, sp.anchors, self.radius, n, sp.space)))
 
     def eval(self, points) -> np.ndarray:
         """Evaluate using, per point, the series of the nearest anchor."""
@@ -396,8 +402,9 @@ def family_convergence_check(family, R: float, r: float,
 
     For ``r >= R/(2e)`` the estimate has no content; with ``enforce_ratio``
     the check raises :class:`BudgetError`, otherwise it evaluates the raw
-    inequality and reports the (expected) failure.  ``R <= 0``, ``r < 0`` and
-    members with different degree bounds raise :class:`StructureError`.
+    inequality and reports the (expected) failure.  ``R <= 0``, ``r < 0``,
+    members with different degree bounds and a ``sup_samples`` that is not an
+    integer >= 1 raise :class:`StructureError`.
     """
     family = list(family)
     params = {"R": R, "r": r, "family_size": len(family)}
@@ -406,11 +413,12 @@ def family_convergence_check(family, R: float, r: float,
     if enforce_ratio and not r < R / (2.0 * math.e):
         raise BudgetError(
             f"family convergence estimate needs r < R/(2e) = {R / (2 * math.e):.6g}, got r = {r}")
-    stack = _stack(family)
-    s_k = _sups(stack, family[0].parent.space)
+    stack, cs = _stack(family), family[0].parent.space
+    s_k = _sups(stack, cs)
     lhs = float(np.sum(s_k * r ** np.arange(len(s_k))))
     lhs_rem = _family_tail_remainder(stack, r / R)
-    sup = max(el.sample_sup(sup_samples) for el in family)
+    sup = float(np.max(_boundary_sups(stack[0], [el.parent.anchors for el in family],
+                                      stack[2], sup_samples, cs)))
     denom = R - 2.0 * math.e * r
     factor = R / denom if denom > 0 else -math.inf
     rhs = factor * sup
@@ -487,14 +495,6 @@ def batch_norm_upper(norms, tails, rho) -> np.ndarray:
     return np.max(np.sum(norms * pw, axis=-1) + tails, axis=-1)
 
 
-def _boundary_powers(space: GermSpace, rho: float, count: int) -> np.ndarray:
-    """``(z - a)^k`` at the ``count`` points on |z - a| = rho that
-    ``TruncatedSeries.sample_sup`` samples, shape ``(N+1, anchors, count)``."""
-    theta = 2 * np.pi * np.arange(count) / count
-    a = np.asarray(space.anchors, dtype=complex)[:, None]
-    return _powers((a + rho * np.exp(1j * theta)) - a, space.degree_bound)
-
-
 def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
                              trials: int, rng: np.random.Generator,
                              family_size: int = 64,
@@ -560,10 +560,8 @@ def compact_regularity_check(space: GermSpace, n: int, ell: int, eps: float,
     scale = np.where(kept, 0.999 * sigma, 0.0)
     coeffs = coeffs * scale.reshape((-1,) + (1,) * (coeffs.ndim - 1))
     tails = tails * scale[:, None]
-    flat = coeffs.reshape(coeffs.shape[:3] + (math.prod(space.space.shape),))
-    vals = np.matmul(_boundary_powers(space, space.radius(n + 1), 96).transpose(1, 2, 0), flat)
-    sampled = np.max(space.space.norm(vals.reshape(vals.shape[:3] + space.space.shape)),
-                     axis=(1, 2)).tolist()
+    sampled = np.max(_boundary_sups(coeffs, space.anchors, space.radius(n + 1), 96, space.space),
+                     axis=1).tolist()
     for t in np.flatnonzero(kept):
         rep.note_margin(eps - sampled[t])
         if sampled[t] > eps + slack:
@@ -671,11 +669,10 @@ def ratio_topology_spotcheck(space_r: GermSpace, space_r2: GermSpace,
                          "levels": list(_SPOTCHECK_LEVELS)})
     worst = 0.0
     for el in elements:
+        norms = el.parent.space.norm(el.coeffs)
         for lvl in _SPOTCHECK_LEVELS:
-            rho1 = space_r.radius(lvl)
-            rho2 = space_r2.radius(lvl)
-            m1 = max(s.majorant_norm(min(rho1, s.radius)) for s in el.reps)
-            m2 = max(s.majorant_norm(min(rho2, s.radius)) for s in el.reps)
+            m1, m2 = (float(batch_norm_upper(norms, el.tail, np.minimum(rho, el.radius)[:, None]))
+                      for rho in (space_r.radius(lvl), space_r2.radius(lvl)))
             if not (math.isfinite(m1) and math.isfinite(m2)) or m1 <= 0 or m2 <= 0:
                 rep.fail({"level": lvl, "m1": m1, "m2": m2})
                 continue

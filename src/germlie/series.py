@@ -483,18 +483,33 @@ class SeriesStack:
                     f"got {q[i]:.3g} at radius {radius[i] / 0.75:.3g} (minimum {floor[i]:.3g})")
 
 
-def _powers(w, n: int) -> np.ndarray:
-    """``w^0..w^n`` on a new leading axis, shape ``(n + 1,) + w.shape``, in
-    doubling blocks: once rows 0..m hold w^0..w^m, rows m+1..2m are rows 1..m
-    times row m, one contiguous product each (about log2(n) calls in all)."""
+def _powers(w, n: int, out=None) -> np.ndarray:
+    """``w^0..w^n`` on a new leading axis, shape ``(n + 1,) + w.shape`` (or in ``out``,
+    a view of that shape), in doubling blocks: once rows 0..m hold w^0..w^m, rows
+    m+1..2m are rows 1..m times row m, one product each (about log2(n) calls in all)."""
     w = np.asarray(w, dtype=complex)
-    out = np.empty((n + 1,) + w.shape, dtype=complex)
+    out = np.empty((n + 1,) + w.shape, dtype=complex) if out is None else out
     out[0], out[1:2] = 1.0, w
     m = 1
     while m < n:
         np.multiply(out[1:min(m, n - m) + 1], out[m], out=out[m + 1:2 * m + 1])
         m *= 2
     return out
+
+
+def _boundary_sups(coeffs, anchor, rho, n, space: CoefficientSpace) -> np.ndarray:
+    """Largest value norm of each row of a coefficient stack ``(..., N+1) + shape`` at
+    n evenly spaced points of |z - a| = rho, anchor and rho broadcasting against ``...``,
+    with the bits of ``TruncatedSeries.eval``; StructureError unless n is an int >= 1."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise StructureError(f"boundary sampling needs an integer n >= 1, got {n!r}")
+    *lead, k = coeffs.shape[:coeffs.ndim - len(space.shape)]
+    a, theta = np.asarray(anchor, dtype=complex)[..., None], 2 * np.pi * np.arange(n) / n
+    w = (a + np.asarray(rho, dtype=float)[..., None] * np.exp(1j * theta)) - a
+    powers = np.empty(w.shape[:-1] + (k, n), dtype=complex)  # eval's layout in each row,
+    _powers(w, k - 1, np.moveaxis(powers, -2, 0))  # as BLAS sums other strides in another order
+    vals = np.matmul(powers.swapaxes(-1, -2), coeffs.reshape((*lead, k, math.prod(space.shape))))
+    return np.max(space.norm(vals.reshape(vals.shape[:-1] + space.shape)), axis=-1)
 
 
 def _index(k, n: int) -> int:
@@ -553,8 +568,8 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_norm_cache", None)
         anchor = np.asarray(self.anchor, dtype=complex)
-        if anchor.shape != ():
-            raise StructureError(f"anchor must be a complex scalar, got shape {anchor.shape}")
+        if anchor.shape != () or not np.isfinite(anchor):
+            raise StructureError(f"anchor must be a complex scalar and finite: {self.anchor!r}")
         object.__setattr__(self, "anchor", complex(anchor))
 
     # -- constructors -------------------------------------------------------
@@ -613,17 +628,10 @@ class TruncatedSeries:
     def sample_sup(self, rho: float | None = None, n: int = 256) -> float:
         """Lower bound for the sup norm: max of the polynomial part over boundary samples.
 
-        The maximum principle puts the sup of the represented polynomial on
-        the circle |z - a| = rho, so evenly spaced boundary angles give a
-        deterministic, rapidly tight lower bound; :class:`StructureError`
-        unless ``n >= 1``.
-        """
-        rho = self._rho(rho)
-        if n < 1:
-            raise StructureError(f"sample_sup needs n >= 1 boundary samples, got {n}")
-        theta = 2 * np.pi * np.arange(n) / n
-        vals = self.eval(self.anchor + rho * np.exp(1j * theta))
-        return float(np.max(self.space.norm(vals)))
+        By the maximum principle, n evenly spaced angles on |z - a| = rho give a
+        deterministic, rapidly tight lower bound: one row of the one sampler,
+        ``_boundary_sups``, so :class:`StructureError` unless n is an integer >= 1."""
+        return float(_boundary_sups(self.coeffs, self.anchor, self._rho(rho), n, self.space))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -813,6 +821,20 @@ def _unscale(hat, rq: float, k_max: int) -> np.ndarray:
     return hat[: k_max + 1] / rq ** ks
 
 
+def _check_extraction(anchor, radius, degree, n_points: int) -> None:
+    """:class:`StructureError` unless ``anchor`` is a finite complex scalar,
+    ``radius`` finite and positive and ``degree`` an integer in
+    ``0..n_points - 1``: checked before f sees a point."""
+    anchor = np.asarray(anchor, dtype=complex)
+    if anchor.shape != () or not np.isfinite(anchor):
+        raise StructureError(f"extraction anchor must be a finite complex scalar, got {anchor}")
+    if not (radius > 0 and math.isfinite(radius)):
+        raise StructureError(f"extraction radius must be positive and finite, got {radius}")
+    if not (isinstance(degree, (int, np.integer)) and 0 <= degree < n_points):
+        raise StructureError(
+            f"degree bound must be an integer in 0..{n_points - 1}, got {degree!r}")
+
+
 def cauchy_coefficients(f, anchor, radius, k_max, n_points=256):
     """Taylor coefficients of ``f`` around ``anchor`` by circle quadrature.
 
@@ -822,11 +844,14 @@ def cauchy_coefficients(f, anchor, radius, k_max, n_points=256):
     callers can check the bound ``norm(beta_k) <= sup / r_q^k``.  The raw
     coefficients carry no tail; :func:`cauchy_series` adds one.
 
-    Requires ``n_points >= 4 * k_max``; f must be bounded holomorphic on the
-    open disc of the given radius around the anchor.  f is called once, on
-    the 1-d complex array of the ``n_points`` nodes, and returns its values
-    with the points on the leading axis; a scalar return is a constant.
+    Requires a finite anchor, a finite radius > 0, an integer ``k_max >= 0``
+    and ``n_points >= 4 * k_max`` (:class:`StructureError` otherwise); f must
+    be bounded holomorphic on the open disc of the given radius around the
+    anchor.  f is called once, on the 1-d complex array of the ``n_points``
+    nodes, and returns its values with the points on the leading axis; a
+    scalar return is a constant.
     """
+    _check_extraction(anchor, radius, k_max, n_points)
     if n_points < 4 * k_max:
         raise StructureError(f"need n_points >= 4*k_max, got {n_points} < {4 * k_max}")
     rq = 0.8 * radius
@@ -853,8 +878,12 @@ def cauchy_series(f, anchor, radius: float, degree_bound: int,
     f is called three times (both circles and 16 probe points), each time on
     a 1-d complex array of points, and returns its values with the points on
     the leading axis, shape ``(points,) + space.shape``; a scalar return is a
-    constant.  Other value shapes raise :class:`StructureError`.
+    constant.  Other value shapes raise :class:`StructureError`, and so do a
+    non-finite anchor, a radius that is not finite and positive and a degree
+    bound that is not an integer in ``0..255`` (the quadrature size), before
+    f is called.
     """
+    _check_extraction(anchor, radius, degree_bound, _QUAD_POINTS)
     n = degree_bound
     rq, rq2 = 0.8 * radius, 0.5 * radius
     hat, circle_sup = _circle_fft(f, anchor, rq, _QUAD_POINTS)

@@ -88,6 +88,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("suite, option, value", [
         ("lie-local", "--bch-order", "0"),
         ("germ-space", "--degree", "-1"),
+        ("germ-space", "--degree", "300"),
     ])
     def test_out_of_range_option_is_config_error(self, tmp_path, suite, option, value):
         res = run_cli("--suite", suite, option, value, "--trials", "8",

@@ -25,6 +25,7 @@ from germlie.germspace import _stack, _unit_majorant_stack
 from germlie.reports import Report
 from germlie.series import (
     TruncatedSeries,
+    _boundary_sups,
     linear_combination,
     matrix_space,
     scalar_space,
@@ -406,6 +407,17 @@ class TestCompactRegularity:
             compact_regularity_check(scalar_germspace, 1, 3, 0.1, -1, rng)
 
 
+def reference_sample_sup(s, rho, n):
+    """The per-series sampler first written: the largest value norm of
+    ``TruncatedSeries.eval`` at n evenly spaced points of |z - a| = rho."""
+    theta = 2 * np.pi * np.arange(n) / n
+    return float(np.max(s.space.norm(s.eval(s.anchor + rho * np.exp(1j * theta)))))
+
+
+def reference_element_sup(el, n):
+    return max(reference_sample_sup(s, s.radius, n) for s in el.reps)
+
+
 def reference_compact_regularity(space, n, ell, eps, trials, rng, family_size=64,
                                  slack=1e-9):
     """compact_regularity_check evaluated one trial at a time: one BHolElement
@@ -454,7 +466,7 @@ def reference_compact_regularity(space, n, ell, eps, trials, rng, family_size=64
         sigma = min(1.0 / maj_n, (delta / maj_l) if maj_l > 0 else math.inf, coeff_ratio)
         el = el.scale(0.999 * sigma)
         count += 1
-        sampled = bond(el, n + 1).sample_sup(96)
+        sampled = reference_element_sup(bond(el, n + 1), 96)
         rep.note_margin(eps - sampled)
         if sampled > eps + slack:
             rep.fail({"sampled_sup": sampled, "eps": eps,
@@ -583,6 +595,84 @@ class TestStackedNorms:
                 assert el.norm_upper == want and type(el.norm_upper) is float
             want = max(s.poly_majorant() for s in (bond(x, 2) - bond(y, 2)).reps)
             assert germ_distance(x, bond(y, 2)) == want
+
+
+def reference_worst_norm_ratio(space_r, space_r2, elements):
+    """``ratio_topology_spotcheck``'s worst ratio from per-series majorant norms."""
+    worst = 0.0
+    for el in elements:
+        for lvl in (1, 2):
+            m1, m2 = (max(s.majorant_norm(min(sp.radius(lvl), s.radius)) for s in el.reps)
+                      for sp in (space_r, space_r2))
+            worst = max(worst, m1 / m2, m2 / m1)
+    return worst
+
+
+SAMPLER_SPACES = {name: GermSpace(anchors=(0.0, 0.4 + 0.1j, -0.3j), ratio=0.1, levels=4,
+                                   space=cs, degree_bound=12)
+                  for name, cs in (("scalar", scalar_space()), ("vector3", vector_space(3)),
+                                   ("matrix2", matrix_space(2)))}
+
+
+class TestBoundarySampler:
+    """Every sampling entry point reaches ``series._boundary_sups`` and gives the
+    bits of the per-series reference."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_SPACES))
+    def test_matches_the_per_series_reference(self, name, rng):
+        # radii differ per anchor and per member (signed_zero_element draws them);
+        # at n = 1 BLAS takes a dot product, which sums in another order on
+        # strided powers, so one sample per circle tells the layouts apart
+        sp = SAMPLER_SPACES[name]
+        family = [signed_zero_element(sp, 1, rng) for _ in range(3)]
+        coeffs, _, radii = _stack(family)
+        for n in (1, 7, 128):
+            want = [[reference_sample_sup(s, s.radius, n) for s in el.reps] for el in family]
+            for el, row in zip(family, want):
+                assert [s.sample_sup(None, n) for s in el.reps] == row
+                assert el.sample_sup(n) == max(row)
+            assert _boundary_sups(coeffs, sp.anchors, radii, n, sp.space).tolist() == want
+            rho = sp.radius(1)
+            rep = family_convergence_check(family, R=rho, r=0.1 * rho, sup_samples=n)
+            assert rep.extras["sup_sampled"] == max(map(max, want))
+            empty = _boundary_sups(coeffs[:0], sp.anchors, radii[:0], n, sp.space)
+            assert empty.shape == (0, len(sp.anchors))
+        sp2 = GermSpace(sp.anchors, ratio=0.15, levels=4, degree_bound=sp.degree_bound,
+                        space=sp.space)
+        top = [signed_zero_element(sp, 0, rng) for _ in range(3)]
+        assert ratio_topology_spotcheck(sp, sp2, top).extras == {
+            "worst_norm_ratio": reference_worst_norm_ratio(sp, sp2, top)}
+        for trials in (0, 5):
+            seed = int(rng.integers(2 ** 32))
+            want = reference_compact_regularity(sp, 1, 3, 0.1, trials,
+                                                np.random.default_rng(seed), family_size=8)
+            got = compact_regularity_check(sp, 1, 3, 0.1, trials, np.random.default_rng(seed),
+                                           family_size=8)
+            assert got.to_dict() == want.to_dict() and got.trials == trials
+
+    def test_sampling_checks_build_no_series(self, rng, monkeypatch):
+        sp = SAMPLER_SPACES["vector3"]
+        sp2 = GermSpace(sp.anchors, ratio=0.15, levels=4, degree_bound=sp.degree_bound,
+                        space=sp.space)
+        family, top = unit_majorant_family(sp, 1, rng, 4), unit_majorant_family(sp, 0, rng, 4)
+        built = []
+        post_init = TruncatedSeries.__post_init__
+        monkeypatch.setattr(TruncatedSeries, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        assert family[0].sample_sup() > 0
+        rho = sp.radius(1)
+        assert family_convergence_check(family, R=rho, r=0.1 * rho).passed
+        assert ratio_topology_spotcheck(sp, sp2, top).passed
+        assert built == []
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    def test_sample_count_must_be_a_positive_integer(self, scalar_germspace, n):
+        # 2.5 used to sample 3 points, at angles 0, 0.8 pi and 1.6 pi
+        el = scalar_germspace.constant_element(0.5, 1)
+        for call in (lambda: el.reps[0].sample_sup(None, n), lambda: el.sample_sup(n),
+                     lambda: family_convergence_check([el], R=0.1, r=0.01, sup_samples=n)):
+            with pytest.raises(StructureError, match="integer n >= 1"):
+                call()
 
 
 class TestElementStack:

@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from germlie import series as series_module
+from germlie.complexify import build_transition
 from germlie.errors import BudgetError, EvaluationError, StructureError
 from germlie.series import (
     SeriesStack,
@@ -469,7 +471,47 @@ class TestNorms:
         assert np.max(np.abs(s.eval(pts))) <= s.majorant_norm(rho) + 1e-12
 
 
+BAD_EXTRACTION_INPUTS = {
+    "unit-nan-anchor": lambda f: TruncatedSeries.unit(math.nan, 1.0, SP, 3),
+    "json-nan-anchor": lambda f: series_json_loads(
+        series_json_dumps(TruncatedSeries.unit(0.0, 1.0, SP, 3))
+        .replace('"anchor":[0.0,0.0]', '"anchor":[NaN,0.0]')),
+    "series-nan-anchor": lambda f: cauchy_series(f, math.nan, 1.0, 8, SP),
+    "series-inf-anchor": lambda f: cauchy_series(f, complex(0.0, math.inf), 1.0, 8, SP),
+    "series-zero-radius": lambda f: cauchy_series(f, 0.0, 0.0, 8, SP),
+    "series-negative-radius": lambda f: cauchy_series(f, 0.0, -1.0, 8, SP),
+    "series-nan-radius": lambda f: cauchy_series(f, 0.0, math.nan, 8, SP),
+    "series-negative-degree": lambda f: cauchy_series(f, 0.0, 1.0, -1, SP),
+    "series-degree-256": lambda f: cauchy_series(f, 0.0, 1.0, 256, SP),
+    "series-float-degree": lambda f: cauchy_series(f, 0.0, 1.0, 8.0, SP),
+    "coefficients-nan-anchor": lambda f: cauchy_coefficients(f, math.nan, 1.0, 8),
+    "coefficients-zero-radius": lambda f: cauchy_coefficients(f, 0.0, 0.0, 8),
+    "coefficients-negative-radius": lambda f: cauchy_coefficients(f, 0.0, -1.0, 8),
+    "coefficients-negative-degree": lambda f: cauchy_coefficients(f, 0.0, 1.0, -1),
+    "transition-zero-radius": lambda f: build_transition(f, 0, 1, (0.0, 0.3), piece_radius=0.0),
+}
+
+
 class TestCauchyExtraction:
+    @pytest.mark.parametrize("case", sorted(BAD_EXTRACTION_INPUTS))
+    def test_bad_input_rejected_before_sampling(self, case):
+        # these used to build, warn, divide by zero, raise EvaluationError or a
+        # bare ValueError, or return a negative quadrature radius
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return np.exp(z)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructureError):
+                BAD_EXTRACTION_INPUTS[case](f)
+        assert calls == []
+
+    def test_degrees_below_the_quadrature_size_extract(self):
+        assert cauchy_series(np.exp, 0.0, 1.0, 92, SP).degree_bound == 92
+
     def test_monomial(self):
         betas, sup, rq = cauchy_coefficients(lambda z: z ** 2, 0.0, 1.0, 6, 256)
         expect = np.zeros(7, complex)

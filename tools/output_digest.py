@@ -18,7 +18,11 @@ Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
   ``smoothness_report`` against a second seeded spline;
 * the JSON documents of a seeded scalar and a seeded 2 x 2 series
   (``series_json_dumps``), of ``circle_atlas(3)`` and ``tan_chart_pair()``
-  (``atlas_to_json``) and of a seeded ``GermGroupElement``.
+  (``atlas_to_json``) and of a seeded ``GermGroupElement``;
+* on seeded scalar, vector(3) and 2 x 2 families whose anchors have
+  different radii, ``TruncatedSeries.sample_sup`` of every anchor's series,
+  ``BHolElement.sample_sup``, the ``family_convergence_check`` extras and the
+  ``ratio_topology_spotcheck`` extras.
 
 Two checkouts that print the same lines give the same bits on all of them.
 The package is imported from this checkout's ``src``, and every file the
@@ -46,13 +50,19 @@ from germlie.germgroup import (  # noqa: E402
     random_algebra_element,
     random_group_element,
 )
-from germlie.germspace import GermSpace  # noqa: E402
+from germlie.germspace import (  # noqa: E402
+    BHolElement,
+    GermSpace,
+    family_convergence_check,
+    ratio_topology_spotcheck,
+)
 from germlie.matrixlie import MatrixLieBackend  # noqa: E402
 from germlie.series import (  # noqa: E402
     TruncatedSeries,
     matrix_space,
     scalar_space,
     series_json_dumps,
+    vector_space,
 )
 import test_complexify  # noqa: E402
 import workloads  # noqa: E402
@@ -148,11 +158,34 @@ def json_lines():
     yield digest(json.dumps(element.to_json(), sort_keys=True).encode()), "json/group_element"
 
 
+def sample_lines():
+    rng = np.random.default_rng(23)
+    counts = (1, 7, 128, 256)
+    for name, cs in (("scalar", scalar_space()), ("vector3", vector_space(3)),
+                     ("matrix2", matrix_space(2))):
+        space, space2 = (GermSpace(anchors=(0.0, 0.4 + 0.1j, -0.3j), ratio=ratio, levels=4,
+                                   space=cs, degree_bound=12) for ratio in (0.1, 0.15))
+        shape = (4, 3, 13) + cs.shape
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        radii, tails = rng.uniform(0.5, 1.0, (4, 3)), rng.uniform(0.0, 1e-3, (4, 3))
+        family = [BHolElement(space, 0, c, r, t) for c, r, t in zip(coeffs, radii, tails)]
+        sups = [s.sample_sup(rho, n) for el in family for s in el.reps
+                for rho in (None, 0.5 * s.radius) for n in counts]
+        yield digest(np.array(sups).tobytes()), f"sample/series/{name}"
+        sups = [el.sample_sup(n) for el in family for n in counts]
+        yield digest(np.array(sups).tobytes()), f"sample/element/{name}"
+        extras = [family_convergence_check(family, R=1.0, r=0.1, sup_samples=n).extras
+                  for n in counts]
+        yield digest(json.dumps(extras, sort_keys=True).encode()), f"sample/family/{name}"
+        extras = ratio_topology_spotcheck(space, space2, family).extras
+        yield digest(json.dumps(extras, sort_keys=True).encode()), f"sample/ratio/{name}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines(),
-                     *complexify_lines(), *evol_lines(), *json_lines()):
+                     *complexify_lines(), *evol_lines(), *json_lines(), *sample_lines()):
             print("  ".join(line))
     return 0
 
