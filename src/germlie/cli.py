@@ -6,7 +6,9 @@ draws the same streams alone as within ``all``); reports carry no
 timestamps, so identical invocations produce byte-identical files.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.
+configuration error, or a check that cannot run at the given configuration
+(``EvaluationError`` or ``ExtensionError``, for example a degree bound too
+high for the Cauchy extraction); exit 2 prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import complexify as cx
 from . import evolution as ev
 from . import germspace as gs
-from .errors import BudgetError, StructureError
+from .errors import BudgetError, EvaluationError, ExtensionError, StructureError
 from .germgroup import GermLieGroup, random_algebra_element, random_group_element
 from .germspace import GermSpace
 from .matrixlie import MatrixLieBackend
@@ -352,6 +354,9 @@ def main(argv=None) -> int:
         return run(args)
     except (BudgetError, StructureError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except (EvaluationError, ExtensionError) as exc:
+        print(f"cannot run at this configuration: {exc}", file=sys.stderr)
         return 2
 
 

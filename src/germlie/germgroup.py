@@ -202,6 +202,8 @@ class GermLieGroup:
             return []
         xs, ys = (_rows((p[k] for p in prepped), self.space.space.submult_factor).keep_operators()
                   for k in (0, 1))
+        if np.array_equal(xs.radius, ys.radius):  # x, y on one level: every product of the
+            ys.radius = xs.radius                 # walk finds one radius array by identity
         zs = evaluate_bch_words(xs, ys, order, SeriesStack.bracket)
         tails = zs.tail + np.repeat([rem for _, _, rem in prepped], n_anchors)
         cuts = (slice(i * n_anchors, (i + 1) * n_anchors) for i in range(len(prepped)))
@@ -225,9 +227,12 @@ class GermLieGroup:
                 last = exc
         raise last
 
+    def _stack(self, el: BHolElement) -> SeriesStack:
+        return SeriesStack(el.coeffs, el.radius, el.tail, self.space.space.submult_factor)
+
     def _on_stack(self, el: BHolElement, op) -> BHolElement:
         """Apply a :class:`SeriesStack` method to every anchor's series at once."""
-        out = op(SeriesStack(el.coeffs, el.radius, el.tail, self.space.space.submult_factor))
+        out = op(self._stack(el))
         return BHolElement(self.space, el.level, out.coeffs, out.radius, out.tail)
 
     def exp_germ(self, eta: BHolElement) -> GermGroupElement:
@@ -278,10 +283,11 @@ class GermLieGroup:
         Returns ``(AD(gamma) eta, R)`` where R is the certified bound
         ``majorant(gamma) * majorant(gamma^{-1})`` for the operator norm of
         the action at this level; ``norm_upper`` of the result is at most
-        ``R * norm_upper(eta)`` by majorant arithmetic.
+        ``R * norm_upper(eta)`` by majorant arithmetic.  Both products run
+        on the aligned coefficient stacks, every anchor at once.
         """
         ge, ee, gie = _align(gamma.element, eta, self.inv(gamma).element)
-        out = ge._zip(ee, series_multiply)._zip(gie, series_multiply)
+        out = self._on_stack(ge, lambda g: g.mul(self._stack(ee)).mul(self._stack(gie)))
         return out, ge.norm_upper * gie.norm_upper
 
 

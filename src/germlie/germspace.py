@@ -78,6 +78,9 @@ GERM_EQ_TOL = 1e-9
 _FAMILY_TOL = 1e-12  # slack of family_convergence_check's inequality
 _COHERENCE_POINTS = 32  # circle points per overlapping anchor pair in coherence_defect
 _SPOTCHECK_LEVELS = (1, 2)  # levels compared by ratio_topology_spotcheck
+# largest |k ln rho| of the normalized families, so that coefficients over rho^k stay
+# below ~1e304 in modulus, and below ~1e150 where the norm squares them
+_POWER_SPAN = {"scalar": 700.0, "vector": 345.0, "matrix": 345.0}
 
 
 @dataclass(frozen=True)
@@ -360,8 +363,18 @@ def _fold(coeffs, tails, weights) -> tuple:
     return acc, tail
 
 
+def _check_powers(rho: float, n: int, where: str, span: float) -> None:
+    """:class:`StructureError` unless rho^k and rho^-k stay within e^span for k = 0..n, so
+    that neither rho^k underflows to 0 nor coefficients over rho^k overflow to inf."""
+    if rho > 0 and n * abs(math.log(rho)) > span:
+        raise StructureError(f"{where}: the powers of radius {rho:.6g} up to the degree bound "
+                             f"{n} leave the float range; lower the degree bound")
+
+
 def _sups(stack, space: CoefficientSpace, rho: float = 1.0) -> np.ndarray:
-    return np.max(space.norm(stack[0]) * rho ** np.arange(stack[0].shape[2]), axis=(0, 1))
+    n = stack[0].shape[2] - 1
+    _check_powers(rho, n, "normalized sups", _POWER_SPAN["scalar"])
+    return np.max(space.norm(stack[0]) * rho ** np.arange(n + 1), axis=(0, 1))
 
 
 def derivative_sups(family, normalized_radius: float = 1.0) -> np.ndarray:
@@ -440,10 +453,13 @@ def _unit_majorant_stack(space: GermSpace, level: int, rng: np.random.Generator,
                          size: int, include_monomials: bool) -> tuple:
     """The ``_stack`` of :func:`unit_majorant_family` drawn as arrays, with no
     element built: coefficients ``(members, anchors, N+1) + shape``, zero
-    tails and radii ``rho_level``, both ``(members, anchors)``."""
+    tails and radii ``rho_level``, both ``(members, anchors)``.  A level whose
+    powers rho^k leave the float range up to the degree bound raises
+    :class:`StructureError` before any draw."""
     if not (isinstance(size, (int, np.integer)) and size >= 0):
         raise StructureError(f"unit-majorant draws need an integer size >= 0, got {size!r}")
     rho, n, cs = space.radius(level), space.degree_bound, space.space
+    _check_powers(rho, n, f"level {level}", _POWER_SPAN[cs.kind])
     rows, ones = (size, len(space.anchors)), (1,) * len(cs.shape)
     counts = rng.integers(1, 5, size=rows)
     cand = rng.integers(0, n + 1, size=rows + (4,))

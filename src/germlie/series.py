@@ -209,26 +209,25 @@ def _truncated_product(op_a, b):
     return np.matmul(op_a, b.reshape(n_rows, k * m, m)).reshape(n_rows, k, m, m)
 
 
-def _cauchy_product(op_a, b, norms_a, norms_b, tail_a, tail_b, radius, kappa):
+def _cauchy_product(op_a, b, w_a, sum_a, suffix_b, tail_a, tail_b, kappa):
     """Truncated Cauchy products of B pairs of series with (m, m) coefficients.
 
-    ``op_a`` is the :func:`_block_toeplitz` of the left factors, ``b`` the
-    right factors, shape (B, K, m, m) (scalars are m = 1), the norms are
-    (B, K), the tails and the common radius (B,).  Returns the product
-    coefficients (B, K, m, m) and their tails (B,); with b^T's operator and
-    a^T as ``op_a`` and ``b`` the coefficients come transposed, the tails not.
+    ``op_a`` is the :func:`_block_toeplitz` of the left factors and ``b`` the
+    right factors, shape (B, K, m, m) (scalars are m = 1).  The majorant
+    terms are taken at the common radius r: ``w_a`` (B, K) holds the left
+    factors' weights norm_k r^k and ``sum_a`` (B,) their row sums, and
+    ``suffix_b`` (B, K) the reversed cumulative sums of the right factors'
+    weights, column j the sum of the last j + 1 (see :meth:`SeriesStack.mul`).
+    The tails are (B,).  Returns the product coefficients (B, K, m, m) and
+    their tails (B,); with b^T's operator and a^T as ``op_a`` and ``b`` the
+    coefficients come transposed, the tails not.
     """
     k = b.shape[1]
     coeffs = _truncated_product(op_a, b)
-    pw = radius[:, None] ** np.arange(k)
-    am = norms_a * pw
-    bm = norms_b * pw
     # overflow sum_{p+q>=k} am_p bm_q = sum_{p>=1} am_p * (sum_{q>=k-p} bm_q),
     # read off the suffix sums of bm
-    suffix = bm[:, ::-1].cumsum(axis=1)  # suffix[:, j] = sum of the last j+1 bm
-    overflow = (am[:, 1:] * suffix[:, : k - 1]).sum(axis=1)
-    tail = _product_tail(am.sum(axis=1), suffix[:, -1], tail_a, tail_b, overflow, kappa)
-    return coeffs, tail
+    overflow = (w_a[:, 1:] * suffix_b[:, : k - 1]).sum(axis=1)
+    return coeffs, _product_tail(sum_a, suffix_b[:, -1], tail_a, tail_b, overflow, kappa)
 
 
 def _identity_stack(like):
@@ -293,23 +292,29 @@ class SeriesStack:
     stay with the caller.  ``kappa`` is :attr:`CoefficientSpace.submult_factor`
     of the coefficient space, and every stack derived from this one keeps it.
 
-    After :meth:`keep_operators` a stack keeps the block Toeplitz operators
-    of itself and of its transpose, which :meth:`mul` uses on either side of
-    a product, and after :meth:`prepare_exp` (or :meth:`exp`) the row-wise
-    half of :meth:`exp`.  :meth:`rows` keeps those rows of the exp terms and
-    of the :meth:`norms` computed so far; every other derived stack starts
-    without any of them.
+    A stack keeps what it computes, each part when first needed: the
+    :meth:`norms`; the powers radius^k, which a product on a shared radius
+    hands on; the majorant weights w = norms * radius^k with their row sums,
+    its terms as the left factor of :meth:`mul`, and with their reversed
+    cumulative sums, its terms as the right factor; after
+    :meth:`keep_operators` the block Toeplitz operators of itself and of its
+    transpose, which :meth:`mul` uses on either side of a product; after
+    :meth:`prepare_exp` (or :meth:`exp`) the row-wise half of :meth:`exp`.
+    :meth:`rows` keeps those rows of all of it but the operators; every other
+    derived stack starts without any of it.
     """
 
-    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_exp_terms", "_op", "_op_t")
+    __slots__ = ("coeffs", "radius", "tail", "kappa", "_norms", "_pw", "_w", "_w_sum",
+                 "_suffix", "_exp_terms", "_op", "_op_t")
+    _ROW_WISE = ("_norms", "_pw", "_w", "_w_sum", "_suffix")
 
     def __init__(self, coeffs: np.ndarray, radius: np.ndarray, tail: np.ndarray, kappa: float):
         self.coeffs = coeffs  # (B, K, m, m), scalars as 1 x 1 matrices
         self.radius = radius  # (B,)
         self.tail = tail      # (B,)
         self.kappa = kappa
-        self._norms = self._exp_terms = None
-        self._op = self._op_t = None
+        self._norms = self._pw = self._w = self._w_sum = self._suffix = None
+        self._exp_terms = self._op = self._op_t = None
 
     @classmethod
     def from_series(cls, series: list) -> "SeriesStack":
@@ -326,10 +331,12 @@ class SeriesStack:
 
     def rows(self, index) -> "SeriesStack":
         """The stack of the rows ``index`` selects (a slice or an index array),
-        with those rows of the kept norms and exp terms."""
+        with those rows of the kept norms, majorant terms and exp terms."""
         out = SeriesStack(self.coeffs[index], self.radius[index], self.tail[index], self.kappa)
-        if self._norms is not None:
-            out._norms = self._norms[index]
+        for name in self._ROW_WISE:
+            kept = getattr(self, name)
+            if kept is not None:
+                setattr(out, name, kept[index])
         if self._exp_terms is not None:
             out._exp_terms = tuple(a[index] for a in self._exp_terms)
         return out
@@ -341,9 +348,34 @@ class SeriesStack:
             self._norms = spectral_norms(self.coeffs) / self.kappa
         return self._norms
 
+    def _powers(self) -> np.ndarray:
+        if self._pw is None:
+            self._pw = self.radius[:, None] ** np.arange(self.coeffs.shape[1])
+        return self._pw
+
+    def _weights(self) -> np.ndarray:
+        if self._w is None:  # w keeps no norms nobody asked for: one (B, K) array, not two
+            norms = spectral_norms(self.coeffs) / self.kappa if self._norms is None else self._norms
+            self._w = norms * self._powers()
+        return self._w
+
+    def _left_terms(self) -> tuple:
+        """The weights and their row sums, this stack's majorant terms as the
+        left factor of a product."""
+        w = self._weights()
+        if self._w_sum is None:
+            self._w_sum = w.sum(axis=1)
+        return w, self._w_sum
+
+    def _right_terms(self) -> np.ndarray:
+        """The reversed cumulative sums of the weights, column j the sum of the
+        last j + 1: this stack's majorant terms as the right factor."""
+        if self._suffix is None:
+            self._suffix = self._weights()[:, ::-1].cumsum(axis=1)
+        return self._suffix
+
     def majorant(self) -> np.ndarray:
-        pw = self.radius[:, None] ** np.arange(self.coeffs.shape[1])
-        return np.sum(self.norms() * pw, axis=1) + self.tail
+        return self._left_terms()[1] + self.tail
 
     def add(self, other: "SeriesStack") -> "SeriesStack":
         """``self + other``, tail ``tau_a + tau_b``."""
@@ -377,17 +409,31 @@ class SeriesStack:
         with ``other``; else ``other``'s kept transposed operator with ``self``
         transposed, the product transposed back, as (a b)_d^T = sum_i
         b_{d-i}^T a_i^T; else a fresh gather of ``self``'s with ``other``.
-        The tails do not depend on the path."""
-        radius = np.minimum(self.radius, other.radius)
+        The tails do not depend on the path.  On equal radius arrays (the
+        same, else of equal values) they read both factors' kept majorant
+        terms, and the product shares ``self``'s radius and powers; otherwise
+        the terms are computed afresh at the row-wise smaller radius, with
+        the same bits."""
+        radius = self.radius
+        if radius is other.radius or np.array_equal(radius, other.radius):
+            pw = self._pw = other._pw = self._pw if self._pw is not None else other._powers()
+            (w_a, sum_a), suffix_b = self._left_terms(), other._right_terms()
+        else:
+            radius = np.minimum(radius, other.radius)
+            pw = radius[:, None] ** np.arange(self.coeffs.shape[1])
+            w_a = self.norms() * pw
+            sum_a, suffix_b = w_a.sum(axis=1), (other.norms() * pw)[:, ::-1].cumsum(axis=1)
         flip = self._op is None and other._op_t is not None
         if flip:
             op, right = other._op_t, self.coeffs.swapaxes(2, 3)
         else:
             op = self._op if self._op is not None else _block_toeplitz(self.coeffs)
             right = other.coeffs
-        coeffs, tail = _cauchy_product(op, right, self.norms(), other.norms(),
-                                       self.tail, other.tail, radius, self.kappa)
-        return SeriesStack(coeffs.swapaxes(2, 3) if flip else coeffs, radius, tail, self.kappa)
+        coeffs, tail = _cauchy_product(op, right, w_a, sum_a, suffix_b,
+                                       self.tail, other.tail, self.kappa)
+        out = SeriesStack(coeffs.swapaxes(2, 3) if flip else coeffs, radius, tail, self.kappa)
+        out._pw = pw
+        return out
 
     def bracket(self, other: "SeriesStack") -> "SeriesStack":
         """``self * other - other * self``, tail the sum of the products' tails.
@@ -403,7 +449,7 @@ class SeriesStack:
         if self._exp_terms is None:
             kappa = self.kappa
             # the unit-radius variable keeps badly scaled rows well conditioned
-            pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
+            pw = self._powers()[:, :, None, None]
             x_norms = spectral_norms(self.coeffs * pw) / kappa
             q = kappa * (np.sum(x_norms, axis=1) + self.tail)
             orders = np.array([_exp_order(float(v)) for v in q])
@@ -432,7 +478,7 @@ class SeriesStack:
         the terms above J in the tail; :class:`BudgetError` unless
         ``majorant(a - 1) < 1`` on every row."""
         kappa = self.kappa
-        pw = (self.radius[:, None] ** np.arange(self.coeffs.shape[1]))[:, :, None, None]
+        pw = self._powers()[:, :, None, None]
         w = self.coeffs * pw - _identity_stack(self.coeffs)
         w_norms = spectral_norms(w) / kappa
         mw = np.sum(w_norms, axis=1) + self.tail

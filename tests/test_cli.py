@@ -105,6 +105,24 @@ class TestExitCodes:
         assert "base radius must be positive and finite" in res.stderr
         assert "RuntimeWarning" not in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("degree, message", [
+        ("150", "cannot run at this configuration: not boundedly holomorphic"),
+        ("200", "configuration error: level 2: the powers of radius 0.01"),
+    ])
+    def test_high_degree_exits_two_with_one_stderr_line(self, tmp_path, degree, message):
+        # 150: the glueing check's Cauchy extraction rejects its test polynomial
+        # (EvaluationError); 200: level 2's radius powers leave the float range
+        # (StructureError) before any array holds inf or nan.  Warnings are errors.
+        env = {**os.environ, "PYTHONWARNINGS": "error",
+               "PYTHONPATH": os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
+        res = subprocess.run([sys.executable, "-m", "germlie", "--suite", "germ-space",
+                              "--degree", degree, "--trials", "4", "--out", str(tmp_path / "r")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [res.stderr.strip()]
+        assert res.stderr.startswith(message)
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr
+
     def test_config_echoes_every_option_but_out(self):
         parser = build_parser()
         config = _config_dict(parser.parse_args(["--suite", "germ-space", "--out", "x"]))

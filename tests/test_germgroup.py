@@ -15,7 +15,7 @@ from germlie.germgroup import (
     random_group_element,
 )
 from germlie.evolution import evol, random_spline_curve
-from germlie.germspace import BHolElement, GermSpace, bond, germ_distance
+from germlie.germspace import BHolElement, GermSpace, _align, bond, germ_distance
 from germlie.series import SeriesStack, matrix_space
 
 
@@ -186,6 +186,38 @@ class TestLocalProduct:
         assert all(s._op is not None and s._op_t is not None for s in letters)
         kept = {i for i, s in seen.items() if s._op is not None or s._op_t is not None}
         assert kept == {id(s) for s in letters}
+
+    @pytest.mark.parametrize("batch", [1, 3, 34])
+    def test_bch_pairs_compute_each_stacks_majorant_terms_once(self, germ_group, rng,
+                                                               monkeypatch, batch):
+        # the letters share one radius array and every product hands it on:
+        # one power table in all, and each factor's weights at most once
+        weighed, powers, shared = [], [], []
+        weights, pw, mul = SeriesStack._weights, SeriesStack._powers, SeriesStack.mul
+
+        def counted_weights(s):
+            if s._w is None:
+                weighed.append(s)  # kept alive, so ids stay distinct
+            return weights(s)
+
+        def counted_powers(s):
+            if s._pw is None:
+                powers.append(s)
+            return pw(s)
+
+        def counted_mul(a, b):
+            shared.append(a.radius is b.radius)
+            return mul(a, b)
+
+        monkeypatch.setattr(SeriesStack, "_weights", counted_weights)
+        monkeypatch.setattr(SeriesStack, "_powers", counted_powers)
+        monkeypatch.setattr(SeriesStack, "mul", counted_mul)
+        pairs = [tuple(random_algebra_element(germ_group, rng, 0.03) for _ in range(2))
+                 for _ in range(batch)]
+        germ_group.bch_pairs(pairs)
+        assert len(powers) == 1
+        assert shared == [True] * 376
+        assert len({id(s) for s in weighed}) == len(weighed) <= 2 + 188
 
     @pytest.mark.parametrize("batch", [1, 3, 34])
     def test_bch_pairs_match_stored_reference(self, germ_group, batch):
@@ -469,6 +501,41 @@ class TestAdjoint:
         inner, _ = germ_group.adjoint(delta, eta)
         rhs, _ = germ_group.adjoint(gamma, inner)
         assert np.max(germ_group.backend.norm(lhs.eval(pts) - rhs.eval(pts))) < 1e-9
+
+    def test_two_stack_products_bitwise_equal_to_per_anchor_products(self, germ_group, rng,
+                                                                    monkeypatch):
+        # the conjugation runs two SeriesStack.mul calls on the aligned stacks
+        # and gives the bits of series.multiply anchor by anchor
+        def per_anchor(gamma, eta):
+            ge, ee, gie = _align(gamma.element, eta, germ_group.inv(gamma).element)
+            return ge._zip(ee, series.multiply)._zip(gie, series.multiply)
+
+        cases = [(random_group_element(germ_group, rng, 0.3 * rng.uniform(0.1, 1.0),
+                                       int(rng.integers(0, 3))),
+                  random_algebra_element(germ_group, rng, 0.3 * rng.uniform(0.05, 1.0),
+                                         int(rng.integers(0, 3)))) for _ in range(30)]
+        # inverses that bond deeper, and an eta whose anchors have different radii
+        cases += [(random_group_element(germ_group, rng, budget, level=0),
+                   random_algebra_element(germ_group, rng, 0.1, level=0))
+                  for budget in (0.9, 1.2, 1.6)]
+        gamma, eta = cases[0]
+        cases.append((gamma, BHolElement(eta.parent, eta.level, eta.coeffs,
+                                         eta.radius * np.array([1.0, 0.8]), eta.tail)))
+        wants = [per_anchor(gamma, eta) for gamma, eta in cases]
+        rows, mul = [], SeriesStack.mul
+
+        def counted_mul(a, b):
+            rows.append(len(a.tail))
+            return mul(a, b)
+
+        monkeypatch.setattr(SeriesStack, "mul", counted_mul)
+        for (gamma, eta), want in zip(cases, wants):
+            del rows[:]
+            got, _ = germ_group.adjoint(gamma, eta)
+            assert rows == [len(germ_group.space.anchors)] * 2
+            assert got.level == want.level
+            for field in ("coeffs", "radius", "tail"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 class TestStructure:

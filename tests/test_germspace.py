@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,38 @@ class TestUnitMajorantFamily:
                 for a, b in zip(x.reps, y.reps):
                     assert a.coeffs.tobytes() == b.coeffs.tobytes()
                     assert (a.anchor, a.radius, a.tail_bound) == (b.anchor, b.radius, b.tail_bound)
+
+    @pytest.mark.parametrize("space, top", [(scalar_space(), 152), (matrix_space(2), 74),
+                                            (vector_space(3), 74)],
+                             ids=["scalar", "matrix2", "vector3"])
+    def test_powers_outside_the_float_range_raise_before_any_draw(self, space, top):
+        # rho_2 = 0.01: scalar families build up to 0.01^152 = 1e-304, and vector
+        # and matrix ones, whose norms square the coefficients, up to 0.01^74;
+        # one degree more raises (today's arrays would hold inf and nan from
+        # some degree on); warnings are errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for degree, ok in ((top, True), (top + 1, False), (200, False)):
+                sp = GermSpace(anchors=(0.0, 0.4 + 0.1j), ratio=0.1, levels=6, space=space,
+                               degree_bound=degree)
+                rng = np.random.default_rng(3)
+                state = rng.bit_generator.state
+                if ok:
+                    coeffs, _, _ = _unit_majorant_stack(sp, 2, rng, 8, True)
+                    assert np.all(np.isfinite(coeffs))
+                    assert np.all(np.isfinite(derivative_sups(
+                        unit_majorant_family(sp, 2, rng, 8), normalized_radius=sp.radius(2))))
+                    continue
+                for call in (lambda: unit_majorant_family(sp, 2, rng, 8),
+                             lambda: compact_regularity_check(sp, 2, 4, 0.1, 4, rng)):
+                    with pytest.raises(StructureError,
+                                       match=f"level 2: .* up to the degree bound {degree}"):
+                        call()
+                    assert rng.bit_generator.state == state
+            # the sups read the powers alone: 0.01^200 underflows in every space
+            family = unit_majorant_family(sp, 0, rng, 8)
+            with pytest.raises(StructureError, match="normalized sups: .* degree bound 200"):
+                derivative_sups(family, normalized_radius=sp.radius(2))
 
     @pytest.mark.parametrize("size", [-1, 2.5])
     def test_size_must_be_a_nonnegative_integer(self, scalar_germspace, size):

@@ -42,6 +42,7 @@ from germlie.series import (
     _log_order,
     _powers,
     _product_tail,
+    _truncated_product,
 )
 
 SP = scalar_space()
@@ -139,8 +140,10 @@ def reference_horner(x, x_norms, tail, tops, alpha, beta, kappa):
     s = one * np.array([alpha(t) for t in tops])[:, None, None, None]
     s_tail = np.zeros(len(x))
     for j in range(int(tops.max()) - 1, 0, -1):
-        c, t = _cauchy_product(_block_toeplitz(x), s, x_norms, spectral_norms(s) / kappa,
-                               tail, s_tail, unit, kappa)
+        pw = unit[:, None] ** np.arange(x.shape[1])
+        am, bm = x_norms * pw, spectral_norms(s) / kappa * pw
+        c, t = _cauchy_product(_block_toeplitz(x), s, am, am.sum(axis=1),
+                               bm[:, ::-1].cumsum(axis=1), tail, s_tail, kappa)
         live = tops > j
         s = np.where(live[:, None, None, None], alpha(j) * one + beta(j) * c, s)
         s_tail = np.where(live, abs(beta(j)) * t, s_tail)
@@ -1048,6 +1051,113 @@ class TestProductKernel:
                 assert np.all(z.coeffs == 0)
                 if bitwise:
                     assert z.coeffs.tobytes() == bytes(z.coeffs.nbytes)
+
+
+def reference_mul(a, b):
+    """``a * b`` with both factors' majorant terms computed afresh at the
+    row-wise smaller radius, in one formula: the oracle of the kept terms.
+    The coefficients come from the path ``mul`` takes (see its docstring)."""
+    k = a.coeffs.shape[1]
+    if a._op is None and b._op_t is not None:
+        coeffs = _truncated_product(b._op_t, a.coeffs.swapaxes(2, 3)).swapaxes(2, 3)
+    else:
+        coeffs = _truncated_product(_block_toeplitz(a.coeffs), b.coeffs)
+    radius = np.minimum(a.radius, b.radius)
+    pw = radius[:, None] ** np.arange(k)
+    am, bm = spectral_norms(a.coeffs) / a.kappa * pw, spectral_norms(b.coeffs) / b.kappa * pw
+    suffix = bm[:, ::-1].cumsum(axis=1)
+    overflow = (am[:, 1:] * suffix[:, : k - 1]).sum(axis=1)
+    tail = _product_tail(am.sum(axis=1), suffix[:, -1], a.tail, b.tail, overflow, a.kappa)
+    return SeriesStack(coeffs, radius, tail, a.kappa)
+
+
+KEPT = ("_pw", "_w", "_w_sum", "_suffix")
+
+
+class TestKeptMajorantTerms:
+    @staticmethod
+    def stacks(rng, m, rows, radius, count=3):
+        """``count`` stacks of near-unit rows (invertible) on the radius array
+        ``radius``, scales over two decades."""
+        shape = (rows, 13, m, m)
+        out = []
+        for _ in range(count):
+            coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+                * 0.5 ** np.arange(13)[:, None, None] \
+                * 10.0 ** rng.uniform(-4.0, -2.0, rows)[:, None, None, None]
+            coeffs[:, 0] += np.eye(m)
+            out.append(SeriesStack(coeffs, radius, rng.choice([0.0, 1e-9, 3e-7], rows),
+                                   0.5 if m > 1 else 1.0))
+        return out
+
+    @staticmethod
+    def radii(rng, rows, case):
+        """The radius arrays of the three stacks: one array, equal values in
+        distinct arrays, or rows that differ between the stacks."""
+        r = rng.uniform(0.3, 1.0, rows)
+        if case == "shared":
+            return r, r, r
+        if case == "equal":
+            return r, r.copy(), r.copy()
+        return r, r * rng.choice([1.0, 0.9], rows), r * rng.choice([1.0, 1.1], rows)
+
+    @pytest.mark.parametrize("case", ["shared", "equal", "different"])
+    @pytest.mark.parametrize("keep", ["none", "left", "right"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 68])
+    def test_mul_bitwise_equal_to_fresh_terms(self, rng, b, m, keep, case):
+        # every product of three stacks in both orders, twice, so that each
+        # stack reads its terms in both roles once they are kept; "right"
+        # runs the transposed path of a right factor that keeps operators
+        radius = self.radii(rng, b, case)
+        x, y, z = (SeriesStack(s.coeffs, r, s.tail, s.kappa)
+                   for s, r in zip(self.stacks(rng, m, b, radius[0]), radius))
+        if keep == "left":
+            x.keep_operators()
+        elif keep == "right":
+            y.keep_operators()
+        for _ in range(2):
+            for left, right in ((x, y), (y, x), (x, z), (z, y), (y, z), (x, x)):
+                want = reference_mul(left, right)
+                got = left.mul(right)
+                assert same_bytes(got, want)
+                if case != "different" or left is right:
+                    assert got.radius is left.radius and got._pw is left._pw
+                    assert left._pw is right._pw
+        if case != "different":
+            for s in (x, y, z):
+                assert s._w.tobytes() == (s.norms() * s.radius[:, None] ** np.arange(13)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("b", [1, 2, 68])
+    def test_derived_stacks_carry_no_stale_terms(self, rng, b, m):
+        r = rng.uniform(0.3, 1.0, b)
+        x, y, z = self.stacks(rng, m, b, r)
+        x.mul(y), y.mul(x), x.majorant()  # both roles of x and y kept
+        assert all(getattr(s, name) is not None for s in (x, y) for name in KEPT)
+        for idx in (slice(None), slice(b - 1, None, -2), rng.permutation(b)[: b // 2 + 1]):
+            kept = x.rows(idx)
+            fresh = SeriesStack(x.coeffs[idx], x.radius[idx], x.tail[idx], x.kappa)
+            for name, want in (("_pw", fresh._powers()), ("_w", fresh._weights()),
+                               ("_w_sum", fresh._left_terms()[1]),
+                               ("_suffix", fresh._right_terms())):
+                assert getattr(kept, name).tobytes() == want.tobytes()
+            assert same_bytes(kept.mul(z.rows(idx)), reference_mul(fresh, z.rows(idx)))
+        for derived in (x.add(y), x.scale(0.5), x + y, 0.5 * x, x.bracket(y), x.invert(),
+                        x.exp(), x.log()):
+            assert all(getattr(derived, name) is None for name in KEPT[1:])
+            assert same_bytes(derived.mul(z), reference_mul(derived, z))
+            assert same_bytes(z.mul(derived), reference_mul(z, derived))
+        assert same_bytes(x.scale(0.5).mul(y), reference_mul(x.scale(0.5), y))
+
+    def test_majorant_reads_the_kept_left_terms(self, rng):
+        r = rng.uniform(0.3, 1.0, 5)
+        x, y, _ = self.stacks(rng, 2, 5, r)
+        pw = r[:, None] ** np.arange(13)
+        want = np.sum(spectral_norms(x.coeffs) / x.kappa * pw, axis=1) + x.tail
+        assert x.majorant().tobytes() == want.tobytes()
+        x.mul(y)
+        assert x.majorant().tobytes() == want.tobytes()
 
 
 class TestSpectralNorms:

@@ -12,6 +12,10 @@ Usage: ``python3 tools/output_digest.py`` (no options).  The artifacts are
   library change that moves the benchmark's inputs shows up here;
 * per case of ``GLUE_CASES`` in ``tests/test_complexify.py``, the heights and
   margin table (or the extension error) and the four glueing reports, as JSON;
+* over the first 8 items of the group-charts workload's seed-1 pool, the
+  coefficients, radii and tails (and, of group germs, ``cert_margin``) of the
+  ``exp_germ``, ``log_germ``, ``power``, ``germ_bch``, ``mul``, ``inv`` and
+  ``adjoint`` results of that workload's op, and the adjoint's bound;
 * for three seeded ``random_spline_curve``s, ``evol(curve, 64)``'s endpoint
   coefficients and tails, every trajectory node's coefficients, tails and
   ``cert_margin``, and its error estimate, and the extras of
@@ -137,6 +141,37 @@ def pool_lines():
         yield workloads.input_digest(wl.make_inputs(wl.setup(), 1)), f"pool/{name}"
 
 
+def germ_bytes(out) -> bytes:
+    """Coefficients, radii and tails of an algebra or group germ, and a group germ's margin."""
+    el = getattr(out, "element", out)
+    margin = [np.float64(out.cert_margin)] if out is not el else []
+    return b"".join(np.ascontiguousarray(p).tobytes()
+                    for p in (el.coeffs, el.radius, el.tail, *margin))
+
+
+def group_lines():
+    wl = workloads.WORKLOADS["group-charts"]
+    group = wl.setup().group
+    outputs = {name: [] for name in ("exp_germ", "log_germ", "power", "germ_bch", "mul", "inv",
+                                     "adjoint")}
+    for item in wl.make_inputs(wl.setup(), 1)[:8]:
+        x, y, gamma, eta = item["x"], item["y"], item["gamma"], item["eta"]
+        gx, g_rt = group.exp_germ(x), group.exp_germ(item["eta_rt"])
+        ad_eta, bound = group.adjoint(gamma, eta)
+        for name, out in (("exp_germ", gx), ("exp_germ", g_rt),
+                          ("log_germ", group.log_germ(g_rt)),
+                          ("power", group.power(gx, item["n"])),
+                          ("germ_bch", group.germ_bch(x, y)),
+                          ("mul", group.mul(gx, group.exp_germ(y))),
+                          ("mul", group.mul(group.mul(gamma, group.exp_germ(eta)),
+                                            group.inv(gamma))),
+                          ("inv", group.inv(gamma)), ("adjoint", ad_eta)):
+            outputs[name].append(germ_bytes(out))
+        outputs["adjoint"].append(np.float64(bound).tobytes())
+    for name, chunks in outputs.items():
+        yield digest(b"".join(chunks)), f"group/{name}"
+
+
 def complexify_lines():
     for name in test_complexify.GLUE_CASES:
         data = json.dumps(test_complexify.glue_outputs(name), sort_keys=True).encode()
@@ -185,7 +220,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         for line in (*cli_lines(tmp), *demo_lines(tmp), *bch_lines(), *pool_lines(),
-                     *complexify_lines(), *evol_lines(), *json_lines(), *sample_lines()):
+                     *group_lines(), *complexify_lines(),
+                     *evol_lines(), *json_lines(), *sample_lines()):
             print("  ".join(line))
     return 0
 
